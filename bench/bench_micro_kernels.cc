@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include "bench_common.h"
 #include "core/je_stitch.h"
@@ -508,17 +512,55 @@ void RunEigenSmoke(m2td::bench::BenchJson* json) {
             << "x, eigenvalue gap " << gap << ")\n";
 }
 
+/// Times `body` once with the kernel dispatch pinned to the scalar table
+/// (`M2TD_FORCE_ISA=scalar`) and once at the environment's own resolved
+/// ISA, returning {scalar, simd} wall seconds. The scalar run goes first,
+/// the order the committed baselines were measured in.
+std::pair<double, double> TimeScalarAndSimd(const std::function<void()>& body) {
+  const char* env = std::getenv("M2TD_FORCE_ISA");
+  const std::string saved = env != nullptr ? env : "";
+  ::setenv("M2TD_FORCE_ISA", "scalar", /*overwrite=*/1);
+  m2td::util::RefreshSimdIsaForTesting();
+  m2td::Timer scalar_timer;
+  body();
+  const double scalar_s = scalar_timer.ElapsedSeconds();
+  if (env != nullptr) {
+    ::setenv("M2TD_FORCE_ISA", saved.c_str(), /*overwrite=*/1);
+  } else {
+    ::unsetenv("M2TD_FORCE_ISA");
+  }
+  m2td::util::RefreshSimdIsaForTesting();
+  m2td::Timer simd_timer;
+  body();
+  return {scalar_s, simd_timer.ElapsedSeconds()};
+}
+
+/// Records one SIMD-vs-scalar twin: `<key>_us_per_call` (scalar),
+/// `<key>_simd_us_per_call` and `<ratio_key>` = simd / scalar.
+void AddSimdTwin(m2td::bench::BenchJson* json, const std::string& key,
+                 const std::string& ratio_key,
+                 std::pair<double, double> seconds, double calls) {
+  const double scalar_us = seconds.first * 1e6 / calls;
+  const double simd_us = seconds.second * 1e6 / calls;
+  const double ratio = scalar_us > 0.0 ? simd_us / scalar_us : 1.0;
+  json->Add("smoke_" + key + "_us_per_call", scalar_us);
+  json->Add("smoke_" + key + "_simd_us_per_call", simd_us);
+  json->Add(ratio_key, ratio);
+  std::cout << "  " << key << " scalar " << scalar_us << " us/call, simd "
+            << simd_us << " us/call (x" << (ratio > 0.0 ? 1.0 / ratio : 0.0)
+            << ")\n";
+}
+
 /// SIMD-vs-scalar kernel smoke, fixed-iteration: each kernel runs the
-/// identical call sequence with the fast-kernels knob off (the scalar
-/// bit-exact baseline) and on (dispatching util::ResolvedSimdIsa()).
-/// bench-smoke gates the `_simd` keys faster than their scalar twins and
-/// the per-kernel ratios under the 1.5x tentpole target. On a host whose
-/// resolved ISA is scalar these gates will fail — by design: the gate
-/// certifies this box's dispatch, and compare_runs.py separately refuses
-/// to diff reports from different ISA levels.
+/// identical call sequence pinned to the scalar table (the bit-exact
+/// oracle, and the dispatch target on hosts without AVX2/NEON) and at
+/// util::ResolvedSimdIsa(). bench-smoke gates the `_simd` keys faster than
+/// their scalar twins and the per-kernel ratios under the 1.5x target. On
+/// a host whose resolved ISA is scalar these gates will fail — by design:
+/// the gate certifies this box's dispatch, and compare_runs.py separately
+/// refuses to diff reports from different ISA levels.
 void RunSimdSmoke(m2td::bench::BenchJson* json) {
   constexpr int kCalls = 100;
-  m2td::util::SetFastKernelsEnabled(false);
   std::cout << "\nSIMD vs scalar kernels (dispatch "
             << m2td::util::SimdIsaName(m2td::util::ResolvedSimdIsa())
             << ", " << kCalls << " calls per config):\n";
@@ -529,114 +571,52 @@ void RunSimdSmoke(m2td::bench::BenchJson* json) {
     const Matrix a = RandomFactor(96, 384, 61);
     const Matrix b = RandomFactor(384, 96, 67);
     constexpr int kMulCalls = 200;
-    double scalar_us = 0.0;
-    {
-      m2td::Timer timer;
-      for (int c = 0; c < kMulCalls; ++c) {
-        auto prod = m2td::linalg::Multiply(a, b);
-        benchmark::DoNotOptimize(prod);
-      }
-      scalar_us = timer.ElapsedSeconds() * 1e6 / kMulCalls;
-    }
-    m2td::util::SetFastKernelsEnabled(true);
-    double simd_us = 0.0;
-    {
-      m2td::Timer timer;
-      for (int c = 0; c < kMulCalls; ++c) {
-        auto prod = m2td::linalg::Multiply(a, b);
-        benchmark::DoNotOptimize(prod);
-      }
-      simd_us = timer.ElapsedSeconds() * 1e6 / kMulCalls;
-    }
-    m2td::util::SetFastKernelsEnabled(false);
-    const double ratio = scalar_us > 0.0 ? simd_us / scalar_us : 1.0;
-    json->Add("smoke_dense_multiply_us_per_call", scalar_us);
-    json->Add("smoke_dense_multiply_simd_us_per_call", simd_us);
-    json->Add("dense_multiply_simd_ratio", ratio);
-    std::cout << "  dense_multiply scalar " << scalar_us << " us/call, simd "
-              << simd_us << " us/call (x"
-              << (ratio > 0.0 ? 1.0 / ratio : 0.0) << ")\n";
+    AddSimdTwin(json, "dense_multiply", "dense_multiply_simd_ratio",
+                TimeScalarAndSimd([&] {
+                  for (int c = 0; c < kMulCalls; ++c) {
+                    auto prod = m2td::linalg::Multiply(a, b);
+                    benchmark::DoNotOptimize(prod);
+                  }
+                }),
+                kMulCalls);
   }
 
   // ModeGram on fiber-dense (ensemble-regime) tensors, where the CSF
   // leaf runs are long enough to vectorize; MakeSparse's uniform scatter
-  // produces 2-4 entry fibers that stay on the scalar fallback.
+  // produces 2-4 entry fibers that stay on the scalar pair loop.
   {
     std::vector<SparseTensor> inputs;
     inputs.push_back(MakeFiberDense(16, 3, 200, 11));
     inputs.push_back(MakeFiberDense(64, 3, 1500, 11));
-    double scalar_us = 0.0;
-    {
-      m2td::Timer timer;
-      for (const SparseTensor& x : inputs) {
-        for (int c = 0; c < kCalls; ++c) {
-          auto gram = m2td::tensor::ModeGram(x, 0);
-          benchmark::DoNotOptimize(gram);
-        }
-      }
-      scalar_us = timer.ElapsedSeconds() * 1e6 / (kCalls * inputs.size());
-    }
-    m2td::util::SetFastKernelsEnabled(true);
-    double simd_us = 0.0;
-    {
-      m2td::Timer timer;
-      for (const SparseTensor& x : inputs) {
-        for (int c = 0; c < kCalls; ++c) {
-          auto gram = m2td::tensor::ModeGram(x, 0);
-          benchmark::DoNotOptimize(gram);
-        }
-      }
-      simd_us = timer.ElapsedSeconds() * 1e6 / (kCalls * inputs.size());
-    }
-    m2td::util::SetFastKernelsEnabled(false);
-    const double ratio = scalar_us > 0.0 ? simd_us / scalar_us : 1.0;
-    json->Add("smoke_mode_gram_fiber_us_per_call", scalar_us);
-    json->Add("smoke_mode_gram_fiber_simd_us_per_call", simd_us);
-    json->Add("mode_gram_simd_ratio", ratio);
-    std::cout << "  mode_gram_fiber scalar " << scalar_us
-              << " us/call, simd " << simd_us << " us/call (x"
-              << (ratio > 0.0 ? 1.0 / ratio : 0.0) << ")\n";
+    AddSimdTwin(json, "mode_gram_fiber", "mode_gram_simd_ratio",
+                TimeScalarAndSimd([&] {
+                  for (const SparseTensor& x : inputs) {
+                    for (int c = 0; c < kCalls; ++c) {
+                      auto gram = m2td::tensor::ModeGram(x, 0);
+                      benchmark::DoNotOptimize(gram);
+                    }
+                  }
+                }),
+                kCalls * inputs.size());
   }
 
   // SparseModeProduct at decomposition rank 16 on the fiber-dense input:
   // each 64-entry fiber runs 64 contiguous rank-16 axpys into the scratch
   // accumulator, so the vector share dominates the per-fiber overhead.
-  // (The legacy rank-5 MakeSparse smoke key stays scalar-only.)
   {
     std::vector<SparseTensor> inputs;
     inputs.push_back(MakeFiberDense(64, 3, 1500, 17));
     const Matrix u = RandomFactor(64, 16, 19);
-    double scalar_us = 0.0;
-    {
-      m2td::Timer timer;
-      for (const SparseTensor& x : inputs) {
-        for (int c = 0; c < kCalls; ++c) {
-          auto y = m2td::tensor::SparseModeProduct(x, u, 0, true);
-          benchmark::DoNotOptimize(y);
-        }
-      }
-      scalar_us = timer.ElapsedSeconds() * 1e6 / (kCalls * inputs.size());
-    }
-    m2td::util::SetFastKernelsEnabled(true);
-    double simd_us = 0.0;
-    {
-      m2td::Timer timer;
-      for (const SparseTensor& x : inputs) {
-        for (int c = 0; c < kCalls; ++c) {
-          auto y = m2td::tensor::SparseModeProduct(x, u, 0, true);
-          benchmark::DoNotOptimize(y);
-        }
-      }
-      simd_us = timer.ElapsedSeconds() * 1e6 / (kCalls * inputs.size());
-    }
-    m2td::util::SetFastKernelsEnabled(false);
-    const double ratio = scalar_us > 0.0 ? simd_us / scalar_us : 1.0;
-    json->Add("smoke_sparse_mode_product_fiber_us_per_call", scalar_us);
-    json->Add("smoke_sparse_mode_product_fiber_simd_us_per_call", simd_us);
-    json->Add("sparse_mode_product_simd_ratio", ratio);
-    std::cout << "  sparse_mode_product_fiber scalar " << scalar_us
-              << " us/call, simd " << simd_us << " us/call (x"
-              << (ratio > 0.0 ? 1.0 / ratio : 0.0) << ")\n";
+    AddSimdTwin(json, "sparse_mode_product_fiber",
+                "sparse_mode_product_simd_ratio", TimeScalarAndSimd([&] {
+                  for (const SparseTensor& x : inputs) {
+                    for (int c = 0; c < kCalls; ++c) {
+                      auto y = m2td::tensor::SparseModeProduct(x, u, 0, true);
+                      benchmark::DoNotOptimize(y);
+                    }
+                  }
+                }),
+                kCalls * inputs.size());
   }
 }
 

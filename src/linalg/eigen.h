@@ -76,10 +76,6 @@ struct EigenOptions {
   std::optional<EigenMethod> method;
 };
 
-/// Backwards-compatible name from when cyclic Jacobi was the only
-/// solver.
-using JacobiOptions = EigenOptions;
-
 /// \brief Eigendecomposition of a symmetric matrix.
 ///
 /// Two methods, selected by `options.method` (falling back to the

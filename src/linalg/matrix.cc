@@ -42,14 +42,6 @@ void RowParallel(std::size_t rows, std::uint64_t flops, const char* label,
       label);
 }
 
-// Resolves the dispatched kernel table once per multiply call (counting
-// one linalg.simd.dispatch_* tick), or nullptr when the fast-kernels
-// knob is off so the call sites keep their historical inline loops —
-// the knob-off path executes the exact pre-SIMD instruction sequence.
-const simd::Kernels* DispatchKernels() {
-  return simd::KernelsEnabled() ? &simd::ActiveKernels() : nullptr;
-}
-
 }  // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
@@ -139,7 +131,7 @@ Matrix Multiply(const Matrix& a, const Matrix& b) {
   // count; tile edges never split an output element's accumulation).
   const std::uint64_t flops = static_cast<std::uint64_t>(a.rows()) *
                               a.cols() * b.cols();
-  const simd::Kernels* kern = DispatchKernels();
+  const simd::Kernels& kern = simd::ActiveKernels();
   RowParallel(a.rows(), flops, "matmul", [&](std::size_t ib, std::size_t ie) {
     for (std::size_t ii = ib; ii < ie; ii += kTileI) {
       const std::size_t i_end = std::min(ii + kTileI, ie);
@@ -150,14 +142,7 @@ Matrix Multiply(const Matrix& a, const Matrix& b) {
           for (std::size_t k = kk; k < k_end; ++k) {
             const double aik = a(i, k);
             if (aik == 0.0) continue;
-            const double* brow = b.RowPtr(k);
-            if (kern != nullptr) {
-              kern->axpy(b.cols(), aik, brow, crow);
-              continue;
-            }
-            for (std::size_t j = 0; j < b.cols(); ++j) {
-              crow[j] += aik * brow[j];
-            }
+            kern.axpy(b.cols(), aik, b.RowPtr(k), crow);
           }
         }
       }
@@ -179,7 +164,7 @@ Matrix MultiplyTransA(const Matrix& a, const Matrix& b) {
   // with disjoint writes.
   const std::uint64_t flops = static_cast<std::uint64_t>(a.rows()) *
                               a.cols() * b.cols();
-  const simd::Kernels* kern = DispatchKernels();
+  const simd::Kernels& kern = simd::ActiveKernels();
   RowParallel(a.cols(), flops, "matmul_ta",
               [&](std::size_t ib, std::size_t ie) {
     for (std::size_t ii = ib; ii < ie; ii += kTileI) {
@@ -191,14 +176,7 @@ Matrix MultiplyTransA(const Matrix& a, const Matrix& b) {
           for (std::size_t k = kk; k < k_end; ++k) {
             const double aki = a(k, i);
             if (aki == 0.0) continue;
-            const double* brow = b.RowPtr(k);
-            if (kern != nullptr) {
-              kern->axpy(b.cols(), aki, brow, crow);
-              continue;
-            }
-            for (std::size_t j = 0; j < b.cols(); ++j) {
-              crow[j] += aki * brow[j];
-            }
+            kern.axpy(b.cols(), aki, b.RowPtr(k), crow);
           }
         }
       }
@@ -220,7 +198,7 @@ Matrix MultiplyTransB(const Matrix& a, const Matrix& b) {
   // width). Each dot keeps its own accumulator over the full ascending k
   // range, so every output element's addition sequence is exactly the
   // serial single-dot order — bit-identical, blocked or not.
-  const simd::Kernels* kern = DispatchKernels();
+  const simd::Kernels& kern = simd::ActiveKernels();
   RowParallel(a.rows(), flops, "matmul_tb",
               [&](std::size_t ib, std::size_t ie) {
     const std::size_t n = b.rows();
@@ -233,38 +211,14 @@ Matrix MultiplyTransB(const Matrix& a, const Matrix& b) {
         const double* b1 = b.RowPtr(j + 1);
         const double* b2 = b.RowPtr(j + 2);
         const double* b3 = b.RowPtr(j + 3);
-        if (kern != nullptr) {
-          double out[4];
-          kern->dot4(cols, arow, b0, b1, b2, b3, out);
-          c(i, j) = out[0];
-          c(i, j + 1) = out[1];
-          c(i, j + 2) = out[2];
-          c(i, j + 3) = out[3];
-          continue;
-        }
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        for (std::size_t k = 0; k < cols; ++k) {
-          const double av = arow[k];
-          s0 += av * b0[k];
-          s1 += av * b1[k];
-          s2 += av * b2[k];
-          s3 += av * b3[k];
-        }
-        c(i, j) = s0;
-        c(i, j + 1) = s1;
-        c(i, j + 2) = s2;
-        c(i, j + 3) = s3;
+        double out[4];
+        kern.dot4(cols, arow, b0, b1, b2, b3, out);
+        c(i, j) = out[0];
+        c(i, j + 1) = out[1];
+        c(i, j + 2) = out[2];
+        c(i, j + 3) = out[3];
       }
-      for (; j < n; ++j) {
-        const double* brow = b.RowPtr(j);
-        if (kern != nullptr) {
-          c(i, j) = kern->dot(cols, arow, brow);
-          continue;
-        }
-        double sum = 0.0;
-        for (std::size_t k = 0; k < cols; ++k) sum += arow[k] * brow[k];
-        c(i, j) = sum;
-      }
+      for (; j < n; ++j) c(i, j) = kern.dot(cols, arow, b.RowPtr(j));
     }
   });
   return c;

@@ -16,9 +16,10 @@ namespace m2td::linalg::simd {
 namespace {
 
 // ---------------------------------------------------------------------
-// Scalar table. These loops must stay textually identical to the inline
-// kernels in matrix.cc / ttm.cc / matricize.cc: the forced-scalar
-// dispatch path is the bit-exactness oracle for the whole SIMD layer.
+// Scalar table. These loops must stay textually identical to the
+// pre-SIMD inner loops (kept as test-local references in
+// tests/simd_test.cc): the forced-scalar dispatch path is the
+// bit-exactness oracle for the whole SIMD layer.
 // ---------------------------------------------------------------------
 
 void AxpyScalar(std::size_t n, double a, const double* x, double* y) {
@@ -223,8 +224,6 @@ constexpr Kernels kNeonKernels{util::SimdIsa::kNeon, AxpyNeon, DotNeon,
 
 }  // namespace
 
-bool KernelsEnabled() { return util::FastKernelsEnabled(); }
-
 const Kernels& KernelsForIsa(util::SimdIsa isa) {
   switch (isa) {
 #if defined(M2TD_SIMD_HAVE_AVX2)
@@ -249,7 +248,7 @@ const Kernels& ActiveKernels() {
       obs::GetCounter("linalg.simd.dispatch_neon");
   static obs::Counter& scalar_count =
       obs::GetCounter("linalg.simd.dispatch_scalar");
-  const Kernels& kernels = KernelsForIsa(util::ActiveSimdIsa());
+  const Kernels& kernels = KernelsForIsa(util::ResolvedSimdIsa());
   switch (kernels.isa) {
     case util::SimdIsa::kAvx2:
       avx2_count.Increment();

@@ -9,14 +9,13 @@ namespace m2td::linalg::simd {
 
 /// Function table of the three inner kernels every hot loop in the
 /// library reduces to, specialized per ISA level. The scalar table
-/// replicates the historical inner loops instruction-for-instruction, so
-/// a forced-scalar dispatch (`M2TD_FORCE_ISA=scalar`) with the
-/// fast-kernels knob on is bit-identical to the knob-off path. The
-/// vector tables fuse multiply-adds and sum lanes pairwise — different
-/// fp rounding/association, same O(eps) accuracy — which is why they sit
-/// behind the opt-in knob. Every kernel is a pure function of its
-/// arguments (no thread-count dependence), so any dispatch level is
-/// bit-identical across `--threads` values.
+/// replicates the pre-SIMD inner loops instruction-for-instruction, so a
+/// forced-scalar dispatch (`M2TD_FORCE_ISA=scalar`) is bit-identical to
+/// builds predating the SIMD layer. The vector tables fuse multiply-adds
+/// and sum lanes pairwise — different fp rounding/association, same
+/// O(eps) accuracy. Every kernel is a pure function of its arguments (no
+/// thread-count dependence), so any dispatch level is bit-identical
+/// across `--threads` values.
 struct Kernels {
   /// The ISA these kernels are compiled for.
   util::SimdIsa isa;
@@ -34,13 +33,10 @@ struct Kernels {
                double* out);
 };
 
-/// True when the fast-kernels knob is on and kernel call sites should
-/// route through ActiveKernels() instead of their inline scalar loops.
-bool KernelsEnabled();
-
-/// The kernel table for util::ActiveSimdIsa(). Each call increments the
-/// matching `linalg.simd.dispatch_{avx2,neon,scalar}` counter, so call
-/// it once per kernel-level invocation (one Multiply, one ModeGram, one
+/// The kernel table for util::ResolvedSimdIsa() — the only way the hot
+/// kernels run. Each call increments the matching
+/// `linalg.simd.dispatch_{avx2,neon,scalar}` counter, so call it once per
+/// kernel-level invocation (one Multiply, one ModeGram, one
 /// SparseModeProduct), not per inner loop.
 const Kernels& ActiveKernels();
 

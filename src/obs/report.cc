@@ -95,12 +95,10 @@ void RunReport::WriteJson(std::ostream& os) const {
   os << ",\"hardware\":{\"hardware_threads\":"
      << std::thread::hardware_concurrency()
      << ",\"page_size_bytes\":" << sysconf(_SC_PAGESIZE);
-  // Detected ISA extensions plus the SIMD level the kernels would
-  // dispatch to (detected capped by M2TD_FORCE_ISA, independent of the
-  // fast-kernels knob so it is stable across knob-on/off sections of one
-  // run). compare_runs.py refuses to diff reports whose simd_dispatch
-  // differs — a perf delta between ISA levels is a hardware delta, not
-  // a regression.
+  // Detected ISA extensions plus the SIMD level the kernels dispatch to
+  // (detected capped by M2TD_FORCE_ISA). compare_runs.py refuses to diff
+  // reports whose simd_dispatch differs — a perf delta between ISA
+  // levels is a hardware delta, not a regression.
   const util::CpuFeatures& cpu = util::HostCpuFeatures();
   os << ",\"cpu_features\":[";
   {
@@ -117,8 +115,7 @@ void RunReport::WriteJson(std::ostream& os) const {
   }
   os << "],\"simd_dispatch\":";
   WriteQuoted(os, util::SimdIsaName(util::ResolvedSimdIsa()));
-  os << ",\"fast_kernels\":"
-     << (util::FastKernelsEnabled() ? "true" : "false") << "}";
+  os << "}";
 
   os << ",\"flags\":{";
   for (std::size_t i = 0; i < flags_.size(); ++i) {

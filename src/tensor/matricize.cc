@@ -1,120 +1,37 @@
 #include "tensor/matricize.h"
 
-#include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "linalg/simd.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "tensor/csf.h"
+#include "tensor/gram_groups.h"
 
 namespace m2td::tensor {
 
 namespace {
 
-// Shared partial-Gram scaffolding for every accumulation variant.
-// `group_body(acc, group_begin, group_end)` accumulates one column
-// group's pair contributions into `acc`; this wrapper owns the
-// chunk/merge/mirror structure so each variant only differs in its
-// inner loop.
-//
-// Large inputs accumulate per-chunk partial Grams (chunks split at group
-// boundaries, never inside a group), merged in ascending chunk order.
-// The chunking is a pure function of the group count, so the result is
-// bit-identical across thread counts. The partial matrices cost
-// O(chunks * n^2) memory; for wide modes or few groups the serial
-// single-matrix path is used instead. The choice must NOT depend on the
-// pool size: chunked merge reassociates the sums, so gating it on the
-// thread count would break bit-identity across --threads values.
-template <typename GroupBody>
-void AccumulateGramGroups(linalg::Matrix* gram, std::size_t n,
-                          const std::vector<std::uint64_t>& group_offsets,
-                          const GroupBody& group_body) {
-  const std::uint64_t num_groups = group_offsets.size() - 1;
-  auto accumulate_groups = [&](linalg::Matrix& acc, std::uint64_t gb,
-                               std::uint64_t ge) {
-    for (std::uint64_t g = gb; g < ge; ++g) {
-      group_body(acc, group_offsets[g], group_offsets[g + 1]);
-    }
-  };
-  const bool use_partials = num_groups >= 64 && n <= 512;
-  if (use_partials) {
-    *gram = parallel::ParallelReduce<linalg::Matrix>(
-        0, num_groups, 0, std::move(*gram),
-        [&](std::uint64_t gb, std::uint64_t ge) {
-          linalg::Matrix partial(n, n);
-          accumulate_groups(partial, gb, ge);
-          return partial;
-        },
-        [n](linalg::Matrix& acc, linalg::Matrix&& partial) {
-          for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = i; j < n; ++j) {
-              acc(i, j) += partial(i, j);
-            }
-          }
-        },
-        "mode_gram_partials");
-  } else {
-    accumulate_groups(*gram, 0, num_groups);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      (*gram)(j, i) = (*gram)(i, j);
-    }
-  }
-}
-
-// Generic group-wise Gram accumulation for both the CSF and COO paths.
-// `group_offsets` delimits column groups (ascending column order);
-// row_of(e)/value_of(e) address the e-th entry of the group-ordered entry
-// sequence. Coalescing guarantees each Gram cell receives at most one
-// contribution per group (rows are unique within a column), so the result
-// does not depend on within-group entry permutation — only the ascending
-// group order and the chunking, which are identical for both paths.
-template <typename RowFn, typename ValueFn>
-void AccumulateGram(linalg::Matrix* gram, std::size_t n,
-                    const std::vector<std::uint64_t>& group_offsets,
-                    const RowFn& row_of, const ValueFn& value_of) {
-  AccumulateGramGroups(
-      gram, n, group_offsets,
-      [&](linalg::Matrix& acc, std::uint64_t group_begin,
-          std::uint64_t group_end) {
-        for (std::uint64_t i = group_begin; i < group_end; ++i) {
-          for (std::uint64_t j = i; j < group_end; ++j) {
-            const std::uint32_t ri = row_of(i);
-            const std::uint32_t rj = row_of(j);
-            const double contrib = value_of(i) * value_of(j);
-            if (ri <= rj) {
-              acc(ri, rj) += contrib;
-            } else {
-              acc(rj, ri) += contrib;
-            }
-          }
-        }
-      });
-}
-
-// CSF fast-kernels variant. Within a fiber the leaf coordinates ascend
-// and are unique, so for every pair j >= i the target cell is
+// CSF Gram accumulation. Within a fiber the leaf coordinates ascend and
+// are unique, so for every pair j >= i the target cell is
 // acc(rows[i], rows[j]) with rows[j] ascending — the inner loop over j
 // is an axpy of values[j] into one Gram row, restricted to maximal runs
 // of consecutive row indices. Each (i, j) pair performs the identical
-// multiply-add into the identical cell as the generic loop (one
-// contribution per cell per group), so with the scalar kernel table this
-// is bit-identical to AccumulateGram; the vector tables fuse the
-// multiply-add, which is exactly what the fast-kernels knob opts into.
-void AccumulateGramCsfSimd(linalg::Matrix* gram, std::size_t n,
-                           const std::vector<std::uint64_t>& group_offsets,
-                           const std::uint32_t* rows, const double* values,
-                           const linalg::simd::Kernels& kern) {
+// multiply-add into the identical cell as the generic pair loop of the
+// COO oracle (tests/oracles; one contribution per cell per group), so
+// with the scalar kernel table this is bit-identical to it; the vector
+// tables fuse the multiply-add.
+void AccumulateGramCsf(linalg::Matrix* gram, std::size_t n,
+                       const std::vector<std::uint64_t>& group_offsets,
+                       const std::uint32_t* rows, const double* values,
+                       const linalg::simd::Kernels& kern) {
   // Vectorization pays only when the per-pivot axpy runs are long, i.e.
   // when fibers are dense along the gram mode (the ensemble regime: time
   // fibers are fully sampled, sparsity lives across tasks/parameters).
   // Short groups take the scalar pair loop — identical arithmetic, no
   // dispatch overhead — so random ultra-sparse tensors do not regress.
   constexpr std::uint64_t kMinSimdGroup = 8;
-  AccumulateGramGroups(
+  internal::AccumulateGramGroups(
       gram, n, group_offsets,
       [&](linalg::Matrix& acc, std::uint64_t group_begin,
           std::uint64_t group_end) {
@@ -161,7 +78,9 @@ void AccumulateGramCsfSimd(linalg::Matrix* gram, std::size_t n,
       });
 }
 
-Status CheckModeGramInputs(const SparseTensor& x, std::size_t mode) {
+}  // namespace
+
+Result<linalg::Matrix> ModeGram(const SparseTensor& x, std::size_t mode) {
   if (mode >= x.num_modes()) {
     return Status::InvalidArgument("ModeGram: mode out of range");
   }
@@ -169,13 +88,6 @@ Status CheckModeGramInputs(const SparseTensor& x, std::size_t mode) {
     return Status::InvalidArgument(
         "ModeGram requires a coalesced tensor (call SortAndCoalesce)");
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<linalg::Matrix> ModeGram(const SparseTensor& x, std::size_t mode) {
-  M2TD_RETURN_IF_ERROR(CheckModeGramInputs(x, mode));
   const std::size_t n = static_cast<std::size_t>(x.dim(mode));
   obs::ObsSpan span("mode_gram");
   span.Annotate("mode", static_cast<std::uint64_t>(mode));
@@ -188,65 +100,9 @@ Result<linalg::Matrix> ModeGram(const SparseTensor& x, std::size_t mode) {
   // no per-call sort, and the index is shared with every other kernel
   // call on this tensor's contents.
   const CsfModeIndex& csf = x.Csf(mode);
-  const std::vector<std::uint32_t>& rows = csf.leaf_coords();
-  const std::vector<double>& values = csf.values();
-  if (linalg::simd::KernelsEnabled()) {
-    AccumulateGramCsfSimd(&gram, n, csf.fiber_offsets(), rows.data(),
-                          values.data(), linalg::simd::ActiveKernels());
-    return gram;
-  }
-  AccumulateGram(
-      &gram, n, csf.fiber_offsets(),
-      [&rows](std::uint64_t e) { return rows[static_cast<std::size_t>(e)]; },
-      [&values](std::uint64_t e) {
-        return values[static_cast<std::size_t>(e)];
-      });
-  return gram;
-}
-
-Result<linalg::Matrix> ModeGramCoo(const SparseTensor& x, std::size_t mode) {
-  M2TD_RETURN_IF_ERROR(CheckModeGramInputs(x, mode));
-  const std::size_t n = static_cast<std::size_t>(x.dim(mode));
-  obs::ObsSpan span("mode_gram_coo");
-  span.Annotate("mode", static_cast<std::uint64_t>(mode));
-  span.Annotate("dim", static_cast<std::uint64_t>(n));
-  span.Annotate("nnz", x.NumNonZeros());
-  linalg::Matrix gram(n, n);
-  const std::uint64_t nnz = x.NumNonZeros();
-  if (nnz == 0) return gram;
-
-  // Bucket entries by matricization column.
-  struct Entry {
-    std::uint64_t column;
-    std::uint32_t row;
-    double value;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(nnz);
-  for (std::uint64_t e = 0; e < nnz; ++e) {
-    entries.push_back(Entry{x.MatricizationColumn(mode, e),
-                            x.Index(mode, e), x.Value(e)});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.column < b.column; });
-
-  // Group boundaries: one group per distinct matricization column.
-  std::vector<std::uint64_t> group_offsets;
-  for (std::uint64_t e = 0; e < entries.size(); ++e) {
-    if (e == 0 || entries[e].column != entries[e - 1].column) {
-      group_offsets.push_back(e);
-    }
-  }
-  group_offsets.push_back(entries.size());
-
-  AccumulateGram(
-      &gram, n, group_offsets,
-      [&entries](std::uint64_t e) {
-        return entries[static_cast<std::size_t>(e)].row;
-      },
-      [&entries](std::uint64_t e) {
-        return entries[static_cast<std::size_t>(e)].value;
-      });
+  AccumulateGramCsf(&gram, n, csf.fiber_offsets(),
+                    csf.leaf_coords().data(), csf.values().data(),
+                    linalg::simd::ActiveKernels());
   return gram;
 }
 

@@ -34,19 +34,14 @@ namespace m2td::tensor {
 /// ascending chunk order. The chunking is a pure function of the group
 /// count — never the pool size — so results are bit-identical across
 /// `--threads` values (the chunked merge does reassociate the sums
-/// relative to a single serial accumulator, deterministically) and
-/// bit-identical to ModeGramCoo (each Gram cell receives at most one
-/// contribution per column group, and both paths visit groups in
-/// ascending column order).
-Result<linalg::Matrix> ModeGram(const SparseTensor& x, std::size_t mode);
-
-/// \brief COO reference implementation of ModeGram: buckets entries by
-/// matricization column with a per-call O(nnz log nnz) sort, then runs
-/// the identical group-wise outer-product accumulation.
+/// relative to a single serial accumulator, deterministically).
 ///
-/// Kept as the equivalence oracle for the CSF path (tests/csf_test.cc);
-/// same contract and the same bit-exact result as ModeGram.
-Result<linalg::Matrix> ModeGramCoo(const SparseTensor& x, std::size_t mode);
+/// The pair products run through linalg::simd::ActiveKernels(). With the
+/// scalar table (`M2TD_FORCE_ISA=scalar`) the result is bit-identical to
+/// the COO oracle in tests/oracles (each Gram cell receives at most one
+/// contribution per column group, and both visit groups in ascending
+/// column order); the vector tables agree with it to rounding.
+Result<linalg::Matrix> ModeGram(const SparseTensor& x, std::size_t mode);
 
 /// Dense-tensor Gram of the mode-n matricization (test oracle for
 /// ModeGram and used on small dense tensors). Implemented as

@@ -110,16 +110,16 @@ Result<DenseTensor> SparseModeProduct(const SparseTensor& x,
   // output fiber. Distinct fibers own distinct output fibers, so chunks
   // write disjoint data; within a fiber the entry order is ascending
   // target coordinate — the same per-output-element addition sequence the
-  // COO slice kernel performs — so the result is bit-identical to
-  // SparseModeProductCoo at any thread count.
+  // COO slice kernel performs — so the result is deterministic at any
+  // thread count.
   //
-  // Fast-kernels knob: the transpose_u scatter acc += v * urow is a
-  // contiguous axpy over the scratch accumulator, dispatched through the
-  // SIMD table (one dispatch count per call). The non-transposed form
-  // reads u column-wise (strided) and stays scalar either way.
-  const linalg::simd::Kernels* kern =
-      linalg::simd::KernelsEnabled() ? &linalg::simd::ActiveKernels()
-                                     : nullptr;
+  // The transpose_u scatter acc += v * urow is a contiguous axpy over the
+  // scratch accumulator, dispatched through the SIMD table (one dispatch
+  // count per call); with the scalar table this is exactly the COO
+  // kernel's arithmetic, and the vector tables agree with it to rounding.
+  // The non-transposed form reads u column-wise (strided) and stays a
+  // scalar loop.
+  const linalg::simd::Kernels& kern = linalg::simd::ActiveKernels();
   parallel::ParallelFor(
       0, csf.num_fibers(), 0,
       [&](std::uint64_t fb, std::uint64_t fe) {
@@ -143,15 +143,8 @@ Result<DenseTensor> SparseModeProduct(const SparseTensor& x,
             const double v = vals[static_cast<std::size_t>(e)];
             const std::uint32_t c = leafs[static_cast<std::size_t>(e)];
             if (transpose_u) {
-              const double* urow = u.RowPtr(c);
-              if (kern != nullptr) {
-                kern->axpy(static_cast<std::size_t>(new_dim), v, urow,
-                           acc.data());
-                continue;
-              }
-              for (std::uint64_t j = 0; j < new_dim; ++j) {
-                acc[j] += urow[static_cast<std::size_t>(j)] * v;
-              }
+              kern.axpy(static_cast<std::size_t>(new_dim), v, u.RowPtr(c),
+                        acc.data());
             } else {
               for (std::uint64_t j = 0; j < new_dim; ++j) {
                 acc[j] += u(static_cast<std::size_t>(j), c) * v;

@@ -47,7 +47,10 @@ Result<DenseTensor> ModeProduct(const DenseTensor& x, const linalg::Matrix& u,
 /// (span "sparse_mode_product_fibers", disjoint output fibers); within a
 /// fiber entries accumulate in ascending target-mode coordinate — exactly
 /// the stored-order sequence the COO kernel performs — so results are
-/// bit-identical to SparseModeProductCoo and across thread counts.
+/// bit-identical across thread counts. The `transpose_u` scatter runs
+/// through linalg::simd::ActiveKernels(): with the scalar table
+/// (`M2TD_FORCE_ISA=scalar`) it is bit-identical to SparseModeProductCoo,
+/// and the vector tables agree with it to rounding.
 Result<DenseTensor> SparseModeProduct(const SparseTensor& x,
                                       const linalg::Matrix& u,
                                       std::size_t mode, bool transpose_u);
@@ -56,8 +59,10 @@ Result<DenseTensor> SparseModeProduct(const SparseTensor& x,
 /// per-entry output-base indexing, then per-output-slice accumulation in
 /// stored entry order).
 ///
-/// Works on unsorted tensors (it is the fallback SparseModeProduct uses
-/// for them) and serves as the equivalence oracle for the CSF kernel in
+/// Stays in the library (unlike the ModeGram COO oracle, which lives in
+/// tests/oracles) because it is a production path: SparseModeProduct
+/// falls back to it for unsorted tensors, which have no CSF index. It
+/// also serves as the equivalence oracle for the CSF kernel in
 /// tests/csf_test.cc. Spans "sparse_mode_product_index" /
 /// "sparse_mode_product_slices"; bit-identical across thread counts.
 Result<DenseTensor> SparseModeProductCoo(const SparseTensor& x,

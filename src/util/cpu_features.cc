@@ -25,7 +25,6 @@ CpuFeatures ProbeCpuFeatures() {
 // Resolved M2TD_FORCE_ISA cap, cached after the first read. -1 = not yet
 // resolved; otherwise a SimdIsa value.
 std::atomic<int> g_resolved_isa{-1};
-std::atomic<bool> g_fast_kernels{false};
 
 SimdIsa ResolveFromEnv() {
   const SimdIsa detected = DetectedSimdIsa();
@@ -99,19 +98,6 @@ SimdIsa ResolvedSimdIsa() {
     g_resolved_isa.store(cached, std::memory_order_release);
   }
   return static_cast<SimdIsa>(cached);
-}
-
-void SetFastKernelsEnabled(bool enabled) {
-  g_fast_kernels.store(enabled, std::memory_order_release);
-}
-
-bool FastKernelsEnabled() {
-  return g_fast_kernels.load(std::memory_order_acquire);
-}
-
-SimdIsa ActiveSimdIsa() {
-  if (!FastKernelsEnabled()) return SimdIsa::kScalar;
-  return ResolvedSimdIsa();
 }
 
 void RefreshSimdIsaForTesting() {

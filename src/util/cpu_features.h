@@ -19,10 +19,11 @@ struct CpuFeatures {
 /// The host CPU's feature set, probed on first call and cached.
 const CpuFeatures& HostCpuFeatures();
 
-/// SIMD dispatch level for the hot inner kernels. `kScalar` is the
-/// bit-exact oracle path (the pre-SIMD loops); the vector levels fuse
-/// multiply-adds and reassociate lane sums, so they are opt-in via
-/// SetFastKernelsEnabled and never the default.
+/// SIMD dispatch level for the hot inner kernels. Every kernel call runs
+/// at ResolvedSimdIsa(); `kScalar` is the dispatch target on hosts (or
+/// builds) without a vector ISA, and the level `M2TD_FORCE_ISA=scalar`
+/// pins. The vector levels fuse multiply-adds and reassociate lane sums,
+/// so they agree with the scalar table to rounding, not bit for bit.
 enum class SimdIsa {
   /// Portable scalar loops — bit-identical to the historical kernels.
   kScalar = 0,
@@ -41,30 +42,17 @@ const char* SimdIsaName(SimdIsa isa);
 bool ParseSimdIsa(std::string_view name, SimdIsa* out);
 
 /// Best ISA level both compiled into this binary and supported by the
-/// host CPU, ignoring any override or enable knob.
+/// host CPU, ignoring any override.
 SimdIsa DetectedSimdIsa();
 
 /// DetectedSimdIsa() capped by the `M2TD_FORCE_ISA` environment variable
 /// (`scalar`, `avx2`, or `neon`). Forcing `scalar` always works; forcing
 /// a vector ISA the host or binary lacks logs a warning and falls back
 /// to the detected level (we cannot execute instructions the CPU does
-/// not have). The env var is read once and cached; this is what the
-/// run-report `hardware.simd_dispatch` field records, independent of the
-/// enable knob, so baseline comparisons see a stable ISA per host.
+/// not have). The env var is read once and cached. This is the level
+/// every dispatched kernel runs at, and what the run-report
+/// `hardware.simd_dispatch` field records.
 SimdIsa ResolvedSimdIsa();
-
-/// Enables/disables the vectorized kernel paths process-wide (the
-/// `--fast_kernels` CLI knob). Off — the default — routes every kernel
-/// through the scalar oracle loops, bit-identical to builds predating
-/// the SIMD layer.
-void SetFastKernelsEnabled(bool enabled);
-
-/// Current state of the fast-kernels knob (default false).
-bool FastKernelsEnabled();
-
-/// The ISA the kernels actually dispatch to right now:
-/// ResolvedSimdIsa() when the fast-kernels knob is on, kScalar otherwise.
-SimdIsa ActiveSimdIsa();
 
 /// Drops the cached M2TD_FORCE_ISA parse so tests can flip the
 /// environment variable mid-process and observe the new resolution.

@@ -1,7 +1,9 @@
-// CSF index and TTM-chain-cache coverage: the CSF kernels must be
+// CSF index and TTM-chain-cache coverage: with the kernels pinned to the
+// scalar table (M2TD_FORCE_ISA=scalar) the CSF kernels must be
 // *bit-identical* to their COO reference implementations (not merely
-// close — the repo's determinism contract is exact), the index structure
-// must hold its documented invariants, concurrent lazy builds must be
+// close — the repo's determinism contract is exact), and at the resolved
+// ISA they must agree with them to rounding. The index structure must
+// hold its documented invariants, concurrent lazy builds must be
 // race-free (run under TSAN via the verify recipe), and HOOI's chain
 // memoization must be a pure speed knob.
 
@@ -13,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include "dispatch_guard.h"
 #include "obs/metrics.h"
+#include "oracles/mode_gram_coo.h"
 #include "parallel/thread_pool.h"
 #include "tensor/csf.h"
 #include "tensor/dense_tensor.h"
@@ -69,6 +73,24 @@ void ExpectBitIdentical(const linalg::Matrix& a, const linalg::Matrix& b) {
   }
 }
 
+void ExpectNear(const DenseTensor& a, const DenseTensor& b, double tol) {
+  ASSERT_EQ(a.shape(), b.shape());
+  for (std::uint64_t i = 0; i < a.NumElements(); ++i) {
+    ASSERT_NEAR(a.flat(i), b.flat(i), tol) << "flat index " << i;
+  }
+}
+
+void ExpectNear(const linalg::Matrix& a, const linalg::Matrix& b,
+                double tol) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      ASSERT_NEAR(a(i, j), b(i, j), tol) << "(" << i << "," << j << ")";
+    }
+  }
+}
+
 // Sweep: (shape id, density) — same grid as tensor_property_test.
 using CsfParam = std::tuple<int, double>;
 
@@ -96,6 +118,8 @@ class CsfEquivalence : public ::testing::TestWithParam<CsfParam> {
 };
 
 TEST_P(CsfEquivalence, SparseModeProductMatchesCooBitForBit) {
+  DispatchGuard guard;
+  ForceIsa("scalar");
   SparseTensor x = MakeInput();
   Rng rng(42);
   for (std::size_t mode = 0; mode < x.num_modes(); ++mode) {
@@ -112,12 +136,36 @@ TEST_P(CsfEquivalence, SparseModeProductMatchesCooBitForBit) {
 }
 
 TEST_P(CsfEquivalence, ModeGramMatchesCooBitForBit) {
+  DispatchGuard guard;
+  ForceIsa("scalar");
   SparseTensor x = MakeInput();
   for (std::size_t mode = 0; mode < x.num_modes(); ++mode) {
     auto csf = ModeGram(x, mode);
     auto coo = ModeGramCoo(x, mode);
     ASSERT_TRUE(csf.ok() && coo.ok());
     ExpectBitIdentical(*csf, *coo);
+  }
+}
+
+// The production dispatch (the resolved ISA, which fuses multiply-adds on
+// AVX2/NEON hosts) agrees with the scalar COO oracles to rounding.
+TEST_P(CsfEquivalence, ResolvedIsaMatchesCooToRounding) {
+  SparseTensor x = MakeInput();
+  Rng rng(42);
+  for (std::size_t mode = 0; mode < x.num_modes(); ++mode) {
+    auto gram = ModeGram(x, mode);
+    auto gram_coo = ModeGramCoo(x, mode);
+    ASSERT_TRUE(gram.ok() && gram_coo.ok());
+    ExpectNear(*gram, *gram_coo, 1e-10);
+    for (bool transpose : {false, true}) {
+      const std::size_t n = static_cast<std::size_t>(x.dim(mode));
+      const linalg::Matrix u = transpose ? RandomMatrix(n, 3, &rng)
+                                         : RandomMatrix(3, n, &rng);
+      auto csf = SparseModeProduct(x, u, mode, transpose);
+      auto coo = SparseModeProductCoo(x, u, mode, transpose);
+      ASSERT_TRUE(csf.ok() && coo.ok());
+      ExpectNear(*csf, *coo, 1e-10);
+    }
   }
 }
 
@@ -186,6 +234,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(CsfEdgeCases, EmptyTensor) {
+  DispatchGuard guard;
+  ForceIsa("scalar");
   SparseTensor x(std::vector<std::uint64_t>{3, 4, 5});
   x.SortAndCoalesce();
   for (std::size_t mode = 0; mode < 3; ++mode) {
@@ -211,6 +261,8 @@ TEST(CsfEdgeCases, EmptyTensor) {
 }
 
 TEST(CsfEdgeCases, SingletonTensor) {
+  DispatchGuard guard;
+  ForceIsa("scalar");
   SparseTensor x(std::vector<std::uint64_t>{2, 3, 4});
   x.AppendEntry({1, 2, 3}, 2.5);
   x.SortAndCoalesce();
@@ -226,6 +278,8 @@ TEST(CsfEdgeCases, SingletonTensor) {
 }
 
 TEST(CsfEdgeCases, DuplicateEntriesCoalesceBeforeIndexing) {
+  DispatchGuard guard;
+  ForceIsa("scalar");
   SparseTensor x(std::vector<std::uint64_t>{3, 3});
   x.AppendEntry({1, 2}, 1.0);
   x.AppendEntry({1, 2}, 2.0);
@@ -245,6 +299,8 @@ TEST(CsfEdgeCases, DuplicateEntriesCoalesceBeforeIndexing) {
 }
 
 TEST(CsfEdgeCases, MutationDetachesIndex) {
+  DispatchGuard guard;
+  ForceIsa("scalar");
   SparseTensor x(std::vector<std::uint64_t>{3, 3});
   x.AppendEntry({0, 0}, 1.0);
   x.AppendEntry({2, 2}, 2.0);
@@ -262,6 +318,8 @@ TEST(CsfEdgeCases, MutationDetachesIndex) {
 }
 
 TEST(CsfConcurrency, RacingBuildsAreSafeAndConsistent) {
+  DispatchGuard guard;
+  ForceIsa("scalar");
   Rng rng(99);
   SparseTensor x = RandomSparse({5, 6, 7}, 0.2, &rng);
   // Precompute the reference serially.

@@ -30,8 +30,10 @@
 #include "io/chunk_store.h"
 #include "linalg/matrix.h"
 #include "mapreduce/wire.h"
+#include "obs/metrics.h"
 #include "robust/heartbeat.h"
 #include "tensor/tucker.h"
+#include "util/cpu_features.h"
 
 namespace m2td {
 namespace {
@@ -344,6 +346,48 @@ TEST_F(DistTest, ProcessBackendMatchesThreadBitIdentical) {
   EXPECT_EQ(process_result->dist.workers_spawned, 2);
   EXPECT_EQ(process_result->dist.worker_deaths, 0u);
   EXPECT_GT(process_result->dist.heartbeats, 0u);
+}
+
+// Worker processes dispatch the hot kernels exactly like the coordinator:
+// on a vector host the counters merged back from the workers show the
+// resolved ISA and no scalar calls, and the result still matches the
+// thread backend bit for bit.
+TEST_F(DistTest, ProcessWorkersDispatchResolvedIsa) {
+  const util::SimdIsa resolved = util::ResolvedSimdIsa();
+  if (resolved == util::SimdIsa::kScalar) {
+    GTEST_SKIP() << "resolved SIMD ISA is scalar on this host";
+  }
+  auto model = SmallModel();
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+
+  core::DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  auto thread_result = core::DM2tdDecompose(
+      *subs, *partition, model->space().Shape(), options);
+  ASSERT_TRUE(thread_result.ok()) << thread_result.status();
+
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::Counter& resolved_count = obs::GetCounter(
+      std::string("linalg.simd.dispatch_") + util::SimdIsaName(resolved));
+  obs::Counter& scalar_count = obs::GetCounter("linalg.simd.dispatch_scalar");
+  resolved_count.Reset();
+  scalar_count.Reset();
+  options.backend = core::DistBackend::kProcess;
+  options.process.worker_binary = M2TD_WORKER_BIN;
+  options.num_workers = 2;
+  options.process.job_dir = Path("job");
+  auto process_result = core::DM2tdDecompose(
+      *subs, *partition, model->space().Shape(), options);
+  obs::SetMetricsEnabled(metrics_were_enabled);
+  ASSERT_TRUE(process_result.ok()) << process_result.status();
+
+  ExpectBitIdentical(*process_result, *thread_result);
+  EXPECT_GT(resolved_count.value(), 0u);
+  EXPECT_EQ(scalar_count.value(), 0u);
 }
 
 TEST_F(DistTest, SocketTransportMatchesThreadBitIdentical) {

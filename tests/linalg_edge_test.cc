@@ -98,7 +98,8 @@ TEST(EigenEdgeTest, NonConvergenceIsSurfacedNotFatal) {
       a(i, j) = a(j, i) = rng.Gaussian();
     }
   }
-  JacobiOptions options;
+  EigenOptions options;
+  options.method = EigenMethod::kJacobi;
   options.tolerance = 1e-15;
   options.max_sweeps = 1;
   auto eig = SymmetricEigen(a, options);

@@ -1,5 +1,5 @@
 // Runtime SIMD dispatch: the scalar kernel table must be bit-identical
-// to the historical inline loops (so forced-scalar + knob-on == knob-off
+// to the pre-SIMD inline loops (so a forced-scalar run reproduces them
 // exactly), the vector tables must agree with scalar to rounding, and the
 // M2TD_FORCE_ISA override must only ever downgrade. Kernel-level checks
 // cover Multiply/MultiplyTransA/MultiplyTransB, ModeGram, and
@@ -7,13 +7,16 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dispatch_guard.h"
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
 #include "obs/metrics.h"
+#include "oracles/mode_gram_coo.h"
 #include "parallel/thread_pool.h"
 #include "tensor/dense_tensor.h"
 #include "tensor/matricize.h"
@@ -29,27 +32,6 @@ using simd::Kernels;
 using simd::KernelsForIsa;
 using tensor::SparseTensor;
 using util::SimdIsa;
-
-// Restores the fast-kernels knob, the M2TD_FORCE_ISA environment, and
-// the global pool on scope exit, so tests cannot leak dispatch state.
-class DispatchGuard {
- public:
-  DispatchGuard() : knob_(util::FastKernelsEnabled()) {}
-  ~DispatchGuard() {
-    util::SetFastKernelsEnabled(knob_);
-    ::unsetenv("M2TD_FORCE_ISA");
-    util::RefreshSimdIsaForTesting();
-    parallel::SetGlobalThreads(parallel::HardwareThreads());
-  }
-
- private:
-  bool knob_;
-};
-
-void ForceIsa(const char* name) {
-  ::setenv("M2TD_FORCE_ISA", name, /*overwrite=*/1);
-  util::RefreshSimdIsaForTesting();
-}
 
 Matrix RandomMatrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   Rng rng(seed);
@@ -232,16 +214,6 @@ TEST(SimdDispatchTest, ForceIsaOnlyEverDowngrades) {
   EXPECT_EQ(util::ResolvedSimdIsa(), detected);
 }
 
-TEST(SimdDispatchTest, ActiveIsaFollowsKnob) {
-  DispatchGuard guard;
-  util::SetFastKernelsEnabled(false);
-  EXPECT_EQ(util::ActiveSimdIsa(), SimdIsa::kScalar);
-  EXPECT_FALSE(simd::KernelsEnabled());
-  util::SetFastKernelsEnabled(true);
-  EXPECT_EQ(util::ActiveSimdIsa(), util::ResolvedSimdIsa());
-  EXPECT_TRUE(simd::KernelsEnabled());
-}
-
 TEST(SimdDispatchTest, IsaNamesRoundTrip) {
   for (SimdIsa isa :
        {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kNeon}) {
@@ -259,7 +231,6 @@ TEST(SimdDispatchTest, DispatchCountersCountKernelInvocations) {
   const bool metrics_was_enabled = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);
   ForceIsa("scalar");
-  util::SetFastKernelsEnabled(true);
   obs::Counter& scalar_count =
       obs::GetCounter("linalg.simd.dispatch_scalar");
   const std::uint64_t before = scalar_count.value();
@@ -270,12 +241,62 @@ TEST(SimdDispatchTest, DispatchCountersCountKernelInvocations) {
   obs::SetMetricsEnabled(metrics_was_enabled);
 }
 
+// ---------------------------- pre-SIMD reference loops (test-local)
+
+// The dense multiply inner loops as they were before the kernels went
+// through the dispatch table. Cache blocking and row parallelism only
+// regroup the iteration space, so these plain loops produce the same
+// per-element addition sequence (ascending k, same zero skip).
+Matrix ReferenceMultiply(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double* crow = c.RowPtr(i);
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      const double aik = a(i, k);
+      if (aik == 0.0) continue;
+      const double* brow = b.RowPtr(k);
+      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
+    }
+  }
+  return c;
+}
+
+Matrix ReferenceMultiplyTransA(const Matrix& a, const Matrix& b) {
+  Matrix c(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.cols(); ++i) {
+    double* crow = c.RowPtr(i);
+    for (std::size_t k = 0; k < a.rows(); ++k) {
+      const double aki = a(k, i);
+      if (aki == 0.0) continue;
+      const double* brow = b.RowPtr(k);
+      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aki * brow[j];
+    }
+  }
+  return c;
+}
+
+Matrix ReferenceMultiplyTransB(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const double* arow = a.RowPtr(i);
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      const double* brow = b.RowPtr(j);
+      double sum = 0.0;
+      for (std::size_t k = 0; k < a.cols(); ++k) sum += arow[k] * brow[k];
+      c(i, j) = sum;
+    }
+  }
+  return c;
+}
+
 // -------------------------------- kernel-level identity across dispatch
 
-// Every dispatched kernel, evaluated knob-off (the historical code), with
-// forced-scalar dispatch (must be bit-identical), and with the resolved
-// vector ISA (must agree to rounding), across thread counts (all paths
-// are chunk-order invariant, so thread count must never change a bit).
+// Every dispatched kernel, evaluated with forced-scalar dispatch (must be
+// bit-identical to the pre-SIMD reference: the literal loops above for
+// the dense multiplies, the COO oracles for the sparse kernels) and with
+// the resolved vector ISA (must agree to rounding), across thread counts
+// (all paths are chunk-order invariant, so thread count must never change
+// a bit).
 TEST(SimdKernelTest, KernelLevelDispatchIdentity) {
   DispatchGuard guard;
   const Matrix a = RandomMatrix(37, 53, 11);
@@ -300,63 +321,54 @@ TEST(SimdKernelTest, KernelLevelDispatchIdentity) {
                     *std::move(gram_fiber), *std::move(ttm)};
   };
 
-  util::SetFastKernelsEnabled(false);
-  const Snapshot baseline = snapshot();
+  auto gram_sparse = tensor::ModeGramCoo(sparse, 0);
+  auto gram_fiber = tensor::ModeGramCoo(fiber, 0);
+  auto ttm = tensor::SparseModeProductCoo(fiber, u, 0, /*transpose_u=*/true);
+  ASSERT_TRUE(gram_sparse.ok() && gram_fiber.ok() && ttm.ok());
+  const Snapshot reference{ReferenceMultiply(a, b),
+                           ReferenceMultiplyTransA(at, b),
+                           ReferenceMultiplyTransB(a, bt),
+                           *std::move(gram_sparse), *std::move(gram_fiber),
+                           *std::move(ttm)};
 
+  std::optional<Snapshot> vec1;  // resolved-ISA result at threads == 1
   for (int threads : {1, 2, 4}) {
     parallel::SetGlobalThreads(threads);
 
-    // Knob off must be bit-identical at any thread count.
-    util::SetFastKernelsEnabled(false);
-    Snapshot off = snapshot();
-    EXPECT_EQ(Matrix::MaxAbsDiff(off.mul, baseline.mul), 0.0);
-    EXPECT_EQ(Matrix::MaxAbsDiff(off.mul_ta, baseline.mul_ta), 0.0);
-    EXPECT_EQ(Matrix::MaxAbsDiff(off.mul_tb, baseline.mul_tb), 0.0);
-    EXPECT_EQ(Matrix::MaxAbsDiff(off.gram_sparse, baseline.gram_sparse),
-              0.0);
-    EXPECT_EQ(Matrix::MaxAbsDiff(off.gram_fiber, baseline.gram_fiber),
-              0.0);
-    EXPECT_EQ(MaxAbsDiffTensors(off.ttm, baseline.ttm), 0.0);
-
-    // Forced-scalar dispatch with the knob ON routes through the kernel
-    // table's scalar entries: bit-identical to knob-off by construction.
+    // Forced-scalar dispatch routes through the kernel table's scalar
+    // entries: bit-identical to the pre-SIMD loops by construction.
     ForceIsa("scalar");
-    util::SetFastKernelsEnabled(true);
     Snapshot forced = snapshot();
-    EXPECT_EQ(Matrix::MaxAbsDiff(forced.mul, baseline.mul), 0.0);
-    EXPECT_EQ(Matrix::MaxAbsDiff(forced.mul_ta, baseline.mul_ta), 0.0);
-    EXPECT_EQ(Matrix::MaxAbsDiff(forced.mul_tb, baseline.mul_tb), 0.0);
-    EXPECT_EQ(Matrix::MaxAbsDiff(forced.gram_sparse, baseline.gram_sparse),
+    EXPECT_EQ(Matrix::MaxAbsDiff(forced.mul, reference.mul), 0.0);
+    EXPECT_EQ(Matrix::MaxAbsDiff(forced.mul_ta, reference.mul_ta), 0.0);
+    EXPECT_EQ(Matrix::MaxAbsDiff(forced.mul_tb, reference.mul_tb), 0.0);
+    EXPECT_EQ(Matrix::MaxAbsDiff(forced.gram_sparse, reference.gram_sparse),
               0.0);
-    EXPECT_EQ(Matrix::MaxAbsDiff(forced.gram_fiber, baseline.gram_fiber),
+    EXPECT_EQ(Matrix::MaxAbsDiff(forced.gram_fiber, reference.gram_fiber),
               0.0);
-    EXPECT_EQ(MaxAbsDiffTensors(forced.ttm, baseline.ttm), 0.0);
+    EXPECT_EQ(MaxAbsDiffTensors(forced.ttm, reference.ttm), 0.0);
 
-    // The vector ISA (when present) agrees to rounding and is itself
-    // deterministic across thread counts (bit-compare vs threads=1).
-    ::unsetenv("M2TD_FORCE_ISA");
-    util::RefreshSimdIsaForTesting();
-    if (util::ResolvedSimdIsa() != SimdIsa::kScalar) {
-      util::SetFastKernelsEnabled(true);
-      static Snapshot vec1 = snapshot();  // threads == 1 reference
-      Snapshot vec = snapshot();
-      EXPECT_EQ(Matrix::MaxAbsDiff(vec.mul, vec1.mul), 0.0);
-      EXPECT_EQ(Matrix::MaxAbsDiff(vec.mul_ta, vec1.mul_ta), 0.0);
-      EXPECT_EQ(Matrix::MaxAbsDiff(vec.mul_tb, vec1.mul_tb), 0.0);
-      EXPECT_EQ(Matrix::MaxAbsDiff(vec.gram_sparse, vec1.gram_sparse),
-                0.0);
-      EXPECT_EQ(Matrix::MaxAbsDiff(vec.gram_fiber, vec1.gram_fiber), 0.0);
-      EXPECT_EQ(MaxAbsDiffTensors(vec.ttm, vec1.ttm), 0.0);
-      EXPECT_LT(Matrix::MaxAbsDiff(vec.mul, baseline.mul), 1e-10);
-      EXPECT_LT(Matrix::MaxAbsDiff(vec.mul_ta, baseline.mul_ta), 1e-10);
-      EXPECT_LT(Matrix::MaxAbsDiff(vec.mul_tb, baseline.mul_tb), 1e-10);
-      EXPECT_LT(
-          Matrix::MaxAbsDiff(vec.gram_sparse, baseline.gram_sparse),
-          1e-9);
-      EXPECT_LT(Matrix::MaxAbsDiff(vec.gram_fiber, baseline.gram_fiber),
-                1e-9);
-      EXPECT_LT(MaxAbsDiffTensors(vec.ttm, baseline.ttm), 1e-10);
-    }
+    // The resolved vector ISA (when present) agrees to rounding and is
+    // itself deterministic across thread counts (bit-compare vs
+    // threads=1).
+    guard.Restore();
+    if (util::ResolvedSimdIsa() == SimdIsa::kScalar) continue;
+    Snapshot vec = snapshot();
+    if (!vec1.has_value()) vec1 = vec;
+    EXPECT_EQ(Matrix::MaxAbsDiff(vec.mul, vec1->mul), 0.0);
+    EXPECT_EQ(Matrix::MaxAbsDiff(vec.mul_ta, vec1->mul_ta), 0.0);
+    EXPECT_EQ(Matrix::MaxAbsDiff(vec.mul_tb, vec1->mul_tb), 0.0);
+    EXPECT_EQ(Matrix::MaxAbsDiff(vec.gram_sparse, vec1->gram_sparse), 0.0);
+    EXPECT_EQ(Matrix::MaxAbsDiff(vec.gram_fiber, vec1->gram_fiber), 0.0);
+    EXPECT_EQ(MaxAbsDiffTensors(vec.ttm, vec1->ttm), 0.0);
+    EXPECT_LT(Matrix::MaxAbsDiff(vec.mul, reference.mul), 1e-10);
+    EXPECT_LT(Matrix::MaxAbsDiff(vec.mul_ta, reference.mul_ta), 1e-10);
+    EXPECT_LT(Matrix::MaxAbsDiff(vec.mul_tb, reference.mul_tb), 1e-10);
+    EXPECT_LT(Matrix::MaxAbsDiff(vec.gram_sparse, reference.gram_sparse),
+              1e-9);
+    EXPECT_LT(Matrix::MaxAbsDiff(vec.gram_fiber, reference.gram_fiber),
+              1e-9);
+    EXPECT_LT(MaxAbsDiffTensors(vec.ttm, reference.ttm), 1e-10);
   }
 }
 

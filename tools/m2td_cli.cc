@@ -51,7 +51,6 @@
 #include <fstream>
 
 #include "linalg/eigen.h"
-#include "util/cpu_features.h"
 #include "util/flags.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -872,12 +871,6 @@ void PrintTopLevelUsage() {
       "                        tridiagonal_ql (Householder + implicit-shift\n"
       "                        QL, several times faster, reassociates fp\n"
       "                        sums)\n"
-      "  --fast_kernels        dispatch the SIMD inner kernels (AVX2/NEON,\n"
-      "                        detected at startup; M2TD_FORCE_ISA=scalar|\n"
-      "                        avx2|neon overrides). Off by default: the\n"
-      "                        scalar path is the bit-exact baseline; SIMD\n"
-      "                        reassociates fp sums (still deterministic\n"
-      "                        at any --threads)\n"
       "run '<command> --help' for per-command flags\n";
 }
 
@@ -902,8 +895,6 @@ struct ObsFlags {
   /// Symmetric eigensolver for every Gram solve; empty keeps the
   /// process default (jacobi).
   std::string eigen_method;
-  /// Dispatch SIMD inner kernels (default off = scalar bit-exact path).
-  bool fast_kernels = false;
 };
 
 ObsFlags ExtractObsFlags(int argc, char** argv,
@@ -979,10 +970,6 @@ ObsFlags ExtractObsFlags(int argc, char** argv,
                eigen_method_prefix) {
       flags.eigen_method =
           std::string(arg.substr(eigen_method_prefix.size()));
-    } else if (arg == "--fast_kernels" || arg == "--fast_kernels=true") {
-      flags.fast_kernels = true;
-    } else if (arg == "--fast_kernels=false") {
-      flags.fast_kernels = false;
     } else {
       remaining->push_back(argv[i]);
     }
@@ -1070,7 +1057,6 @@ int main(int argc, char** argv) {
     }
     m2td::linalg::SetDefaultEigenMethod(method);
   }
-  m2td::util::SetFastKernelsEnabled(obs_flags.fast_kernels);
   const Status env_armed = m2td::robust::ArmFailpointsFromEnv();
   if (!env_armed.ok()) return Fail(env_armed);
   if (!g_robust_flags.fail_point.empty()) {

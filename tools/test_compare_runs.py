@@ -244,8 +244,7 @@ class CompareRunsTest(unittest.TestCase):
     def _with_dispatch(report, isa):
         report["hardware"] = {"hardware_threads": 1,
                               "page_size_bytes": 4096,
-                              "cpu_features": [], "simd_dispatch": isa,
-                              "fast_kernels": False}
+                              "cpu_features": [], "simd_dispatch": isa}
         return report
 
     def test_matching_simd_dispatch_passes(self):
