@@ -19,9 +19,10 @@ using dm2td_internal::JoinCell;
 using dm2td_internal::TensorCell;
 
 /// Thread-backend implementation: the three phases on the in-process
-/// MapReduce engine. Inter-phase record streams are canonically sorted
-/// (see dm2td_internal::SortJoinCells) so results are bit-identical at
-/// any num_workers — and to the process backend.
+/// MapReduce engine. The shared group bodies never depend on the order
+/// reducers emit their records (see dm2td_internal.h), so results are
+/// bit-identical at any num_workers — and to the process backend —
+/// without re-sorting anything between phases.
 Result<DM2tdResult> DecomposeThreadBackend(
     const SubEnsembles& subs, const PfPartition& partition,
     const std::vector<std::uint64_t>& full_shape,
@@ -105,9 +106,6 @@ Result<DM2tdResult> DecomposeThreadBackend(
   };
   M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> join_cells,
                         mapreduce::RunJob(phase2, all_cells, &result.phase2));
-  // Canonical inter-phase order: reducer output order depends on worker
-  // count (hash bucketing), the downstream fp accumulation must not.
-  dm2td_internal::SortJoinCells(&join_cells);
   result.join_nnz = join_cells.size();
   stitch_span.Annotate("join_nnz", result.join_nnz);
   stitch_span.End();
@@ -148,13 +146,12 @@ Result<DM2tdResult> DecomposeThreadBackend(
         [&, n](const std::uint64_t& key,
                std::vector<std::pair<std::uint32_t, double>>& fiber,
                std::vector<JoinCell>* out) {
-          dm2td_internal::ContractFiber(key, fiber, factor, n, other_dims,
+          dm2td_internal::ContractFiber(key, &fiber, factor, n, other_dims,
                                         other_modes, num_modes, out);
         };
     mapreduce::JobStats stats;
     M2TD_ASSIGN_OR_RETURN(join_cells,
                           mapreduce::RunJob(ttm_job, join_cells, &stats));
-    dm2td_internal::SortJoinCells(&join_cells);
     result.phase3.map_seconds += stats.map_seconds;
     result.phase3.shuffle_seconds += stats.shuffle_seconds;
     result.phase3.reduce_seconds += stats.reduce_seconds;

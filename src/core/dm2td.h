@@ -142,8 +142,10 @@ struct DistStats {
   std::uint64_t worker_deaths = 0;
   std::uint64_t tasks_reassigned = 0;
   std::uint64_t lease_expirations = 0;
-  /// Map tasks re-executed because a reducer hit DataLoss on one of
-  /// their committed shuffle blobs.
+  /// Upstream tasks re-executed because a reader hit DataLoss on one of
+  /// their committed blobs: map tasks whose shard blob a reducer read,
+  /// and reduce tasks whose data blob a phase-3 mapper read. Each one
+  /// also emits a "map_reexec" DistEvent naming the producer.
   std::uint64_t map_reexecutions = 0;
   std::uint64_t task_retries = 0;
   /// Socket transport: connections accepted / identities resumed within
@@ -196,8 +198,9 @@ struct DM2tdResult {
 /// Backends: `options.backend` selects in-process threads (default) or
 /// real worker processes (see DistBackend::kProcess). Results are
 /// bit-identical across backends, worker counts, and shard counts: every
-/// inter-phase record stream is canonically ordered and per-group
-/// arithmetic runs through the same shared code.
+/// per-group body runs through the same shared code and never depends on
+/// the order its records arrive in (phase-3 fibers are ordered by the
+/// contraction itself).
 ///
 /// Produces the same decomposition as M2tdDecompose (up to floating-point
 /// reassociation in the Gram sums).

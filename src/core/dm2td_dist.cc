@@ -89,14 +89,16 @@ double NowUs() {
 
 using TaskKey = std::pair<std::string, int>;  // (phase, index)
 
-/// One stage = `count` tasks of one phase. Reduce stages carry the map
-/// prototype of the phase they consume, so a DataLoss verdict on a
-/// committed map blob can be turned back into a map re-execution.
+/// One stage = `count` tasks of one phase. A stage that reads committed
+/// task outputs carries the prototype of the phase producing them — the
+/// map phase for a reduce stage, the previous reduce phase for a phase-3
+/// map stage — so a DataLoss verdict on a committed blob can be turned
+/// back into a re-execution of its producer.
 struct StagePlan {
   std::string phase;
   int count = 0;
   TaskRequest prototype;
-  const TaskRequest* map_prototype = nullptr;
+  const TaskRequest* upstream = nullptr;
 };
 
 /// Per-stage scheduling state threaded through the frame handlers; the
@@ -781,7 +783,7 @@ class Coordinator {
         }
         return Status::OK();
       }
-      // A re-executed map task finished: unblock its dependents.
+      // A re-executed upstream task finished: unblock its dependents.
       const TaskKey culprit{phase, index};
       ctx->reexec_inflight->erase(culprit);
       auto it = ctx->blocked->begin();
@@ -839,10 +841,11 @@ class Coordinator {
     return Status::Internal("unknown worker frame '" + frame + "'");
   }
 
-  /// A reducer hit a corrupt committed shuffle blob. The blob names its
-  /// producer in a "[task <phase>:<m>]" marker: re-execute that map
-  /// task (its fresh commit atomically replaces the poisoned one) and
-  /// hold the reducer until it lands — never retry the poisoned bytes.
+  /// A task hit a corrupt committed blob of the stage's upstream phase.
+  /// The blob names its producer in a "[task <phase>:<m>]" marker:
+  /// re-execute that task (its fresh commit atomically replaces the
+  /// poisoned one) and hold the reader until it lands — never retry the
+  /// poisoned bytes.
   Status HandleDataLoss(const std::string& phase, int index,
                         const std::string& message, StageCtx* ctx,
                         const Status& failure) {
@@ -861,8 +864,8 @@ class Coordinator {
         culprit_index = std::atoi(context.c_str() + colon + 1);
       }
     }
-    if (plan.map_prototype == nullptr || culprit_index < 0 ||
-        culprit_phase != plan.map_prototype->phase) {
+    if (plan.upstream == nullptr || culprit_index < 0 ||
+        culprit_phase != plan.upstream->phase) {
       // No replayable producer (job input blob, or unparseable): the data
       // is gone for good.
       return failure;
@@ -870,16 +873,16 @@ class Coordinator {
     const TaskKey culprit{culprit_phase, culprit_index};
     M2TD_LOG_WARNING() << "shuffle blob of " << culprit_phase << ":"
                      << culprit_index
-                     << " failed its integrity check; re-executing the map "
-                        "task (reducer " << phase << ":" << index << " held)";
+                     << " failed its integrity check; re-executing it ("
+                     << phase << ":" << index << " held)";
     ctx->blocked->push_back({RebuildTask(phase, index, plan), culprit});
     if (ctx->reexec_inflight->insert(culprit).second) {
       // The poisoned commit is deliberately left in place: other
-      // reducers still reading it must see a commit (their untouched
-      // shard blobs are fine; clearing would fail them with NotFound
+      // readers still reading it must see a commit (their untouched
+      // blobs are fine; clearing would fail them with NotFound
       // mid-read). The re-executed attempt atomically replaces it via
       // CommitTask's rename.
-      TaskRequest task = *plan.map_prototype;
+      TaskRequest task = *plan.upstream;
       task.index = culprit_index;
       task.attempt = NextAttempt(culprit);
       ctx->pending->push_front(std::move(task));
@@ -890,12 +893,12 @@ class Coordinator {
     return Status::OK();
   }
 
-  /// The stage-task or map-prototype TaskRequest for (phase, index).
+  /// The stage-task or upstream-prototype TaskRequest for (phase, index).
   TaskRequest RebuildTask(const std::string& phase, int index,
                           const StagePlan& plan) const {
-    TaskRequest task = phase == plan.phase            ? plan.prototype
-                       : plan.map_prototype != nullptr ? *plan.map_prototype
-                                                       : plan.prototype;
+    TaskRequest task = phase == plan.phase         ? plan.prototype
+                       : plan.upstream != nullptr ? *plan.upstream
+                                                  : plan.prototype;
     task.phase = phase;
     task.index = index;
     return task;
@@ -960,20 +963,6 @@ Status WriteCellSplits(const io::ShuffleStore& store,
   return Status::OK();
 }
 
-Status WriteJoinSplits(const io::ShuffleStore& store,
-                       const std::vector<JoinCell>& cells, int mode,
-                       int splits) {
-  for (int m = 0; m < splits; ++m) {
-    const auto [begin, end] = SplitRange(cells.size(), splits, m);
-    const std::vector<JoinCell> part(cells.begin() + begin,
-                                     cells.begin() + end);
-    M2TD_RETURN_IF_ERROR(store.WriteBlob(
-        "input/p3_" + std::to_string(mode) + "/split" + std::to_string(m),
-        dm2td_tasks::EncodeJoinCells(part)));
-  }
-  return Status::OK();
-}
-
 /// Reads the committed "data" blob of every reduce task of `phase`, in
 /// task order.
 Result<std::vector<std::string>> GatherReduceOutputs(
@@ -981,16 +970,26 @@ Result<std::vector<std::string>> GatherReduceOutputs(
   std::vector<std::string> payloads;
   payloads.reserve(static_cast<std::size_t>(shards));
   for (int r = 0; r < shards; ++r) {
-    M2TD_ASSIGN_OR_RETURN(io::ShuffleStore::TaskCommit commit,
-                          store.ReadCommit(phase, r));
-    const std::string name =
-        io::ShuffleStore::BlobName(phase, r, commit.attempt, "data");
     M2TD_ASSIGN_OR_RETURN(
         std::string bytes,
-        store.ReadBlob(name, phase + ":" + std::to_string(r)));
+        dm2td_tasks::ReadCommittedBlob(store, phase, r, "data"));
     payloads.push_back(std::move(bytes));
   }
   return payloads;
+}
+
+/// Total records the committed tasks of `phase` emitted, read from their
+/// commit manifests — no blob is opened.
+Result<std::uint64_t> CommittedRecords(const io::ShuffleStore& store,
+                                       const std::string& phase,
+                                       int shards) {
+  std::uint64_t records = 0;
+  for (int r = 0; r < shards; ++r) {
+    M2TD_ASSIGN_OR_RETURN(io::ShuffleStore::TaskCommit commit,
+                          store.ReadCommit(phase, r));
+    records += commit.records;
+  }
+  return records;
 }
 
 // ------------------------------------------------------ worker obs merge
@@ -1132,26 +1131,16 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
     result.phase2.reduce_seconds = reduce_span.End();
   }
   result.phase2.intermediate_pairs = all_cells.size();
-
-  obs::ObsSpan gather2_span("dist_gather", obs::ObsSpan::kAlwaysTime);
-  M2TD_ASSIGN_OR_RETURN(std::vector<std::string> join_payloads,
-                        GatherReduceOutputs(store, "p2red", shards));
-  std::vector<JoinCell> join_cells;
-  for (const std::string& payload : join_payloads) {
-    M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> part,
-                          dm2td_tasks::DecodeJoinCells(payload));
-    join_cells.insert(join_cells.end(),
-                      std::make_move_iterator(part.begin()),
-                      std::make_move_iterator(part.end()));
-  }
-  dm2td_internal::SortJoinCells(&join_cells);
-  result.phase2.output_records = join_cells.size();
-  result.phase2.shuffle_seconds = gather2_span.End();
-  result.join_nnz = join_cells.size();
+  M2TD_ASSIGN_OR_RETURN(result.join_nnz,
+                        CommittedRecords(store, "p2red", shards));
+  result.phase2.output_records = result.join_nnz;
   stitch_span.Annotate("join_nnz", result.join_nnz);
   stitch_span.End();
 
   // ---------- Phase 3: one map+reduce stage pair per mode. ----------
+  // The join tensor never comes back to the coordinator: map task m of
+  // mode n reads the committed output of reduce task m of the previous
+  // stage (p2red for mode 0), so only the final mode is gathered.
   obs::ObsSpan core_span("core_recovery", obs::ObsSpan::kAlwaysTime);
   for (std::size_t n = 0; n < num_modes; ++n) {
     M2TD_RETURN_IF_ERROR(
@@ -1159,11 +1148,11 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
                         dm2td_tasks::EncodeMatrix(factors[n])));
   }
   std::vector<std::uint64_t> current_shape = full_shape;
+  TaskRequest upstream = p2red;
+  std::uint64_t mode_input_records = result.join_nnz;
   for (std::size_t n = 0; n < num_modes; ++n) {
     obs::ObsSpan ttm_span("ttm_job", obs::ObsSpan::kAlwaysTime);
     ttm_span.Annotate("mode", static_cast<std::uint64_t>(n));
-    M2TD_RETURN_IF_ERROR(WriteJoinSplits(store, join_cells,
-                                         static_cast<int>(n), shards));
     const std::string suffix = "_" + std::to_string(n);
     TaskRequest p3map;
     p3map.is_map = true;
@@ -1176,7 +1165,7 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
     {
       obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
       M2TD_RETURN_IF_ERROR(
-          coord.RunStage({p3map.phase, shards, p3map, nullptr}));
+          coord.RunStage({p3map.phase, shards, p3map, &upstream}));
       result.phase3.map_seconds += map_span.End();
     }
     {
@@ -1185,29 +1174,26 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
           coord.RunStage({p3red.phase, shards, p3red, &p3map}));
       result.phase3.reduce_seconds += reduce_span.End();
     }
-    result.phase3.intermediate_pairs += join_cells.size();
-
-    obs::ObsSpan gather3_span("dist_gather", obs::ObsSpan::kAlwaysTime);
-    M2TD_ASSIGN_OR_RETURN(std::vector<std::string> payloads,
-                          GatherReduceOutputs(store, p3red.phase, shards));
-    join_cells.clear();
-    for (const std::string& payload : payloads) {
-      M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> part,
-                            dm2td_tasks::DecodeJoinCells(payload));
-      join_cells.insert(join_cells.end(),
-                        std::make_move_iterator(part.begin()),
-                        std::make_move_iterator(part.end()));
-    }
-    dm2td_internal::SortJoinCells(&join_cells);
-    result.phase3.shuffle_seconds += gather3_span.End();
-    result.phase3.output_records = join_cells.size();
+    result.phase3.intermediate_pairs += mode_input_records;
+    M2TD_ASSIGN_OR_RETURN(mode_input_records,
+                          CommittedRecords(store, p3red.phase, shards));
     current_shape[n] = factors[n].cols();
+    upstream = std::move(p3red);
   }
+  result.phase3.output_records = mode_input_records;
 
+  obs::ObsSpan gather_span("dist_gather", obs::ObsSpan::kAlwaysTime);
+  M2TD_ASSIGN_OR_RETURN(std::vector<std::string> payloads,
+                        GatherReduceOutputs(store, upstream.phase, shards));
+  // Final cells have unique index vectors, so the scatter order into the
+  // zero core is immaterial.
   tensor::DenseTensor core(current_shape);
-  for (const JoinCell& cell : join_cells) {
-    core.at(cell.idx) += cell.value;
+  for (const std::string& payload : payloads) {
+    M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> cells,
+                          dm2td_tasks::DecodeJoinCells(payload));
+    for (const JoinCell& cell : cells) core.at(cell.idx) += cell.value;
   }
+  result.phase3.shuffle_seconds = gather_span.End();
   result.tucker.core = std::move(core);
   result.tucker.factors = std::move(factors);
   (void)subs;

@@ -1,5 +1,6 @@
 #include "core/dm2td_internal.h"
 
+#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -66,14 +67,15 @@ void JoinPivotGroup(std::uint64_t pivot_key,
 }
 
 void ContractFiber(std::uint64_t key,
-                   const std::vector<std::pair<std::uint32_t, double>>& fiber,
+                   std::vector<std::pair<std::uint32_t, double>>* fiber,
                    const linalg::Matrix& factor, std::size_t n,
                    const std::vector<std::uint64_t>& other_dims,
                    const std::vector<std::size_t>& other_modes,
                    std::size_t num_modes, std::vector<JoinCell>* out) {
+  std::sort(fiber->begin(), fiber->end());
   const std::size_t rank = factor.cols();
   std::vector<double> acc(rank, 0.0);
-  for (const auto& [i_n, v] : fiber) {
+  for (const auto& [i_n, v] : *fiber) {
     for (std::size_t j = 0; j < rank; ++j) {
       acc[j] += factor(i_n, j) * v;
     }

@@ -4,11 +4,12 @@
 // Shared building blocks of the two D-M2TD execution backends. The
 // in-process thread engine (dm2td.cc) and the multi-process task bodies
 // (dm2td_tasks.cc) both compute through these functions, so the backends
-// agree bit for bit: identical per-group arithmetic plus the canonical
-// inter-phase ordering defined by SortJoinCells is what makes results
-// independent of worker count, shard count, and kill schedule.
+// agree bit for bit. Every group body is independent of the order its
+// records arrive in — Gram sub-tensors are coalesced, phase-2 groups see
+// the global input order on both backends, and ContractFiber orders its
+// own fiber — so results never depend on worker count, shard count,
+// kill schedule, or the order reducers emit their outputs.
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -119,17 +120,6 @@ inline std::vector<TensorCell> CollectCells(const tensor::SparseTensor& sub,
   return cells;
 }
 
-/// Canonical inter-phase ordering: lexicographic on the index vector.
-/// Phase-2 and phase-3 outputs have globally unique index vectors, so
-/// this is a total order independent of which worker/shard produced a
-/// cell — the keystone of backend/worker-count bit-identity.
-inline void SortJoinCells(std::vector<JoinCell>* cells) {
-  std::sort(cells->begin(), cells->end(),
-            [](const JoinCell& a, const JoinCell& b) {
-              return a.idx < b.idx;
-            });
-}
-
 /// Phase-1 reducer body: builds one sub-tensor from its cells and emits
 /// the per-mode Gram pieces. Input cells must have unique indices (they
 /// come from a coalesced sub-tensor), so SortAndCoalesce canonicalizes
@@ -162,10 +152,12 @@ inline std::uint64_t Phase3FiberKey(
 }
 
 /// Phase-3 reducer body: contracts one fiber (all (i_n, v) pairs sharing
-/// `key`) with `factor`, appending the non-zero results. `fiber` must
-/// arrive in global input order.
+/// `key`) with `factor`, appending the non-zero results. The fiber may
+/// arrive in any order: it is first sorted by ascending i_n (unique within
+/// a fiber, since cells have unique index vectors), so the accumulation
+/// order — and hence every bit of the result — is canonical.
 void ContractFiber(std::uint64_t key,
-                   const std::vector<std::pair<std::uint32_t, double>>& fiber,
+                   std::vector<std::pair<std::uint32_t, double>>* fiber,
                    const linalg::Matrix& factor, std::size_t n,
                    const std::vector<std::uint64_t>& other_dims,
                    const std::vector<std::size_t>& other_modes,

@@ -43,12 +43,26 @@ class ByteReader {
   Status U32(std::uint32_t* v) { return Take(v); }
   Status U64(std::uint64_t* v) { return Take(v); }
   Status F64(double* v) { return Take(v); }
-  bool AtEnd() const { return off_ == bytes_.size(); }
+  std::size_t Remaining() const { return bytes_.size() - off_; }
+
+  /// OK when `count` items of at least `item_bytes` each can still fit in
+  /// the unread bytes — the overflow-safe check every length prefix goes
+  /// through before it sizes an allocation.
+  Status CheckFits(std::uint64_t count, std::size_t item_bytes,
+                   const char* what) const {
+    if (count > Remaining() / item_bytes) {
+      return Status::IOError(std::string("truncated shuffle record: ") +
+                             what + " count " + std::to_string(count) +
+                             " exceeds the remaining " +
+                             std::to_string(Remaining()) + " bytes");
+    }
+    return Status::OK();
+  }
 
  private:
   template <typename T>
   Status Take(T* v) {
-    if (off_ + sizeof(T) > bytes_.size()) {
+    if (Remaining() < sizeof(T)) {
       return Status::IOError("truncated shuffle record");
     }
     std::memcpy(v, bytes_.data() + off_, sizeof(T));
@@ -60,14 +74,35 @@ class ByteReader {
   std::size_t off_ = 0;
 };
 
+/// Encoded size of one FiberPair: key + i_n + value.
+constexpr std::size_t kFiberPairBytes =
+    sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(double);
+
+/// Reads a rows x cols header and the matrix body that follows it. The
+/// element count is checked against the unread bytes without ever forming
+/// rows * cols, which a hostile header could overflow.
+Status ReadMatrix(ByteReader* reader, const char* what,
+                  linalg::Matrix* matrix) {
+  std::uint64_t rows = 0, cols = 0;
+  M2TD_RETURN_IF_ERROR(reader->U64(&rows));
+  M2TD_RETURN_IF_ERROR(reader->U64(&cols));
+  if (rows != 0 && cols != 0) {
+    M2TD_RETURN_IF_ERROR(reader->CheckFits(rows, sizeof(double), what));
+    M2TD_RETURN_IF_ERROR(
+        reader->CheckFits(cols, sizeof(double) * rows, what));
+  }
+  *matrix = linalg::Matrix(static_cast<std::size_t>(rows),
+                           static_cast<std::size_t>(cols));
+  for (double& v : matrix->mutable_data()) {
+    M2TD_RETURN_IF_ERROR(reader->F64(&v));
+  }
+  return Status::OK();
+}
+
 // ------------------------------------------------------------ blob names
 
 std::string CellSplitName(int split) {
   return "input/cells/split" + std::to_string(split);
-}
-std::string P3SplitName(int mode, int split) {
-  return "input/p3_" + std::to_string(mode) + "/split" +
-         std::to_string(split);
 }
 std::string FactorName(int mode) {
   return "input/factor" + std::to_string(mode);
@@ -138,10 +173,11 @@ Status RunMapTask(const io::ShuffleStore& store, const DistJobConfig& config,
     for (int r = 0; r < shards; ++r) {
       if (!buckets[r].empty()) encoded[r] = EncodeCells(buckets[r]);
     }
-  } else {  // p3map_<n>
+  } else {  // p3map_<n>: split m is upstream reduce task m's output
     M2TD_ASSIGN_OR_RETURN(
         std::string bytes,
-        store.ReadBlob(P3SplitName(task.mode, task.index), "input"));
+        ReadCommittedBlob(store, Phase3UpstreamPhase(task.mode), task.index,
+                          "data"));
     M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> cells,
                           DecodeJoinCells(bytes));
     std::vector<std::vector<FiberPair>> buckets(shards);
@@ -206,6 +242,7 @@ Status RunReduceTask(const io::ShuffleStore& store,
       ReadShardBlobs(store, map_phase, config.shards, task.index));
 
   std::string out_bytes;
+  std::uint64_t records = 0;
   if (task.phase == "p1red") {
     std::vector<TensorCell> cells;
     for (const std::string& bytes : payloads) {
@@ -224,6 +261,7 @@ Status RunReduceTask(const io::ShuffleStore& store,
           kappa, kappa == 1 ? config.shape1 : config.shape2, group,
           &pieces));
     }
+    records = pieces.size();
     out_bytes = EncodeGramPieces(pieces);
   } else if (task.phase == "p2red") {
     std::vector<std::uint64_t> cand1, cand2;
@@ -252,6 +290,7 @@ Status RunReduceTask(const io::ShuffleStore& store,
       dm2td_internal::JoinPivotGroup(key, group, geometry, config.zero_join,
                                      cand1, cand2, &out);
     }
+    records = out.size();
     out_bytes = EncodeJoinCells(out);
   } else {  // p3red_<n>
     const std::size_t n = static_cast<std::size_t>(task.mode);
@@ -277,10 +316,11 @@ Status RunReduceTask(const io::ShuffleStore& store,
       }
     }
     std::vector<JoinCell> out;
-    for (const auto& [key, fiber] : groups) {
-      dm2td_internal::ContractFiber(key, fiber, factor, n, other_dims,
+    for (auto& [key, fiber] : groups) {
+      dm2td_internal::ContractFiber(key, &fiber, factor, n, other_dims,
                                     other_modes, task.shape.size(), &out);
     }
+    records = out.size();
     out_bytes = EncodeJoinCells(out);
   }
 
@@ -288,7 +328,8 @@ Status RunReduceTask(const io::ShuffleStore& store,
       task.phase, task.index, task.attempt, "data");
   M2TD_RETURN_IF_ERROR(store.WriteBlob(name, out_bytes));
   MaybeChaosSleep();
-  return store.CommitTask(task.phase, task.index, task.attempt, {name});
+  return store.CommitTask(task.phase, task.index, task.attempt, {name},
+                          records);
 }
 
 }  // namespace
@@ -400,6 +441,20 @@ std::string MapPhaseOf(const std::string& reduce_phase) {
   return map_phase;
 }
 
+std::string Phase3UpstreamPhase(int mode) {
+  return mode == 0 ? "p2red" : "p3red_" + std::to_string(mode - 1);
+}
+
+Result<std::string> ReadCommittedBlob(const io::ShuffleStore& store,
+                                      const std::string& phase, int task,
+                                      const std::string& leaf) {
+  M2TD_ASSIGN_OR_RETURN(io::ShuffleStore::TaskCommit commit,
+                        store.ReadCommit(phase, task));
+  return store.ReadBlob(
+      io::ShuffleStore::BlobName(phase, task, commit.attempt, leaf),
+      phase + ":" + std::to_string(task));
+}
+
 std::string EncodeTaskFrame(const TaskRequest& task) {
   std::string frame = "task ";
   frame += task.is_map ? "1" : "0";
@@ -434,7 +489,13 @@ Result<TaskRequest> DecodeTaskFrame(const std::string& frame) {
 // ---------------------------------------------------------------- codecs
 
 std::string EncodeCells(const std::vector<TensorCell>& cells) {
+  std::size_t size = sizeof(std::uint64_t);
+  for (const TensorCell& cell : cells) {
+    size += 2 * sizeof(std::uint32_t) +
+            cell.idx.size() * sizeof(std::uint32_t) + sizeof(double);
+  }
   std::string out;
+  out.reserve(size);
   PutU64(&out, cells.size());
   for (const TensorCell& cell : cells) {
     PutU32(&out, static_cast<std::uint32_t>(cell.kappa));
@@ -449,14 +510,17 @@ Result<std::vector<TensorCell>> DecodeCells(const std::string& bytes) {
   ByteReader reader(bytes);
   std::uint64_t count = 0;
   M2TD_RETURN_IF_ERROR(reader.U64(&count));
+  // Smallest record: kappa + arity + value, no indices.
+  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, 16, "cell"));
   std::vector<TensorCell> cells;
-  cells.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, bytes.size() / 16 + 1)));
+  cells.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t e = 0; e < count; ++e) {
     TensorCell cell;
     std::uint32_t kappa = 0, arity = 0;
     M2TD_RETURN_IF_ERROR(reader.U32(&kappa));
     M2TD_RETURN_IF_ERROR(reader.U32(&arity));
+    M2TD_RETURN_IF_ERROR(
+        reader.CheckFits(arity, sizeof(std::uint32_t), "cell index"));
     cell.kappa = static_cast<int>(kappa);
     cell.idx.resize(arity);
     for (std::uint32_t& i : cell.idx) M2TD_RETURN_IF_ERROR(reader.U32(&i));
@@ -467,7 +531,13 @@ Result<std::vector<TensorCell>> DecodeCells(const std::string& bytes) {
 }
 
 std::string EncodeJoinCells(const std::vector<JoinCell>& cells) {
+  std::size_t size = sizeof(std::uint64_t);
+  for (const JoinCell& cell : cells) {
+    size += sizeof(std::uint32_t) + cell.idx.size() * sizeof(std::uint32_t) +
+            sizeof(double);
+  }
   std::string out;
+  out.reserve(size);
   PutU64(&out, cells.size());
   for (const JoinCell& cell : cells) {
     PutU32(&out, static_cast<std::uint32_t>(cell.idx.size()));
@@ -481,13 +551,16 @@ Result<std::vector<JoinCell>> DecodeJoinCells(const std::string& bytes) {
   ByteReader reader(bytes);
   std::uint64_t count = 0;
   M2TD_RETURN_IF_ERROR(reader.U64(&count));
+  // Smallest record: arity + value, no indices.
+  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, 12, "join cell"));
   std::vector<JoinCell> cells;
-  cells.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, bytes.size() / 12 + 1)));
+  cells.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t e = 0; e < count; ++e) {
     JoinCell cell;
     std::uint32_t arity = 0;
     M2TD_RETURN_IF_ERROR(reader.U32(&arity));
+    M2TD_RETURN_IF_ERROR(
+        reader.CheckFits(arity, sizeof(std::uint32_t), "join cell index"));
     cell.idx.resize(arity);
     for (std::uint32_t& i : cell.idx) M2TD_RETURN_IF_ERROR(reader.U32(&i));
     M2TD_RETURN_IF_ERROR(reader.F64(&cell.value));
@@ -498,6 +571,7 @@ Result<std::vector<JoinCell>> DecodeJoinCells(const std::string& bytes) {
 
 std::string EncodeFiberPairs(const std::vector<FiberPair>& pairs) {
   std::string out;
+  out.reserve(sizeof(std::uint64_t) + pairs.size() * kFiberPairBytes);
   PutU64(&out, pairs.size());
   for (const FiberPair& pair : pairs) {
     PutU64(&out, pair.key);
@@ -511,9 +585,9 @@ Result<std::vector<FiberPair>> DecodeFiberPairs(const std::string& bytes) {
   ByteReader reader(bytes);
   std::uint64_t count = 0;
   M2TD_RETURN_IF_ERROR(reader.U64(&count));
+  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, kFiberPairBytes, "fiber pair"));
   std::vector<FiberPair> pairs;
-  pairs.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, bytes.size() / 20 + 1)));
+  pairs.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t e = 0; e < count; ++e) {
     FiberPair pair;
     M2TD_RETURN_IF_ERROR(reader.U64(&pair.key));
@@ -534,17 +608,8 @@ std::string EncodeMatrix(const linalg::Matrix& matrix) {
 
 Result<linalg::Matrix> DecodeMatrix(const std::string& bytes) {
   ByteReader reader(bytes);
-  std::uint64_t rows = 0, cols = 0;
-  M2TD_RETURN_IF_ERROR(reader.U64(&rows));
-  M2TD_RETURN_IF_ERROR(reader.U64(&cols));
-  if (rows * cols * sizeof(double) > bytes.size()) {
-    return Status::IOError("truncated matrix blob");
-  }
-  linalg::Matrix matrix(static_cast<std::size_t>(rows),
-                        static_cast<std::size_t>(cols));
-  for (double& v : matrix.mutable_data()) {
-    M2TD_RETURN_IF_ERROR(reader.F64(&v));
-  }
+  linalg::Matrix matrix;
+  M2TD_RETURN_IF_ERROR(ReadMatrix(&reader, "matrix", &matrix));
   return matrix;
 }
 
@@ -565,25 +630,19 @@ Result<std::vector<GramPiece>> DecodeGramPieces(const std::string& bytes) {
   ByteReader reader(bytes);
   std::uint64_t count = 0;
   M2TD_RETURN_IF_ERROR(reader.U64(&count));
+  // Smallest record: kappa + sub_mode + rows + cols, empty Gram.
+  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, 28, "gram piece"));
   std::vector<GramPiece> pieces;
+  pieces.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t e = 0; e < count; ++e) {
     GramPiece piece;
     std::uint32_t kappa = 0;
-    std::uint64_t sub_mode = 0, rows = 0, cols = 0;
+    std::uint64_t sub_mode = 0;
     M2TD_RETURN_IF_ERROR(reader.U32(&kappa));
     M2TD_RETURN_IF_ERROR(reader.U64(&sub_mode));
-    M2TD_RETURN_IF_ERROR(reader.U64(&rows));
-    M2TD_RETURN_IF_ERROR(reader.U64(&cols));
-    if (rows * cols * sizeof(double) > bytes.size()) {
-      return Status::IOError("truncated gram blob");
-    }
+    M2TD_RETURN_IF_ERROR(ReadMatrix(&reader, "gram", &piece.gram));
     piece.kappa = static_cast<int>(kappa);
     piece.sub_mode = static_cast<std::size_t>(sub_mode);
-    piece.gram = linalg::Matrix(static_cast<std::size_t>(rows),
-                                static_cast<std::size_t>(cols));
-    for (double& v : piece.gram.mutable_data()) {
-      M2TD_RETURN_IF_ERROR(reader.F64(&v));
-    }
     pieces.push_back(std::move(piece));
   }
   return pieces;
@@ -600,9 +659,8 @@ Result<std::vector<std::uint64_t>> DecodeU64List(const std::string& bytes) {
   ByteReader reader(bytes);
   std::uint64_t count = 0;
   M2TD_RETURN_IF_ERROR(reader.U64(&count));
-  if (count * sizeof(std::uint64_t) > bytes.size()) {
-    return Status::IOError("truncated u64 list blob");
-  }
+  M2TD_RETURN_IF_ERROR(
+      reader.CheckFits(count, sizeof(std::uint64_t), "u64 list"));
   std::vector<std::uint64_t> values(static_cast<std::size_t>(count));
   for (std::uint64_t& v : values) M2TD_RETURN_IF_ERROR(reader.U64(&v));
   return values;

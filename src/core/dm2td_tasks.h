@@ -10,11 +10,15 @@
 //
 // Phase names: "p1map"/"p1red" (sub-tensor Grams), "p2map"/"p2red"
 // (JE-stitch, sharded by pivot hash), "p3map_<n>"/"p3red_<n>" (TTM for
-// mode n). Map task m of every phase reads input split m (fixed split
-// count = shards, independent of worker count) and writes one blob per
-// reduce shard; reduce task r concatenates the committed shard-r blobs
-// in map-task order — reproducing the global input order — groups by
-// key, and folds groups in ascending key order. Determinism therefore
+// mode n). Map task m of every phase reads split m (fixed split count =
+// shards, independent of worker count) and writes one blob per reduce
+// shard; reduce task r concatenates the committed shard-r blobs in
+// map-task order, groups by key, and folds groups in ascending key
+// order. Phase 1 and 2 splits are contiguous ranges of the job input
+// (so phase-2 groups see the global input order); the phase-3 chain
+// never leaves the workers — split m of p3map_<n> is the committed
+// output of reduce task m of the previous phase (p2red or p3red_<n-1>),
+// and ContractFiber orders each fiber itself. Determinism therefore
 // never depends on which worker ran what.
 
 #include <cstdint>
@@ -92,6 +96,17 @@ struct TaskRequest {
 /// phase consumes.
 std::string MapPhaseOf(const std::string& reduce_phase);
 
+/// The reduce phase whose committed "data" blobs are the splits of
+/// "p3map_<mode>": "p2red" for mode 0, "p3red_<mode-1>" after it.
+std::string Phase3UpstreamPhase(int mode);
+
+/// Reads blob `leaf` of the committed attempt of (`phase`, `task`). A
+/// corrupt blob is DataLoss tagged "[task <phase>:<task>]", naming the
+/// producer the coordinator must re-execute.
+Result<std::string> ReadCommittedBlob(const io::ShuffleStore& store,
+                                      const std::string& phase, int task,
+                                      const std::string& leaf);
+
 /// Wire form of a task assignment ("task <is_map> <phase> <index>
 /// <attempt> <mode> <nshape> <d0> ..."), carried as one frame payload.
 std::string EncodeTaskFrame(const TaskRequest& task);
@@ -104,9 +119,11 @@ struct FiberPair {
   double v = 0.0;
 };
 
-// Little-endian binary record codecs for the shuffle blobs. Decoders are
-// bounds-checked and return IOError on truncation (a failed CRC check
-// would normally catch corruption first).
+// Little-endian binary record codecs for the shuffle blobs. Decoders
+// check every length prefix against the bytes that remain (without
+// overflow) before sizing anything, and return IOError on truncation or
+// an impossible count (a failed CRC check would normally catch
+// corruption first).
 std::string EncodeCells(const std::vector<dm2td_internal::TensorCell>& cells);
 Result<std::vector<dm2td_internal::TensorCell>> DecodeCells(
     const std::string& bytes);
@@ -126,11 +143,13 @@ std::string EncodeU64List(const std::vector<std::uint64_t>& values);
 Result<std::vector<std::uint64_t>> DecodeU64List(const std::string& bytes);
 
 /// Executes one task against the store: reads inputs, computes via the
-/// shared dm2td_internal bodies, durably writes + commits outputs.
-/// DataLoss from a corrupted map output carries a "[task <phase>:<m>]"
-/// marker naming the culprit map task (see ShuffleStore::ReadBlob), so
-/// the coordinator re-executes the producer instead of retrying the
-/// poisoned blob.
+/// shared dm2td_internal bodies, durably writes + commits outputs (a
+/// reduce commit records how many records the task emitted). DataLoss
+/// from a corrupted upstream output — a map task's shard blob read by a
+/// reducer, or a reduce task's data blob read by a phase-3 mapper —
+/// carries a "[task <phase>:<m>]" marker naming the producer (see
+/// ShuffleStore::ReadBlob), so the coordinator re-executes it instead of
+/// retrying the poisoned blob.
 Status RunDistTask(const io::ShuffleStore& store,
                    const DistJobConfig& config, const TaskRequest& task);
 

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <unordered_map>
 
 #include "io/tensor_io.h"
@@ -451,14 +450,19 @@ Result<std::string> ShuffleStore::ReadBlob(const std::string& name,
       robust::GlobalRetryPolicy(), "shuffle_store.read_blob",
       [&]() -> Result<std::string> {
         M2TD_RETURN_IF_ERROR(robust::CheckFailpoint("shuffle_store.read_blob"));
-        std::ifstream in(path, std::ios::binary);
+        std::ifstream in(path, std::ios::binary | std::ios::ate);
         if (!in) {
           return Status::IOError("cannot open shuffle blob '" + path + "'" +
                                  tag);
         }
-        std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-        if (!in.good() && !in.eof()) {
+        const std::streamoff file_size = in.tellg();
+        std::string bytes;
+        if (file_size >= 0) {
+          bytes.resize(static_cast<std::size_t>(file_size));
+          in.seekg(0);
+          in.read(bytes.data(), file_size);
+        }
+        if (file_size < 0 || !in) {
           return Status::IOError("cannot read shuffle blob '" + path + "'" +
                                  tag);
         }
@@ -499,7 +503,8 @@ bool ShuffleStore::BlobExists(const std::string& name) const {
 
 Status ShuffleStore::CommitTask(const std::string& phase, int task,
                                 int attempt,
-                                const std::vector<std::string>& blobs) const {
+                                const std::vector<std::string>& blobs,
+                                std::uint64_t records) const {
   const std::string path = CommitPath(phase, task);
   std::error_code ec;
   std::filesystem::create_directories(
@@ -517,8 +522,9 @@ Status ShuffleStore::CommitTask(const std::string& phase, int task,
               if (!out) {
                 return Status::IOError("cannot write commit '" + tmp + "'");
               }
-              out << "m2td-shuffle-commit 1\n";
+              out << "m2td-shuffle-commit 2\n";
               out << "attempt " << attempt << "\n";
+              out << "records " << records << "\n";
               out << "blobs " << blobs.size() << "\n";
               for (const std::string& blob : blobs) out << blob << "\n";
               out.flush();
@@ -539,7 +545,7 @@ Result<ShuffleStore::TaskCommit> ShuffleStore::ReadCommit(
   std::string magic, token;
   int version = 0;
   if (!(in >> magic >> version) || magic != "m2td-shuffle-commit" ||
-      version != 1) {
+      version != 2) {
     return Status::IOError("malformed commit '" + path + "'");
   }
   TaskCommit commit;
@@ -547,6 +553,9 @@ Result<ShuffleStore::TaskCommit> ShuffleStore::ReadCommit(
   if (!(in >> token >> commit.attempt) || token != "attempt" ||
       commit.attempt < 0) {
     return Status::IOError("malformed commit '" + path + "': attempt");
+  }
+  if (!(in >> token >> commit.records) || token != "records") {
+    return Status::IOError("malformed commit '" + path + "': records");
   }
   if (!(in >> token >> count) || token != "blobs") {
     return Status::IOError("malformed commit '" + path + "': blobs");

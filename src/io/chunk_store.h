@@ -122,17 +122,21 @@ class ShuffleStore {
 
   bool BlobExists(const std::string& name) const;
 
-  /// Committed outcome of one task: the winning attempt and the blob
-  /// names (relative to the store root) it wrote.
+  /// Committed outcome of one task: the winning attempt, the blob names
+  /// (relative to the store root) it wrote, and the record count its
+  /// writer declared (so readers can total outputs without decoding).
   struct TaskCommit {
     int attempt = -1;
     std::vector<std::string> blobs;
+    std::uint64_t records = 0;
   };
 
   /// Atomically records attempt `attempt` as the committed outcome of
-  /// task `task` in `phase`. Blobs must already be durably written.
+  /// task `task` in `phase`, with `records` output records. Blobs must
+  /// already be durably written.
   Status CommitTask(const std::string& phase, int task, int attempt,
-                    const std::vector<std::string>& blobs) const;
+                    const std::vector<std::string>& blobs,
+                    std::uint64_t records = 0) const;
 
   /// Reads the committed outcome; NotFound when the task never
   /// committed (or its commit was cleared for re-execution).

@@ -11,9 +11,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -34,6 +37,7 @@
 #include "robust/heartbeat.h"
 #include "tensor/tucker.h"
 #include "util/cpu_features.h"
+#include "util/random.h"
 
 namespace m2td {
 namespace {
@@ -130,6 +134,23 @@ TEST_F(DistTest, CommitLifecycle) {
   EXPECT_TRUE(store->BlobExists(blob));
 }
 
+TEST_F(DistTest, CommitCarriesRecordCount) {
+  auto store = ShuffleStore::Create(Path("store"));
+  ASSERT_TRUE(store.ok());
+  const std::string blob = ShuffleStore::BlobName("p2red", 4, 1, "data");
+  ASSERT_TRUE(store->WriteBlob(blob, "cells").ok());
+  ASSERT_TRUE(store->CommitTask("p2red", 4, 1, {blob}, 250047).ok());
+  auto commit = store->ReadCommit("p2red", 4);
+  ASSERT_TRUE(commit.ok()) << commit.status();
+  EXPECT_EQ(commit->records, 250047u);
+
+  // A commit without a count records zero.
+  ASSERT_TRUE(store->CommitTask("p2red", 5, 0, {}).ok());
+  auto empty = store->ReadCommit("p2red", 5);
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_EQ(empty->records, 0u);
+}
+
 TEST_F(DistTest, CollectOrphansKeepsOnlyCommittedAttempt) {
   auto store = ShuffleStore::Create(Path("store"));
   ASSERT_TRUE(store.ok());
@@ -213,6 +234,110 @@ TEST_F(DistTest, TruncatedRecordIsIOError) {
   auto decoded = tasks::DecodeCells(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
+}
+
+// Length prefixes that claim more than the blob holds must come back as
+// IOError — never a throw from an allocation, never a wrong-sized OK.
+std::string U64Bytes(std::initializer_list<std::uint64_t> values) {
+  std::string out;
+  for (std::uint64_t v : values) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  return out;
+}
+
+std::string U32Bytes(std::initializer_list<std::uint32_t> values) {
+  std::string out;
+  for (std::uint32_t v : values) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  return out;
+}
+
+template <typename Decoded>
+void ExpectIOError(const Result<Decoded>& decoded, const char* what) {
+  ASSERT_FALSE(decoded.ok()) << what << " decoded OK";
+  EXPECT_EQ(decoded.status().code(), StatusCode::kIOError)
+      << what << ": " << decoded.status();
+}
+
+TEST_F(DistTest, HostileLengthPrefixesAreIOError) {
+  // count * 8 overflows to 0 for a count of 2^61.
+  const std::string u64_list = U64Bytes({1ull << 61, 7});
+  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeU64List(u64_list), "u64 list"));
+
+  // rows * cols * 8 overflows to 0 for a 2^33 x 2^31 header.
+  const std::string matrix = U64Bytes({1ull << 33, 1ull << 31, 0});
+  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeMatrix(matrix), "matrix"));
+  const std::string gram =
+      U64Bytes({1}) + U32Bytes({1}) + U64Bytes({0, 1ull << 33, 1ull << 31});
+  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeGramPieces(gram), "gram"));
+
+  // An arity of 0xfffffff0 must not size an index vector.
+  const std::string cells =
+      U64Bytes({1}) + U32Bytes({1, 0xfffffff0u}) + U64Bytes({0, 0});
+  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeCells(cells), "cells"));
+  const std::string join =
+      U64Bytes({1}) + U32Bytes({0xfffffff0u}) + U64Bytes({0, 0});
+  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeJoinCells(join), "join cells"));
+
+  // Record counts larger than the blob could hold.
+  const std::string many = U64Bytes({~0ull, 0, 0, 0});
+  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeCells(many), "cell count"));
+  EXPECT_NO_THROW(
+      ExpectIOError(tasks::DecodeJoinCells(many), "join cell count"));
+  EXPECT_NO_THROW(
+      ExpectIOError(tasks::DecodeFiberPairs(many), "fiber pair count"));
+  EXPECT_NO_THROW(
+      ExpectIOError(tasks::DecodeGramPieces(many), "gram piece count"));
+}
+
+// ContractFiber orders the fiber itself, so any arrival order gives the
+// same cells, bit for bit, as the ascending-i_n order.
+TEST_F(DistTest, ContractFiberIsOrderInvariant) {
+  Rng rng(11);
+  const std::size_t rows = 9, rank = 4;
+  linalg::Matrix factor(rows, rank);
+  for (double& v : factor.mutable_data()) v = rng.Gaussian();
+  std::vector<std::pair<std::uint32_t, double>> sorted;
+  for (std::uint32_t i = 0; i < rows; ++i) {
+    // Magnitudes spread over many octaves make the sum order-sensitive.
+    sorted.emplace_back(i, rng.Gaussian() * std::ldexp(1.0, 3 * (i % 7)));
+  }
+  // Mode 1 of a 3-mode tensor with extents {5, rows, 6}: key 17 names
+  // the fiber at (2, :, 5).
+  const std::vector<std::uint64_t> other_dims = {5, 6};
+  const std::vector<std::size_t> other_modes = {0, 2};
+  auto contract = [&](std::vector<std::pair<std::uint32_t, double>> fiber) {
+    std::vector<core::dm2td_internal::JoinCell> out;
+    core::dm2td_internal::ContractFiber(17, &fiber, factor, 1, other_dims,
+                                        other_modes, 3, &out);
+    return out;
+  };
+  const auto expected = contract(sorted);
+  ASSERT_EQ(expected.size(), rank);
+  for (std::size_t j = 0; j < rank; ++j) {
+    EXPECT_EQ(expected[j].idx,
+              (std::vector<std::uint32_t>{2, static_cast<std::uint32_t>(j),
+                                          5}));
+    double acc = 0.0;
+    for (const auto& [i, v] : sorted) acc += factor(i, j) * v;
+    EXPECT_EQ(expected[j].value, acc) << "rank " << j;
+  }
+
+  std::vector<std::pair<std::uint32_t, double>> permuted = sorted;
+  std::reverse(permuted.begin(), permuted.end());
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto got = contract(permuted);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      EXPECT_EQ(got[j].idx, expected[j].idx);
+      EXPECT_EQ(got[j].value, expected[j].value) << "trial " << trial;
+    }
+    for (std::size_t k = permuted.size(); k > 1; --k) {
+      std::swap(permuted[k - 1], permuted[rng.UniformInt(k)]);
+    }
+  }
 }
 
 TEST_F(DistTest, TaskFrameRoundtrip) {
@@ -446,6 +571,76 @@ TEST_F(DistTest, ShardCountNeverAffectsResults) {
                                       model->space().Shape(), options);
   ASSERT_TRUE(shards3.ok()) << shards3.status();
   ExpectBitIdentical(*shards3, *shards8);
+}
+
+void ExpectSameRecordCounts(const core::DM2tdResult& a,
+                            const core::DM2tdResult& b,
+                            const std::string& label) {
+  EXPECT_EQ(a.join_nnz, b.join_nnz) << label;
+  const mapreduce::JobStats* pa[] = {&a.phase1, &a.phase2, &a.phase3};
+  const mapreduce::JobStats* pb[] = {&b.phase1, &b.phase2, &b.phase3};
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_EQ(pa[p]->intermediate_pairs, pb[p]->intermediate_pairs)
+        << label << " phase " << p + 1 << " pairs";
+    EXPECT_EQ(pa[p]->output_records, pb[p]->output_records)
+        << label << " phase " << p + 1 << " records";
+  }
+}
+
+// Neither the worker count nor the shard count — which changes what every
+// reducer emits and in what order — may move a single bit, on either
+// backend, and both backends count the same pairs and records.
+TEST_F(DistTest, WorkerAndShardSweepIsBitIdentical) {
+  auto model = SmallModel();
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+
+  core::DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  options.num_workers = 1;
+  auto baseline = core::DM2tdDecompose(*subs, *partition,
+                                       model->space().Shape(), options);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  EXPECT_GT(baseline->join_nnz, 0u);
+
+  for (int workers : {1, 3}) {
+    options.backend = core::DistBackend::kThread;
+    options.num_workers = workers;
+    auto thread_result = core::DM2tdDecompose(
+        *subs, *partition, model->space().Shape(), options);
+    ASSERT_TRUE(thread_result.ok()) << thread_result.status();
+    const std::string thread_label = "thread workers=" +
+                                     std::to_string(workers);
+    SCOPED_TRACE(thread_label);
+    ExpectBitIdentical(*thread_result, *baseline);
+    ExpectSameRecordCounts(*thread_result, *baseline, thread_label);
+
+    for (int shards : {1, 5, 8}) {
+      const std::string label = "process workers=" + std::to_string(workers) +
+                                " shards=" + std::to_string(shards);
+      SCOPED_TRACE(label);
+      options.backend = core::DistBackend::kProcess;
+      options.process.worker_binary = M2TD_WORKER_BIN;
+      options.num_shards = shards;
+      options.process.job_dir =
+          Path("job_w" + std::to_string(workers) + "_s" +
+               std::to_string(shards));
+      auto process_result = core::DM2tdDecompose(
+          *subs, *partition, model->space().Shape(), options);
+      ASSERT_TRUE(process_result.ok()) << process_result.status();
+      ExpectBitIdentical(*process_result, *baseline);
+      ExpectSameRecordCounts(*process_result, *baseline, label);
+      // Phase-3 splits are the upstream reducers' outputs; the
+      // coordinator writes no per-mode input blobs.
+      for (const auto& entry : std::filesystem::directory_iterator(
+               options.process.job_dir + "/input")) {
+        EXPECT_NE(entry.path().filename().string().rfind("p3_", 0), 0u)
+            << entry.path();
+      }
+    }
+  }
 }
 
 TEST_F(DistTest, ZeroJoinProcessMatchesThread) {

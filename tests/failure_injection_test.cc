@@ -196,6 +196,79 @@ TEST_F(FailureInjectionTest, CorruptedShuffleChunkTriggersMapReexecution) {
   EXPECT_EQ(result->tucker.core.data(), thread_result->tucker.core.data());
 }
 
+// The phase-3 mappers of mode 0 read the committed p2red outputs
+// directly. A rotted p2red data blob must be traced back to its reduce
+// task, which is re-executed while the mapper waits.
+TEST_F(FailureInjectionTest, CorruptedReduceOutputTriggersProducerReexecution) {
+  ensemble::ModelOptions model_options;
+  model_options.parameter_resolution = 4;
+  model_options.time_resolution = 4;
+  model_options.dt = 0.01;
+  model_options.record_every = 5;
+  auto model = ensemble::MakeDoublePendulumModel(model_options);
+  ASSERT_TRUE(model.ok());
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model->get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+
+  core::DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  auto thread_result = core::DM2tdDecompose(
+      *subs, *partition, (*model)->space().Shape(), options);
+  ASSERT_TRUE(thread_result.ok()) << thread_result.status();
+
+  options.backend = core::DistBackend::kProcess;
+  options.num_workers = 2;
+  options.process.worker_binary = M2TD_WORKER_BIN;
+  options.process.job_dir = Path("job");
+  bool corrupted = false;
+  std::vector<std::string> reexecuted;
+  options.process.event_hook = [&](const core::DistEvent& event) {
+    if (event.kind == "map_reexec") {
+      reexecuted.push_back(event.phase + ":" + std::to_string(event.task));
+    }
+    // After every p2red task committed, rot one byte of one committed
+    // data blob: the p3map_0 task reading it must hit a CRC mismatch.
+    if (corrupted || event.kind != "stage_done" || event.phase != "p2red") {
+      return;
+    }
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(
+             Path("job") + "/p2red")) {
+      if (!entry.is_regular_file() || entry.path().filename() != "data") {
+        continue;
+      }
+      std::fstream file(entry.path(),
+                        std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(file.is_open());
+      file.seekg(6);
+      const char byte = static_cast<char>(file.get());
+      file.seekp(6);
+      file.put(static_cast<char>(byte ^ 0xff));
+      corrupted = true;
+      return;
+    }
+  };
+  auto result = core::DM2tdDecompose(*subs, *partition,
+                                     (*model)->space().Shape(), options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(corrupted);
+  EXPECT_EQ(result->dist.map_reexecutions, 1u);
+  EXPECT_EQ(result->dist.worker_deaths, 0u);
+  ASSERT_EQ(reexecuted.size(), 1u);
+  EXPECT_EQ(reexecuted[0].rfind("p2red:", 0), 0u) << reexecuted[0];
+
+  // Recovery must be invisible in the output.
+  EXPECT_EQ(result->join_nnz, thread_result->join_nnz);
+  EXPECT_EQ(result->tucker.core.data(), thread_result->tucker.core.data());
+  ASSERT_EQ(result->tucker.factors.size(), thread_result->tucker.factors.size());
+  for (std::size_t n = 0; n < result->tucker.factors.size(); ++n) {
+    EXPECT_EQ(result->tucker.factors[n].data(),
+              thread_result->tucker.factors[n].data())
+        << "factor " << n;
+  }
+}
+
 TEST(MapReduceFailureTest, ReducerEmittingNothingIsFine) {
   std::vector<int> inputs = {1, 2, 3};
   mapreduce::JobSpec<int, int, int, int> spec;

@@ -254,6 +254,53 @@ TEST_F(RobustTest, DataLossIsNeverRetried) {
 
 // --------------------------------------------------------- durable chunk IO
 
+/// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the reference the
+/// table-driven Crc32 must agree with on every input.
+std::uint32_t BitwiseCrc32(const unsigned char* data, std::size_t size,
+                           std::uint32_t crc = 0) {
+  std::uint32_t c = crc ^ 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST_F(RobustTest, Crc32KnownAnswers) {
+  EXPECT_EQ(robust::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(robust::Crc32("", 0), 0u);
+  EXPECT_EQ(robust::Crc32("a", 1), 0xE8B7BE43u);
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(robust::Crc32(fox.data(), fox.size()), 0x414FA339u);
+}
+
+TEST_F(RobustTest, Crc32MatchesBitwiseReferenceUnalignedAndChained) {
+  Rng rng(29);
+  std::vector<unsigned char> buffer(1031);
+  for (unsigned char& b : buffer) {
+    b = static_cast<unsigned char>(rng.UniformInt(256));
+  }
+  // Every start offset mod 8 and lengths straddling the 8-byte stride.
+  for (std::size_t offset = 0; offset < 9; ++offset) {
+    for (std::size_t size : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 63u, 1000u}) {
+      const unsigned char* p = buffer.data() + offset;
+      EXPECT_EQ(robust::Crc32(p, size), BitwiseCrc32(p, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  // Chaining over any split point equals one pass over the whole buffer.
+  const std::uint32_t whole = BitwiseCrc32(buffer.data(), buffer.size());
+  for (std::size_t split : {0u, 1u, 5u, 8u, 13u, 512u, 1030u, 1031u}) {
+    const std::uint32_t head = robust::Crc32(buffer.data(), split);
+    EXPECT_EQ(robust::Crc32(buffer.data() + split, buffer.size() - split,
+                            head),
+              whole)
+        << "split " << split;
+  }
+}
+
 TEST_F(RobustTest, AtomicWriteFileCleansUpOnWriterFailure) {
   const std::string path = Path("f.txt");
   const Status failed = robust::AtomicWriteFile(
