@@ -1,8 +1,8 @@
 #include "core/je_stitch.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstring>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,88 +13,128 @@ namespace m2td::core {
 
 namespace {
 
-struct SideEntry {
-  std::uint64_t side_key;
-  double value;
+/// One side's entries grouped by pivot configuration. A coalesced
+/// sub-tensor stores its k pivot modes first, so each configuration's
+/// entries are one contiguous run of the stored order, runs ascend by
+/// pivot key (row-major over the pivot modes), and within a run entries
+/// ascend by side coordinates. The coordinates themselves stay in the
+/// sub-tensor's index arrays: grouping reads each one once and decodes
+/// nothing.
+struct PivotRuns {
+  std::vector<std::uint64_t> keys;     // pivot key of run r, ascending
+  std::vector<std::uint64_t> offsets;  // run r: entries [offsets[r], offsets[r+1])
 };
 
-/// Per-pivot-configuration group of one side's simulations.
-using PivotGroups =
-    std::unordered_map<std::uint64_t, std::vector<SideEntry>>;
-
-std::vector<std::uint64_t> ModeDims(
-    const std::vector<std::uint64_t>& full_shape,
-    const std::vector<std::size_t>& modes) {
-  std::vector<std::uint64_t> dims;
-  dims.reserve(modes.size());
-  for (std::size_t m : modes) dims.push_back(full_shape[m]);
-  return dims;
-}
-
-/// Groups a sub-tensor's entries by pivot configuration. The sub-tensor's
-/// first k modes are the pivots, the rest the side's free modes.
-PivotGroups GroupByPivot(const tensor::SparseTensor& sub, std::size_t k) {
-  PivotGroups groups;
-  const std::size_t modes = sub.num_modes();
+PivotRuns GroupByPivot(const tensor::SparseTensor& sub, std::size_t k) {
+  PivotRuns runs;
   for (std::uint64_t e = 0; e < sub.NumNonZeros(); ++e) {
     std::uint64_t pivot_key = 0;
     for (std::size_t m = 0; m < k; ++m) {
       pivot_key = pivot_key * sub.dim(m) + sub.Index(m, e);
     }
-    std::uint64_t side_key = 0;
-    for (std::size_t m = k; m < modes; ++m) {
-      side_key = side_key * sub.dim(m) + sub.Index(m, e);
+    if (runs.keys.empty() || runs.keys.back() != pivot_key) {
+      runs.keys.push_back(pivot_key);
+      runs.offsets.push_back(e);
     }
-    groups[pivot_key].push_back(SideEntry{side_key, sub.Value(e)});
   }
-  return groups;
+  runs.offsets.push_back(sub.NumNonZeros());
+  return runs;
 }
 
-/// Writes the decoded `key` over `dims` into `out` at the positions given
-/// by `modes`.
-void ScatterKey(std::uint64_t key, const std::vector<std::uint64_t>& dims,
-                const std::vector<std::size_t>& modes,
-                std::vector<std::uint32_t>* out) {
-  for (std::size_t i = dims.size(); i-- > 0;) {
-    (*out)[modes[i]] = static_cast<std::uint32_t>(key % dims[i]);
-    key /= dims[i];
+/// Row-major key of entry `e`'s side (non-pivot) coordinates.
+std::uint64_t SideKey(const tensor::SparseTensor& sub, std::size_t k,
+                      std::uint64_t e) {
+  std::uint64_t key = 0;
+  for (std::size_t m = k; m < sub.num_modes(); ++m) {
+    key = key * sub.dim(m) + sub.Index(m, e);
+  }
+  return key;
+}
+
+/// A pivot configuration present on at least one side: its run on each
+/// side, if any.
+struct PivotPair {
+  std::optional<std::size_t> run1;
+  std::optional<std::size_t> run2;
+};
+
+/// Merge-walks the two ascending pivot-key lists. With `either` every
+/// configuration present on a side is kept (zero-join); otherwise only
+/// those present on both.
+std::vector<PivotPair> MatchPivots(const PivotRuns& runs1,
+                                   const PivotRuns& runs2, bool either) {
+  std::vector<PivotPair> pairs;
+  std::size_t a = 0;
+  std::size_t b = 0;
+  while (a < runs1.keys.size() || b < runs2.keys.size()) {
+    const bool has_a = a < runs1.keys.size();
+    const bool has_b = b < runs2.keys.size();
+    if (has_a && has_b && runs1.keys[a] == runs2.keys[b]) {
+      pairs.push_back({a++, b++});
+    } else if (has_a && (!has_b || runs1.keys[a] < runs2.keys[b])) {
+      if (either) pairs.push_back({a, std::nullopt});
+      ++a;
+    } else {
+      if (either) pairs.push_back({std::nullopt, b});
+      ++b;
+    }
+  }
+  return pairs;
+}
+
+/// Candidate free configurations of one side for zero-join: the distinct
+/// side keys selected anywhere in the sub-ensemble, ascending, each with
+/// one entry that carries its coordinates.
+struct Candidates {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> entries;
+};
+
+Candidates CollectCandidates(const std::vector<std::uint64_t>& side_keys) {
+  std::vector<std::uint64_t> order(side_keys.size());
+  for (std::size_t e = 0; e < order.size(); ++e) order[e] = e;
+  std::sort(order.begin(), order.end(), [&](std::uint64_t a, std::uint64_t b) {
+    return side_keys[a] < side_keys[b];
+  });
+  Candidates cands;
+  for (std::uint64_t e : order) {
+    if (cands.keys.empty() || cands.keys.back() != side_keys[e]) {
+      cands.keys.push_back(side_keys[e]);
+      cands.entries.push_back(e);
+    }
+  }
+  return cands;
+}
+
+/// For each candidate, the value of the run entry with that side key, or
+/// nullopt. Runs ascend by side key, as do the candidates, so this is one
+/// merge walk.
+void RunLookup(const std::vector<std::uint64_t>& side_keys,
+               const std::vector<double>& values, std::uint64_t begin,
+               std::uint64_t end, const Candidates& cands,
+               std::vector<std::optional<double>>* out) {
+  out->assign(cands.keys.size(), std::nullopt);
+  std::uint64_t e = begin;
+  for (std::size_t c = 0; c < cands.keys.size() && e < end; ++c) {
+    if (side_keys[e] == cands.keys[c]) (*out)[c] = values[e++];
   }
 }
 
-/// Appends every entry of `src` to `dst` in entry order.
-void AppendAll(tensor::SparseTensor& dst, const tensor::SparseTensor& src) {
-  std::vector<std::uint32_t> idx(src.num_modes());
-  for (std::uint64_t e = 0; e < src.NumNonZeros(); ++e) {
-    for (std::size_t m = 0; m < src.num_modes(); ++m) idx[m] = src.Index(m, e);
-    dst.AppendEntry(idx, src.Value(e));
+/// Exclusive prefix sum of per-pivot cell counts: pivot p writes
+/// [offsets[p], offsets[p+1]).
+std::vector<std::uint64_t> PrefixOffsets(
+    const std::vector<std::uint64_t>& counts) {
+  std::vector<std::uint64_t> offsets(counts.size() + 1, 0);
+  for (std::size_t p = 0; p < counts.size(); ++p) {
+    offsets[p + 1] = offsets[p] + counts[p];
   }
+  return offsets;
 }
 
-/// Runs `emit_for_key` over `keys` in parallel chunks, each chunk
-/// appending into a chunk-local SparseTensor, and concatenates the local
-/// tensors in ascending chunk order. Chunks are contiguous, in-order
-/// slices of `keys`, so the concatenated append sequence is exactly the
-/// serial one — identical at any thread count and for any chunking.
-tensor::SparseTensor StitchOverKeys(
-    const std::vector<std::uint64_t>& keys,
-    const std::vector<std::uint64_t>& full_shape,
-    const std::function<void(std::uint64_t key, tensor::SparseTensor& local,
-                             std::vector<std::uint32_t>& indices)>&
-        emit_for_key) {
-  return parallel::ParallelReduce<tensor::SparseTensor>(
-      0, keys.size(), 0, tensor::SparseTensor(full_shape),
-      [&](std::uint64_t kb, std::uint64_t ke) {
-        tensor::SparseTensor local(full_shape);
-        std::vector<std::uint32_t> indices(full_shape.size());
-        for (std::uint64_t i = kb; i < ke; ++i) {
-          emit_for_key(keys[static_cast<std::size_t>(i)], local, indices);
-        }
-        return local;
-      },
-      [](tensor::SparseTensor& acc, tensor::SparseTensor&& local) {
-        AppendAll(acc, local);
-      },
-      "je_stitch_join");
+/// Grain that splits `n` pivots into at most 64 chunks: pivots carry
+/// many cells each, so the default 256-index floor would serialize them.
+std::uint64_t PivotGrain(std::size_t n) {
+  return std::max<std::uint64_t>(1, (n + 63) / 64);
 }
 
 }  // namespace
@@ -107,113 +147,181 @@ Result<tensor::SparseTensor> JeStitch(
     return Status::InvalidArgument("partition does not match full shape");
   }
   const std::size_t k = partition.pivot_modes.size();
-  if (subs.x1.num_modes() != k + partition.side1_modes.size() ||
-      subs.x2.num_modes() != k + partition.side2_modes.size()) {
+  const tensor::SparseTensor& x1 = subs.x1;
+  const tensor::SparseTensor& x2 = subs.x2;
+  if (x1.num_modes() != k + partition.side1_modes.size() ||
+      x2.num_modes() != k + partition.side2_modes.size()) {
     return Status::InvalidArgument(
         "sub-tensor mode counts do not match the partition");
   }
-  if (!subs.x1.IsSorted() || !subs.x2.IsSorted()) {
+  // Sub-tensor mode s of side `side` lands on original mode target[s].
+  std::vector<std::size_t> target1 = partition.pivot_modes;
+  std::vector<std::size_t> target2 = partition.pivot_modes;
+  target1.insert(target1.end(), partition.side1_modes.begin(),
+                 partition.side1_modes.end());
+  target2.insert(target2.end(), partition.side2_modes.begin(),
+                 partition.side2_modes.end());
+  for (std::size_t s = 0; s < target1.size(); ++s) {
+    if (target1[s] >= full_shape.size() ||
+        x1.dim(s) != full_shape[target1[s]]) {
+      return Status::InvalidArgument(
+          "sub-tensor x1 shape does not match the partition");
+    }
+  }
+  for (std::size_t s = 0; s < target2.size(); ++s) {
+    if (target2[s] >= full_shape.size() ||
+        x2.dim(s) != full_shape[target2[s]]) {
+      return Status::InvalidArgument(
+          "sub-tensor x2 shape does not match the partition");
+    }
+  }
+  if (!x1.IsSorted() || !x2.IsSorted()) {
     return Status::InvalidArgument("JeStitch requires coalesced sub-tensors");
   }
 
   obs::ObsSpan span("je_stitch");
-  span.Annotate("x1_nnz", subs.x1.NumNonZeros());
-  span.Annotate("x2_nnz", subs.x2.NumNonZeros());
+  span.Annotate("x1_nnz", x1.NumNonZeros());
+  span.Annotate("x2_nnz", x2.NumNonZeros());
   span.Annotate("zero_join", options.zero_join ? "true" : "false");
   static obs::Counter& stitched_cells =
       obs::GetCounter("core.stitched_join_cells");
   static obs::Histogram& join_nnz_hist =
       obs::GetHistogram("core.join_nnz_per_stitch");
 
-  const std::vector<std::uint64_t> pivot_dims =
-      ModeDims(full_shape, partition.pivot_modes);
-  const std::vector<std::uint64_t> side1_dims =
-      ModeDims(full_shape, partition.side1_modes);
-  const std::vector<std::uint64_t> side2_dims =
-      ModeDims(full_shape, partition.side2_modes);
+  const PivotRuns runs1 = GroupByPivot(x1, k);
+  const PivotRuns runs2 = GroupByPivot(x2, k);
+  const std::vector<PivotPair> pivots =
+      MatchPivots(runs1, runs2, options.zero_join);
+  const std::size_t side1 = partition.side1_modes.size();
+  const std::size_t side2 = partition.side2_modes.size();
 
-  PivotGroups groups1 = GroupByPivot(subs.x1, k);
-  PivotGroups groups2 = GroupByPivot(subs.x2, k);
+  // Zero-join state: each side's per-entry side keys and candidates.
+  std::vector<std::uint64_t> keys1, keys2;
+  Candidates cands1, cands2;
+  if (options.zero_join) {
+    keys1.resize(static_cast<std::size_t>(x1.NumNonZeros()));
+    keys2.resize(static_cast<std::size_t>(x2.NumNonZeros()));
+    for (std::size_t e = 0; e < keys1.size(); ++e) keys1[e] = SideKey(x1, k, e);
+    for (std::size_t e = 0; e < keys2.size(); ++e) keys2[e] = SideKey(x2, k, e);
+    cands1 = CollectCandidates(keys1);
+    cands2 = CollectCandidates(keys2);
+  }
+  auto run_length = [](const PivotRuns& runs, std::optional<std::size_t> r) {
+    return r ? runs.offsets[*r + 1] - runs.offsets[*r] : 0;
+  };
 
-  if (!options.zero_join) {
-    // Pivot keys in map iteration order; the chunked scan preserves this
-    // order, so the appended entry sequence matches the serial loop.
-    std::vector<std::uint64_t> pivot_keys;
-    pivot_keys.reserve(groups1.size());
-    for (const auto& [pivot_key, list1] : groups1) {
-      pivot_keys.push_back(pivot_key);
+  // Cells per pivot. Plain: every member pair. Zero-join: every candidate
+  // pair with at least one member simulated.
+  std::vector<std::uint64_t> counts(pivots.size());
+  for (std::size_t p = 0; p < pivots.size(); ++p) {
+    const std::uint64_t n1 = run_length(runs1, pivots[p].run1);
+    const std::uint64_t n2 = run_length(runs2, pivots[p].run2);
+    if (options.zero_join) {
+      const std::uint64_t c1 = cands1.keys.size();
+      const std::uint64_t c2 = cands2.keys.size();
+      counts[p] = c1 * c2 - (c1 - n1) * (c2 - n2);
+    } else {
+      counts[p] = n1 * n2;
     }
-    tensor::SparseTensor join = StitchOverKeys(
-        pivot_keys, full_shape,
-        [&](std::uint64_t pivot_key, tensor::SparseTensor& local,
-            std::vector<std::uint32_t>& indices) {
-          auto it2 = groups2.find(pivot_key);
-          if (it2 == groups2.end()) return;
-          const std::vector<SideEntry>& list1 = groups1.at(pivot_key);
-          ScatterKey(pivot_key, pivot_dims, partition.pivot_modes, &indices);
-          for (const SideEntry& e1 : list1) {
-            ScatterKey(e1.side_key, side1_dims, partition.side1_modes,
-                       &indices);
-            for (const SideEntry& e2 : it2->second) {
-              ScatterKey(e2.side_key, side2_dims, partition.side2_modes,
-                         &indices);
-              local.AppendEntry(indices, 0.5 * (e1.value + e2.value));
+  }
+  const std::vector<std::uint64_t> offsets = PrefixOffsets(counts);
+  const std::uint64_t total = offsets.back();
+
+  std::vector<std::vector<std::uint32_t>> indices(
+      full_shape.size(),
+      std::vector<std::uint32_t>(static_cast<std::size_t>(total)));
+  std::vector<double> values(static_cast<std::size_t>(total));
+  const std::vector<double>& v1 = x1.Values();
+  const std::vector<double>& v2 = x2.Values();
+
+  // Each pivot fills its own disjoint slice, e1-major then e2, so the
+  // arrays are the same at any thread count and chunking.
+  parallel::ParallelFor(
+      0, pivots.size(), PivotGrain(pivots.size()),
+      [&](std::uint64_t pb, std::uint64_t pe) {
+        std::vector<std::optional<double>> lookup1, lookup2;
+        for (std::uint64_t p = pb; p < pe; ++p) {
+          const PivotPair& pair = pivots[static_cast<std::size_t>(p)];
+          const std::uint64_t begin = offsets[static_cast<std::size_t>(p)];
+          const std::uint64_t cells = counts[static_cast<std::size_t>(p)];
+          if (cells == 0) continue;
+          // Pivot coordinates from whichever side has the configuration.
+          const tensor::SparseTensor& pivot_src = pair.run1 ? x1 : x2;
+          const std::uint64_t pivot_entry =
+              pair.run1 ? runs1.offsets[*pair.run1]
+                        : runs2.offsets[*pair.run2];
+          for (std::size_t s = 0; s < k; ++s) {
+            std::uint32_t* col = indices[partition.pivot_modes[s]].data();
+            std::fill(col + begin, col + begin + cells,
+                      pivot_src.Index(s, pivot_entry));
+          }
+
+          if (!options.zero_join) {
+            const std::uint64_t b1 = runs1.offsets[*pair.run1];
+            const std::uint64_t e1_end = runs1.offsets[*pair.run1 + 1];
+            const std::uint64_t b2 = runs2.offsets[*pair.run2];
+            const std::uint64_t n2 = runs2.offsets[*pair.run2 + 1] - b2;
+            std::uint64_t out = begin;
+            for (std::uint64_t e1 = b1; e1 < e1_end; ++e1, out += n2) {
+              for (std::size_t s = 0; s < side1; ++s) {
+                std::uint32_t* col =
+                    indices[partition.side1_modes[s]].data() + out;
+                std::fill(col, col + n2, x1.Index(k + s, e1));
+              }
+              for (std::size_t s = 0; s < side2; ++s) {
+                std::memcpy(indices[partition.side2_modes[s]].data() + out,
+                            x2.IndexArray(k + s).data() + b2,
+                            n2 * sizeof(std::uint32_t));
+              }
+              const double a = v1[e1];
+              double* dst = values.data() + out;
+              const double* src = v2.data() + b2;
+              for (std::uint64_t i = 0; i < n2; ++i) {
+                dst[i] = 0.5 * (a + src[i]);
+              }
+            }
+            continue;
+          }
+
+          // Zero-join: every candidate pair with a simulated member, the
+          // missing member contributing 0.
+          if (pair.run1) {
+            RunLookup(keys1, v1, runs1.offsets[*pair.run1],
+                      runs1.offsets[*pair.run1 + 1], cands1, &lookup1);
+          } else {
+            lookup1.assign(cands1.keys.size(), std::nullopt);
+          }
+          if (pair.run2) {
+            RunLookup(keys2, v2, runs2.offsets[*pair.run2],
+                      runs2.offsets[*pair.run2 + 1], cands2, &lookup2);
+          } else {
+            lookup2.assign(cands2.keys.size(), std::nullopt);
+          }
+          std::uint64_t out = begin;
+          for (std::size_t c1 = 0; c1 < cands1.keys.size(); ++c1) {
+            const std::uint64_t e1 = cands1.entries[c1];
+            for (std::size_t c2 = 0; c2 < cands2.keys.size(); ++c2) {
+              if (!lookup1[c1] && !lookup2[c2]) continue;
+              const std::uint64_t e2 = cands2.entries[c2];
+              for (std::size_t s = 0; s < side1; ++s) {
+                indices[partition.side1_modes[s]][out] = x1.Index(k + s, e1);
+              }
+              for (std::size_t s = 0; s < side2; ++s) {
+                indices[partition.side2_modes[s]][out] = x2.Index(k + s, e2);
+              }
+              values[out] = 0.5 * (lookup1[c1].value_or(0.0) +
+                                   lookup2[c2].value_or(0.0));
+              ++out;
             }
           }
-        });
-    join.SortAndCoalesce(tensor::CoalescePolicy::kMean);
-    span.Annotate("join_nnz", join.NumNonZeros());
-    stitched_cells.Add(join.NumNonZeros());
-    join_nnz_hist.Observe(join.NumNonZeros());
-    return join;
-  }
-
-  // Zero-join: candidate free configurations are those selected anywhere in
-  // the respective sub-ensemble; a pair joins if either member exists.
-  std::unordered_set<std::uint64_t> cand1_set, cand2_set;
-  for (const auto& [pivot_key, list] : groups1) {
-    for (const SideEntry& e : list) cand1_set.insert(e.side_key);
-  }
-  for (const auto& [pivot_key, list] : groups2) {
-    for (const SideEntry& e : list) cand2_set.insert(e.side_key);
-  }
-  std::vector<std::uint64_t> cand1(cand1_set.begin(), cand1_set.end());
-  std::vector<std::uint64_t> cand2(cand2_set.begin(), cand2_set.end());
-  std::sort(cand1.begin(), cand1.end());
-  std::sort(cand2.begin(), cand2.end());
-
-  std::unordered_set<std::uint64_t> pivot_union;
-  for (const auto& [pivot_key, list] : groups1) pivot_union.insert(pivot_key);
-  for (const auto& [pivot_key, list] : groups2) pivot_union.insert(pivot_key);
-  std::vector<std::uint64_t> union_keys(pivot_union.begin(),
-                                        pivot_union.end());
-
-  tensor::SparseTensor join = StitchOverKeys(
-      union_keys, full_shape,
-      [&](std::uint64_t pivot_key, tensor::SparseTensor& local,
-          std::vector<std::uint32_t>& indices) {
-        ScatterKey(pivot_key, pivot_dims, partition.pivot_modes, &indices);
-        // Per-pivot lookup tables.
-        std::unordered_map<std::uint64_t, double> lookup1, lookup2;
-        if (auto it = groups1.find(pivot_key); it != groups1.end()) {
-          for (const SideEntry& e : it->second) lookup1[e.side_key] = e.value;
         }
-        if (auto it = groups2.find(pivot_key); it != groups2.end()) {
-          for (const SideEntry& e : it->second) lookup2[e.side_key] = e.value;
-        }
-        for (std::uint64_t key1 : cand1) {
-          const auto v1 = lookup1.find(key1);
-          ScatterKey(key1, side1_dims, partition.side1_modes, &indices);
-          for (std::uint64_t key2 : cand2) {
-            const auto v2 = lookup2.find(key2);
-            if (v1 == lookup1.end() && v2 == lookup2.end()) continue;
-            const double a = (v1 != lookup1.end()) ? v1->second : 0.0;
-            const double b = (v2 != lookup2.end()) ? v2->second : 0.0;
-            ScatterKey(key2, side2_dims, partition.side2_modes, &indices);
-            local.AppendEntry(indices, 0.5 * (a + b));
-          }
-        }
-      });
+      },
+      "je_stitch_join");
+
+  M2TD_ASSIGN_OR_RETURN(
+      tensor::SparseTensor join,
+      tensor::SparseTensor::FromArrays(full_shape, std::move(indices),
+                                       std::move(values)));
   join.SortAndCoalesce(tensor::CoalescePolicy::kMean);
   span.Annotate("join_nnz", join.NumNonZeros());
   stitched_cells.Add(join.NumNonZeros());

@@ -85,12 +85,17 @@ void ThreadPool::RunRegion(const std::shared_ptr<internal::Region>& region) {
   // this is the serial path, and from inside a pool worker it is what
   // makes nested regions deadlock-free.
   ExecuteChunks(*region);
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(region->mu);
     region->done_cv.wait(
         lock, [&] { return region->completed == region->num_chunks; });
-    if (region->error) std::rethrow_exception(region->error);
+    // Take the exception out of the region: a worker may drop the last
+    // reference to the region after this thread has caught the rethrown
+    // exception, and the exception object must not be freed there.
+    error = std::move(region->error);
   }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::WorkerLoop() {

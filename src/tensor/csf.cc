@@ -1,19 +1,42 @@
 #include "tensor/csf.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/radix_order.h"
 #include "tensor/sparse_tensor.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace m2td::tensor {
 
+namespace {
+
+// Fiber order of a lexicographically sorted tensor: a stable radix pass
+// over the non-target modes (in increasing mode order, i.e. by column)
+// keeps equal-column entries in their stored order, which for a
+// coalesced tensor is ascending leaf — exactly (column, leaf) order.
+template <typename Index>
+std::vector<Index> FiberOrder(const SparseTensor& x, std::size_t mode) {
+  std::vector<Index> perm(static_cast<std::size_t>(x.NumNonZeros()));
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    perm[i] = static_cast<Index>(i);
+  }
+  std::vector<internal::RadixKey> keys;
+  for (std::size_t m = 0; m < x.num_modes(); ++m) {
+    if (m != mode) keys.push_back({x.IndexArray(m).data(), x.dim(m)});
+  }
+  internal::StableRadixOrder(keys, &perm);
+  return perm;
+}
+
+}  // namespace
+
 CsfModeIndex CsfModeIndex::Build(const SparseTensor& x, std::size_t mode) {
   M2TD_CHECK(mode < x.num_modes()) << "CSF mode out of range";
   M2TD_CHECK(x.IsSorted()) << "CSF requires a coalesced tensor";
+  M2TD_CHECK(x.MatricizationColumnsFit(mode))
+      << "CSF mode " << mode
+      << ": the other modes span more than 2^64 matricization columns";
   obs::ObsSpan span("csf_build");
   span.Annotate("mode", static_cast<std::uint64_t>(mode));
   span.Annotate("nnz", x.NumNonZeros());
@@ -27,48 +50,44 @@ CsfModeIndex CsfModeIndex::Build(const SparseTensor& x, std::size_t mode) {
     if (m != mode) out.other_dims_.push_back(x.dim(m));
   }
 
+  // For the last mode the stored lexicographic order already is fiber
+  // order, so the permutation is the identity and the radix pass is
+  // skipped.
   const std::uint64_t nnz = x.NumNonZeros();
   const std::size_t n = static_cast<std::size_t>(nnz);
-  std::vector<std::uint64_t> columns(n);
-  for (std::uint64_t e = 0; e < nnz; ++e) {
-    columns[static_cast<std::size_t>(e)] = x.MatricizationColumn(mode, e);
-  }
-
-  // Fiber order is (column, leaf). For the last mode the stored
-  // lexicographic order already is exactly that, so the permutation is
-  // the identity and the sort is skipped. Coalescing guarantees the
-  // (column, leaf) pairs are unique, so the order is total and the
-  // permutation deterministic.
-  const std::vector<std::uint32_t>& leaf = x.IndexArray(mode);
-  std::vector<std::uint64_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  if (mode + 1 != modes) {
-    std::sort(perm.begin(), perm.end(),
-              [&](std::uint64_t a, std::uint64_t b) {
-                const std::uint64_t ca = columns[static_cast<std::size_t>(a)];
-                const std::uint64_t cb = columns[static_cast<std::size_t>(b)];
-                if (ca != cb) return ca < cb;
-                return leaf[static_cast<std::size_t>(a)] <
-                       leaf[static_cast<std::size_t>(b)];
-              });
-  }
-
-  out.leaf_coords_.resize(n);
-  out.values_.resize(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t e = static_cast<std::size_t>(perm[p]);
-    out.leaf_coords_[p] = leaf[e];
-    out.values_[p] = x.Value(e);
-    const std::uint64_t column = columns[e];
-    if (out.fiber_columns_.empty() || out.fiber_columns_.back() != column) {
-      out.fiber_offsets_.push_back(static_cast<std::uint64_t>(p));
-      out.fiber_columns_.push_back(column);
+  auto fill = [&](auto entry_at) {
+    // Columns in stored order, computed after the radix pass has
+    // released its buffers, so the fiber-order loop gathers one column
+    // per entry instead of every coordinate.
+    const std::vector<std::uint64_t> columns = x.MatricizationColumns(mode);
+    const std::vector<std::uint32_t>& leaf = x.IndexArray(mode);
+    const std::vector<double>& values = x.Values();
+    out.leaf_coords_.resize(n);
+    out.values_.resize(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      const std::size_t e = static_cast<std::size_t>(entry_at(p));
+      out.leaf_coords_[p] = leaf[e];
+      out.values_[p] = values[e];
+      const std::uint64_t column = columns[e];
+      if (out.fiber_columns_.empty() || out.fiber_columns_.back() != column) {
+        out.fiber_offsets_.push_back(static_cast<std::uint64_t>(p));
+        out.fiber_columns_.push_back(column);
+      }
     }
+    // The loop pushed each fiber's *begin*; close with the total entry
+    // count so fiber f spans [offsets[f], offsets[f+1]). An empty tensor
+    // yields offsets == {0}.
+    out.fiber_offsets_.push_back(nnz);
+  };
+  if (mode + 1 == modes) {
+    fill([](std::size_t p) { return p; });
+  } else if (nnz < (std::uint64_t{1} << 32)) {
+    const std::vector<std::uint32_t> perm = FiberOrder<std::uint32_t>(x, mode);
+    fill([&perm](std::size_t p) { return perm[p]; });
+  } else {
+    const std::vector<std::uint64_t> perm = FiberOrder<std::uint64_t>(x, mode);
+    fill([&perm](std::size_t p) { return perm[p]; });
   }
-  // The loop pushed each fiber's *begin*; close with the total entry
-  // count so fiber f spans [offsets[f], offsets[f+1]). An empty tensor
-  // yields offsets == {0}.
-  out.fiber_offsets_.push_back(nnz);
 
   span.Annotate("fibers", out.num_fibers());
   const double seconds = timer.ElapsedSeconds();

@@ -27,10 +27,15 @@ class SparseTensor;
 /// them in, which is what keeps the CSF kernels bit-identical to the COO
 /// reference kernels.
 ///
-/// Build cost: one O(nnz · N) column computation plus one O(nnz log nnz)
-/// sort (skipped when the target is the last mode, where the stored
-/// lexicographic order already is fiber order). The index is immutable
-/// after Build; all accessors are const and safe to share across threads.
+/// Build cost: O(nnz · N). Fiber order comes from one stable radix pass
+/// over the non-target modes of the already lexicographic tensor (equal
+/// columns keep their stored, ascending-leaf order), skipped when the
+/// target is the last mode, where the stored order already is fiber
+/// order; one more linear pass computes the columns and copies the
+/// leaves and values. Requires SparseTensor::MatricizationColumnsFit
+/// (aborts otherwise: a wrapped column would merge distinct fibers). The
+/// index is immutable after Build; all accessors are const and safe to
+/// share across threads.
 ///
 /// Observability: each build runs under span "csf_build" (annotated with
 /// mode/nnz/fibers) and bumps counters `tensor.csf.builds` /
@@ -39,7 +44,8 @@ class SparseTensor;
 class CsfModeIndex {
  public:
   /// Builds the index for `mode` from a sorted, coalesced tensor (aborts
-  /// on an unsorted input or an out-of-range mode).
+  /// on an unsorted input, an out-of-range mode, or matricization columns
+  /// that overflow 64 bits).
   static CsfModeIndex Build(const SparseTensor& x, std::size_t mode);
 
   /// The target mode this index compresses.

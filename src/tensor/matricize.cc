@@ -1,5 +1,6 @@
 #include "tensor/matricize.h"
 
+#include <string>
 #include <vector>
 
 #include "linalg/simd.h"
@@ -87,6 +88,11 @@ Result<linalg::Matrix> ModeGram(const SparseTensor& x, std::size_t mode) {
   if (!x.IsSorted()) {
     return Status::InvalidArgument(
         "ModeGram requires a coalesced tensor (call SortAndCoalesce)");
+  }
+  if (!x.MatricizationColumnsFit(mode)) {
+    return Status::InvalidArgument(
+        "ModeGram: the mode-" + std::to_string(mode) +
+        " matricization has more than 2^64 columns");
   }
   const std::size_t n = static_cast<std::size_t>(x.dim(mode));
   obs::ObsSpan span("mode_gram");

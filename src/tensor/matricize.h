@@ -16,7 +16,9 @@ namespace m2td::tensor {
 /// outer product to the I_n x I_n Gram. This is what makes HOSVD of
 /// extremely sparse, high-modal ensemble tensors cheap — the paper's key
 /// computational primitive. Requires a coalesced tensor (duplicate
-/// coordinates would double-count; InvalidArgument if unsorted).
+/// coordinates would double-count; InvalidArgument if unsorted) whose
+/// matricization columns fit in 64 bits (InvalidArgument otherwise; see
+/// SparseTensor::MatricizationColumnsFit).
 ///
 /// Column groups come from the tensor's cached CSF index (tensor/csf.h):
 /// a fiber *is* a column group, so the per-call O(nnz log nnz) column

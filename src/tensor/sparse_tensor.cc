@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <string>
+#include <type_traits>
 
 #include "tensor/csf.h"
+#include "tensor/radix_order.h"
 #include "util/string_util.h"
 
 namespace m2td::tensor {
@@ -18,6 +19,49 @@ SparseTensor::SparseTensor(std::vector<std::uint64_t> shape)
     M2TD_CHECK(shape_[m] > 0) << "zero-length mode " << m;
     M2TD_CHECK(shape_[m] <= (1ULL << 32)) << "mode too long for uint32 index";
   }
+}
+
+Result<SparseTensor> SparseTensor::FromArrays(
+    std::vector<std::uint64_t> shape,
+    std::vector<std::vector<std::uint32_t>> indices,
+    std::vector<double> values) {
+  if (indices.size() != shape.size()) {
+    return Status::InvalidArgument(
+        "FromArrays: " + std::to_string(indices.size()) +
+        " index arrays for " + std::to_string(shape.size()) + " modes");
+  }
+  for (std::size_t m = 0; m < shape.size(); ++m) {
+    if (shape[m] == 0 || shape[m] > (std::uint64_t{1} << 32)) {
+      return Status::InvalidArgument(
+          "FromArrays: mode " + std::to_string(m) + " has length " +
+          std::to_string(shape[m]) + ", outside [1, 2^32]");
+    }
+    const std::vector<std::uint32_t>& idx = indices[m];
+    if (idx.size() != values.size()) {
+      return Status::InvalidArgument(
+          "FromArrays: mode " + std::to_string(m) + " has " +
+          std::to_string(idx.size()) + " indices for " +
+          std::to_string(values.size()) + " values");
+    }
+    // Branch-free max first; locate the offender only on failure.
+    std::uint32_t max_index = 0;
+    for (std::uint32_t i : idx) max_index = std::max(max_index, i);
+    if (!idx.empty() && max_index >= shape[m]) {
+      const std::size_t e = static_cast<std::size_t>(
+          std::find_if(idx.begin(), idx.end(),
+                       [&](std::uint32_t i) { return i >= shape[m]; }) -
+          idx.begin());
+      return Status::InvalidArgument(
+          "FromArrays: index " + std::to_string(idx[e]) +
+          " out of range for mode " + std::to_string(m) + " of shape " +
+          ShapeToString(shape) + " at entry " + std::to_string(e));
+    }
+  }
+  SparseTensor x(std::move(shape));
+  x.indices_ = std::move(indices);
+  x.values_ = std::move(values);
+  x.sorted_ = x.values_.empty();
+  return x;
 }
 
 double& SparseTensor::MutableValue(std::uint64_t entry) {
@@ -119,64 +163,111 @@ Status SparseTensor::CheckFinite() const {
   return Status::OK();
 }
 
+namespace {
+
+// True when the stored entries are in strictly increasing lexicographic
+// order, i.e. sorted and duplicate-free. Stops at the first entry that is
+// not greater than its predecessor, so other input costs little.
+bool StrictlyInLexOrder(
+    const std::vector<std::vector<std::uint32_t>>& indices,
+    std::uint64_t n) {
+  for (std::uint64_t e = 1; e < n; ++e) {
+    bool greater = false;
+    for (const std::vector<std::uint32_t>& idx : indices) {
+      if (idx[e - 1] != idx[e]) {
+        if (idx[e - 1] > idx[e]) return false;
+        greater = true;
+        break;
+      }
+    }
+    if (!greater) return false;
+  }
+  return true;
+}
+
+// Puts the entries in stable lexicographic order (a radix pass plus one
+// gather per array, one array live at a time), then merges runs of equal
+// coordinates in that order with one sequential, in-place pass.
+template <typename Index>
+void SortAndCoalesceArrays(const std::vector<std::uint64_t>& shape,
+                           std::vector<std::vector<std::uint32_t>>* indices,
+                           std::vector<double>* values,
+                           CoalescePolicy policy) {
+  const std::size_t n = values->size();
+  std::vector<Index> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<Index>(i);
+  std::vector<internal::RadixKey> keys;
+  keys.reserve(shape.size());
+  for (std::size_t m = 0; m < shape.size(); ++m) {
+    keys.push_back({(*indices)[m].data(), shape[m]});
+  }
+  internal::StableRadixOrder(keys, &perm);
+  auto gather = [&perm, n](auto* array) {
+    std::remove_reference_t<decltype(*array)> sorted(n);
+    for (std::size_t i = 0; i < n; ++i) sorted[i] = (*array)[perm[i]];
+    array->swap(sorted);
+  };
+  for (std::vector<std::uint32_t>& idx : *indices) gather(&idx);
+  gather(values);
+
+  // Merge: slot `heads - 1` holds the current run's coordinates and its
+  // running sum (heads <= pos, so the compaction never overwrites a slot
+  // still to be read).
+  auto same_as_head = [indices](std::size_t pos, std::size_t head) {
+    for (const std::vector<std::uint32_t>& idx : *indices) {
+      if (idx[pos] != idx[head]) return false;
+    }
+    return true;
+  };
+  std::vector<double>& v = *values;
+  std::size_t heads = 0;
+  std::uint64_t run_count = 0;
+  auto close_run = [&] {
+    if (policy == CoalescePolicy::kMean && run_count > 1) {
+      v[heads - 1] /= static_cast<double>(run_count);
+    }
+  };
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    if (heads > 0 && same_as_head(pos, heads - 1)) {
+      v[heads - 1] += v[pos];
+      ++run_count;
+      continue;
+    }
+    if (heads > 0) close_run();
+    if (heads != pos) {
+      for (std::vector<std::uint32_t>& idx : *indices) idx[heads] = idx[pos];
+      v[heads] = v[pos];
+    }
+    ++heads;
+    run_count = 1;
+  }
+  if (heads > 0) close_run();
+  if (heads != n) {
+    for (std::vector<std::uint32_t>& idx : *indices) {
+      idx.resize(heads);
+      idx.shrink_to_fit();
+    }
+    v.resize(heads);
+    v.shrink_to_fit();
+  }
+}
+
+}  // namespace
+
 void SparseTensor::SortAndCoalesce(CoalescePolicy policy) {
   // Contents are (potentially) about to change: detach from the shared
   // CSF cache so stale fiber indexes can never be served afterwards.
   csf_cache_ = std::make_shared<CsfCache>(shape_.size());
   const std::uint64_t n = values_.size();
-  if (n == 0) {
-    sorted_ = true;
-    return;
-  }
-  std::vector<std::uint64_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  const std::size_t modes = shape_.size();
-  std::sort(order.begin(), order.end(),
-            [this, modes](std::uint64_t a, std::uint64_t b) {
-              for (std::size_t m = 0; m < modes; ++m) {
-                if (indices_[m][a] != indices_[m][b]) {
-                  return indices_[m][a] < indices_[m][b];
-                }
-              }
-              return false;
-            });
-
-  std::vector<std::vector<std::uint32_t>> new_indices(modes);
-  std::vector<double> new_values;
-  std::vector<std::uint64_t> run_counts;
-  for (auto& idx : new_indices) idx.reserve(n);
-  new_values.reserve(n);
-  run_counts.reserve(n);
-
-  auto same_coords = [this, modes](std::uint64_t a, std::uint64_t b) {
-    for (std::size_t m = 0; m < modes; ++m) {
-      if (indices_[m][a] != indices_[m][b]) return false;
-    }
-    return true;
-  };
-
-  for (std::uint64_t pos = 0; pos < n; ++pos) {
-    const std::uint64_t e = order[pos];
-    if (!new_values.empty() && same_coords(e, order[pos - 1])) {
-      new_values.back() += values_[e];
-      ++run_counts.back();
+  if (!StrictlyInLexOrder(indices_, n)) {
+    if (n < (std::uint64_t{1} << 32)) {
+      SortAndCoalesceArrays<std::uint32_t>(shape_, &indices_, &values_,
+                                           policy);
     } else {
-      for (std::size_t m = 0; m < modes; ++m) {
-        new_indices[m].push_back(indices_[m][e]);
-      }
-      new_values.push_back(values_[e]);
-      run_counts.push_back(1);
+      SortAndCoalesceArrays<std::uint64_t>(shape_, &indices_, &values_,
+                                           policy);
     }
   }
-
-  if (policy == CoalescePolicy::kMean) {
-    for (std::size_t i = 0; i < new_values.size(); ++i) {
-      new_values[i] /= static_cast<double>(run_counts[i]);
-    }
-  }
-
-  indices_ = std::move(new_indices);
-  values_ = std::move(new_values);
   sorted_ = true;
 }
 
@@ -279,14 +370,29 @@ Result<SparseTensor> SparseTensor::SliceMode(std::size_t mode,
   return slice;
 }
 
-std::uint64_t SparseTensor::MatricizationColumn(std::size_t mode,
-                                                std::uint64_t entry) const {
-  std::uint64_t column = 0;
+bool SparseTensor::MatricizationColumnsFit(std::size_t mode) const {
+  // Columns run over [0, prod); the largest, prod - 1, fits in 64 bits
+  // iff prod <= 2^64.
+  unsigned __int128 prod = 1;
   for (std::size_t m = 0; m < shape_.size(); ++m) {
     if (m == mode) continue;
-    column = column * shape_[m] + indices_[m][entry];
+    prod *= shape_[m];
+    if (prod > (static_cast<unsigned __int128>(1) << 64)) return false;
   }
-  return column;
+  return true;
+}
+
+std::vector<std::uint64_t> SparseTensor::MatricizationColumns(
+    std::size_t mode) const {
+  const std::size_t n = values_.size();
+  std::vector<std::uint64_t> columns(n, 0);
+  for (std::size_t m = 0; m < shape_.size(); ++m) {
+    if (m == mode) continue;
+    const std::uint64_t dim = shape_[m];
+    const std::uint32_t* idx = indices_[m].data();
+    for (std::size_t e = 0; e < n; ++e) columns[e] = columns[e] * dim + idx[e];
+  }
+  return columns;
 }
 
 }  // namespace m2td::tensor

@@ -30,15 +30,30 @@ enum class CoalescePolicy {
 ///
 /// One uint32 index array per mode plus one value array; this is the format
 /// the ensemble samplers emit and the layout the Gram/TTM kernels consume.
-/// Mutation (AppendEntry) may create duplicates and unsorted order; call
-/// SortAndCoalesce before handing the tensor to a kernel that requires
-/// canonical form (kernels that do say so in their contract).
+/// Mutation (AppendEntry, FromArrays) may create duplicates and unsorted
+/// order; call SortAndCoalesce before handing the tensor to a kernel that
+/// requires canonical form (kernels that do say so in their contract).
 class SparseTensor {
  public:
   SparseTensor() = default;
 
   /// Tensor of the given logical shape with no stored entries.
   explicit SparseTensor(std::vector<std::uint64_t> shape);
+
+  /// \brief Bulk constructor: adopts one index array per mode plus the
+  /// value array, in entry order.
+  ///
+  /// Every index is range-checked (one tight pass per mode), so this is as
+  /// safe as AppendEntry without its per-entry cost. InvalidArgument on a
+  /// zero-length or over-long (> 2^32) mode, a wrong number of index
+  /// arrays, an array whose length differs from `values`, or an
+  /// out-of-range index (naming its mode and entry). Values are not
+  /// screened (see CheckFinite). The result is unsorted unless empty;
+  /// call SortAndCoalesce before a canonical-form kernel.
+  static Result<SparseTensor> FromArrays(
+      std::vector<std::uint64_t> shape,
+      std::vector<std::vector<std::uint32_t>> indices,
+      std::vector<double> values);
 
   SparseTensor(const SparseTensor&) = default;
   SparseTensor& operator=(const SparseTensor&) = default;
@@ -90,8 +105,17 @@ class SparseTensor {
   }
   const std::vector<double>& Values() const { return values_; }
 
-  /// Sorts entries lexicographically by coordinates and merges duplicates
-  /// per `policy`. Idempotent.
+  /// \brief Sorts entries lexicographically by coordinates and merges
+  /// duplicates per `policy`. Idempotent.
+  ///
+  /// The order is stable: duplicates of one coordinate merge in append
+  /// order (a sum of three or more values is order dependent in floating
+  /// point, so this fixes the result). kMean divides each merged sum by
+  /// its duplicate count. Cost is O(nnz * N): a linear check that returns
+  /// early on input that is already sorted and duplicate-free, otherwise
+  /// a stable LSD radix pass over the index arrays followed by one
+  /// linear merge pass. Transient memory is a few 32-bit arrays of nnz
+  /// entries (64-bit past 2^32 entries) plus one mode's index array.
   void SortAndCoalesce(CoalescePolicy policy = CoalescePolicy::kSum);
 
   bool IsSorted() const { return sorted_; }
@@ -111,11 +135,20 @@ class SparseTensor {
 
   double FrobeniusNorm() const;
 
-  /// Row-major linear index over all modes *except* `mode` for entry `e` —
-  /// i.e. the column index of the mode-`mode` matricization. Used by the
-  /// Gram kernel.
-  std::uint64_t MatricizationColumn(std::size_t mode,
-                                    std::uint64_t entry) const;
+  /// Mode-`mode` matricization column of every stored entry, in stored
+  /// order: the row-major linear index over all modes *except* `mode`
+  /// (the first listed mode is the slowest). This is the one definition
+  /// of the column layout; the CSF index (and through it ModeGram and
+  /// SparseModeProduct) is built from it. One sequential sweep per mode.
+  /// Exact only when MatricizationColumnsFit(mode); past that columns
+  /// wrap modulo 2^64.
+  std::vector<std::uint64_t> MatricizationColumns(std::size_t mode) const;
+
+  /// True when every mode-`mode` matricization column fits in 64 bits,
+  /// i.e. the product of the other modes' lengths is at most 2^64. The
+  /// CSF index and the kernels built on it (ModeGram, SparseModeProduct)
+  /// require it.
+  bool MatricizationColumnsFit(std::size_t mode) const;
 
   /// The (N-1)-mode tensor obtained by fixing `mode` to `index` (entries
   /// not matching are dropped; the mode disappears from the shape).

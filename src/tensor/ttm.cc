@@ -1,5 +1,8 @@
 #include "tensor/ttm.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "linalg/simd.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
@@ -10,6 +13,37 @@
 namespace m2td::tensor {
 
 namespace {
+
+// out[s] += a * b[s] for s < n. Fixed-width blocks give the inner loop a
+// constant trip count, which lets the compiler vectorize it even at -O2.
+// The build is ISO C++ (no GNU extensions), where GCC does not contract a
+// multiply and an add into an FMA: each element sees exactly the scalar
+// multiply, then the add.
+void Axpy(std::uint64_t n, double a, const double* __restrict b,
+          double* __restrict out) {
+  constexpr int kLanes = 8;
+  const std::uint64_t full = n - n % kLanes;
+  for (std::uint64_t s0 = 0; s0 < full; s0 += kLanes) {
+    for (int l = 0; l < kLanes; ++l) out[s0 + l] += a * b[s0 + l];
+  }
+  for (std::uint64_t s = full; s < n; ++s) out[s] += a * b[s];
+}
+
+// out[s] += c * in[s] for every s < n with in[s] != 0. Accumulators start
+// at +0.0 and so are never -0.0 (a sum is -0.0 only when both addends
+// are), and adding a zero to anything else leaves it unchanged; so for a
+// finite c the zero inputs may be added too, and the loop stays
+// branch-free. A non-finite c would turn a zero input into NaN: skip them.
+void AxpyNonzeros(std::uint64_t n, double c, const double* in,
+                  double* out) {
+  if (std::isfinite(c)) {
+    Axpy(n, c, in, out);
+    return;
+  }
+  for (std::uint64_t s = 0; s < n; ++s) {
+    if (in[s] != 0.0) out[s] += c * in[s];
+  }
+}
 
 Status CheckModeProductShapes(const std::vector<std::uint64_t>& shape,
                               const linalg::Matrix& u, std::size_t mode,
@@ -47,38 +81,76 @@ Result<DenseTensor> ModeProduct(const DenseTensor& x, const linalg::Matrix& u,
   const std::uint64_t block = stride * old_dim;
   const std::uint64_t out_stride = y.Stride(mode);
   const std::uint64_t out_block = out_stride * new_dim;
+  const std::uint64_t outer_count = x.NumElements() / block;
+  const double* in = x.data().data();
+  double* out = y.mutable_data().data();
+  // coef[i * new_dim + j]: the coefficient of input index i in output
+  // index j, whichever way U is stored.
+  std::vector<double> coef(static_cast<std::size_t>(old_dim * new_dim));
+  for (std::size_t i = 0; i < old_dim; ++i) {
+    for (std::size_t j = 0; j < new_dim; ++j) {
+      coef[i * new_dim + j] = transpose_u ? u(i, j) : u(j, i);
+    }
+  }
 
-  // Gather over output fibers: fiber f = (outer, inner) owns the output
-  // elements {outer * out_block + inner + j * out_stride}, so chunks
-  // write disjoint data. Accumulating over in_mode in ascending order
-  // (with the same v == 0.0 skip) performs bit-identically the additions
-  // of the serial scatter loop, for any thread count.
-  const std::uint64_t num_fibers = (x.NumElements() / block) * stride;
-  parallel::ParallelFor(
-      0, num_fibers, 0,
-      [&](std::uint64_t fb, std::uint64_t fe) {
-        for (std::uint64_t f = fb; f < fe; ++f) {
-          const std::uint64_t outer = f / stride;
-          const std::uint64_t inner = f % stride;
-          const std::uint64_t in_base = outer * block + inner;
-          const std::uint64_t out_base = outer * out_block + inner;
-          for (std::uint64_t j = 0; j < new_dim; ++j) {
-            double acc = 0.0;
+  // Chunks of at least ~32k multiply-adds: enough to amortize a claim,
+  // few enough that even a single outer block spreads over the pool.
+  auto grain_for = [](std::uint64_t work_per_task) {
+    return std::max<std::uint64_t>(
+        1, (std::uint64_t{1} << 15) / work_per_task);
+  };
+
+  // Every output element starts at +0.0 and adds coef * v for i
+  // ascending, skipping v == 0: the additions and their order are those
+  // of a per-element dot, so a non-finite coefficient never meets a zero
+  // input. Tasks write disjoint outputs, so the result is bit-identical
+  // at any thread count.
+  if (stride == 1) {
+    // Last mode: output fiber f (new_dim contiguous elements) adds v_i
+    // times coefficient row i, for each nonzero input v_i of fiber f.
+    parallel::ParallelFor(
+        0, outer_count, grain_for(old_dim * new_dim),
+        [&](std::uint64_t fb, std::uint64_t fe) {
+          for (std::uint64_t f = fb; f < fe; ++f) {
+            const double* fiber = in + f * block;
+            double* out_fiber = out + f * out_block;
             for (std::uint64_t i = 0; i < old_dim; ++i) {
-              const double v = x.flat(in_base + i * stride);
+              const double v = fiber[i];
               if (v == 0.0) continue;
-              const double coef = transpose_u
-                                      ? u(static_cast<std::size_t>(i),
-                                          static_cast<std::size_t>(j))
-                                      : u(static_cast<std::size_t>(j),
-                                          static_cast<std::size_t>(i));
-              acc += coef * v;
+              const double* c = coef.data() + i * new_dim;
+              Axpy(new_dim, v, c, out_fiber);
             }
-            y.flat(out_base + j * out_stride) = acc;
+          }
+        },
+        "mode_product_fibers");
+    return y;
+  }
+
+  // Row streaming: for outer block o, output row j (stride contiguous
+  // elements) adds coef(i, j) times the nonzeros of input row i. Tasks
+  // are (o, segment of the stride) pairs; the segment keeps the old_dim
+  // input rows it re-reads for every j close in cache.
+  constexpr std::uint64_t kSegment = 512;
+  const std::uint64_t segments = (stride + kSegment - 1) / kSegment;
+  parallel::ParallelFor(
+      0, outer_count * segments,
+      grain_for(old_dim * new_dim * std::min(kSegment, stride)),
+      [&](std::uint64_t tb, std::uint64_t te) {
+        for (std::uint64_t t = tb; t < te; ++t) {
+          const std::uint64_t o = t / segments;
+          const std::uint64_t begin = (t % segments) * kSegment;
+          const std::uint64_t len = std::min(kSegment, stride - begin);
+          const double* in_seg = in + o * block + begin;
+          for (std::uint64_t j = 0; j < new_dim; ++j) {
+            double* out_row = out + o * out_block + j * out_stride + begin;
+            for (std::uint64_t i = 0; i < old_dim; ++i) {
+              AxpyNonzeros(len, coef[i * new_dim + j], in_seg + i * stride,
+                           out_row);
+            }
           }
         }
       },
-      "mode_product_fibers");
+      "mode_product_rows");
   return y;
 }
 
@@ -87,6 +159,12 @@ Result<DenseTensor> SparseModeProduct(const SparseTensor& x,
                                       std::size_t mode, bool transpose_u) {
   M2TD_RETURN_IF_ERROR(CheckModeProductShapes(x.shape(), u, mode,
                                               transpose_u));
+  if (!x.MatricizationColumnsFit(mode)) {
+    return Status::InvalidArgument(StrFormat(
+        "SparseModeProduct: the mode-%zu matricization has more than 2^64 "
+        "columns",
+        mode));
+  }
   if (!x.IsSorted()) return SparseModeProductCoo(x, u, mode, transpose_u);
   obs::ObsSpan span("sparse_mode_product");
   span.Annotate("nnz", x.NumNonZeros());

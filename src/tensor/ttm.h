@@ -17,14 +17,21 @@ namespace m2td::tensor {
 /// U's rows — the form used to project onto factor matrices when computing
 /// a Tucker core (G = X ×_n U^(n)T).
 ///
-/// Complexity: O(|X| * new_dim) flops; memory traffic is one streaming
-/// read of X plus one write of Y (|X| / old_dim * new_dim elements), with
-/// U re-read per output fiber (small — it should sit in cache).
+/// Complexity: O(|X| * new_dim) flops, all over contiguous memory. For
+/// every mode but the last, output rows (the `Stride(mode)` elements
+/// sharing one outer index and one j) are built by streaming the input
+/// rows i = 0..old_dim-1 through a mul+add the compiler vectorizes; the
+/// last mode is a dot over each contiguous input fiber.
+///
+/// Every output element is the sum over i ascending of U-coefficient *
+/// X value, skipping exact zeros of X (so a non-finite coefficient that
+/// meets only zero inputs never reaches the output) — whichever of the
+/// two layouts runs, the additions and their order are the same.
 ///
 /// Thread-safety/parallelism: const inputs, freshly allocated output;
-/// safe to call concurrently. Runs fiber-parallel on parallel::GlobalPool()
-/// (span "mode_product_fibers"); each output fiber accumulates over the
-/// contracted mode in ascending index order, so the result is
+/// safe to call concurrently. Runs on parallel::GlobalPool() over
+/// disjoint output blocks (span "mode_product_rows", or
+/// "mode_product_fibers" for the last mode), so the result is
 /// bit-identical to the serial loop at every `--threads` value.
 Result<DenseTensor> ModeProduct(const DenseTensor& x, const linalg::Matrix& u,
                                 std::size_t mode, bool transpose_u);
@@ -41,7 +48,9 @@ Result<DenseTensor> ModeProduct(const DenseTensor& x, const linalg::Matrix& u,
 /// no re-scan of the entry list per output slice. The index is built
 /// lazily on first use and amortized across every later kernel call on
 /// the same tensor contents (ModeGram shares it). Unsorted tensors fall
-/// back to SparseModeProductCoo.
+/// back to SparseModeProductCoo. InvalidArgument when the mode-`mode`
+/// matricization columns overflow 64 bits (see
+/// SparseTensor::MatricizationColumnsFit).
 ///
 /// Thread-safety/parallelism: safe to call concurrently. Fiber-parallel
 /// (span "sparse_mode_product_fibers", disjoint output fibers); within a

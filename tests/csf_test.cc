@@ -317,6 +317,42 @@ TEST(CsfEdgeCases, MutationDetachesIndex) {
   EXPECT_NE((*before)(0, 0), (*after)(0, 0));
 }
 
+// Matricization columns past 2^64 would wrap: on {2, 2^32, 2^32, 2} the
+// mode-0 columns of (0, 2^31, 0, 0) and (1, 0, 0, 0) both wrap to 0,
+// which would merge two fibers into the Gram [[9 15] [15 25]] instead of
+// diag(9, 25). Such modes are rejected; at exactly 2^64 columns the
+// result is exact.
+TEST(CsfEdgeCases, MatricizationColumnOverflowIsRejected) {
+  constexpr std::uint64_t k2To32 = std::uint64_t{1} << 32;
+  SparseTensor x(std::vector<std::uint64_t>{2, k2To32, k2To32, 2});
+  x.AppendEntry({0, 1u << 31, 0, 0}, 3.0);
+  x.AppendEntry({1, 0, 0, 0}, 5.0);
+  x.SortAndCoalesce();
+  EXPECT_FALSE(x.MatricizationColumnsFit(0));
+  EXPECT_TRUE(x.MatricizationColumnsFit(1));
+  auto gram = ModeGram(x, 0);
+  ASSERT_FALSE(gram.ok());
+  EXPECT_EQ(gram.status().code(), StatusCode::kInvalidArgument);
+  const linalg::Matrix u(2, 1);
+  auto product = SparseModeProduct(x, u, 0, /*transpose_u=*/true);
+  ASSERT_FALSE(product.ok());
+  EXPECT_EQ(product.status().code(), StatusCode::kInvalidArgument);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(CsfModeIndex::Build(x, 0), "2\\^64");
+
+  SparseTensor fits(std::vector<std::uint64_t>{2, k2To32, k2To32});
+  fits.AppendEntry({0, 1u << 31, 0}, 3.0);
+  fits.AppendEntry({1, 0, 0}, 5.0);
+  fits.SortAndCoalesce();
+  ASSERT_TRUE(fits.MatricizationColumnsFit(0));
+  auto exact = ModeGram(fits, 0);
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  EXPECT_EQ((*exact)(0, 0), 9.0);
+  EXPECT_EQ((*exact)(0, 1), 0.0);
+  EXPECT_EQ((*exact)(1, 0), 0.0);
+  EXPECT_EQ((*exact)(1, 1), 25.0);
+}
+
 TEST(CsfConcurrency, RacingBuildsAreSafeAndConsistent) {
   DispatchGuard guard;
   ForceIsa("scalar");

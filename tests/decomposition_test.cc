@@ -228,7 +228,7 @@ TEST(CpTest, MttkrpMatchesKhatriRaoOracle) {
     ASSERT_TRUE(fast.ok());
     // Oracle: X_(mode) * KhatriRao of the other factors in increasing mode
     // order (first listed mode is the slow index, matching
-    // MatricizationColumn).
+    // MatricizationColumns).
     auto unfolded = tensor::Matricize(x.ToDense(), mode);
     ASSERT_TRUE(unfolded.ok());
     std::vector<const Matrix*> others;

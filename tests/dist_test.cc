@@ -31,6 +31,7 @@
 #include "core/pf_partition.h"
 #include "ensemble/simulation_model.h"
 #include "io/chunk_store.h"
+#include "linalg/eigen.h"
 #include "linalg/matrix.h"
 #include "mapreduce/wire.h"
 #include "obs/metrics.h"
@@ -513,6 +514,48 @@ TEST_F(DistTest, ProcessWorkersDispatchResolvedIsa) {
   ExpectBitIdentical(*process_result, *thread_result);
   EXPECT_GT(resolved_count.value(), 0u);
   EXPECT_EQ(scalar_count.value(), 0u);
+}
+
+// D-M2TD's factor solves run on the coordinator for both backends, so the
+// process-wide eigensolver choice reaches the process backend even though
+// m2td_worker never reads it: under QL the two backends still agree bit
+// for bit, and the QL solver is what ran.
+TEST_F(DistTest, ProcessBackendFollowsEigenMethod) {
+  auto model = SmallModel();
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+
+  const linalg::EigenMethod previous_method = linalg::DefaultEigenMethod();
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  linalg::SetDefaultEigenMethod(linalg::EigenMethod::kTridiagonalQL);
+  obs::SetMetricsEnabled(true);
+  obs::Counter& ql_solves = obs::GetCounter("linalg.eigen.ql_solves");
+
+  core::DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  ql_solves.Reset();
+  auto thread_result = core::DM2tdDecompose(
+      *subs, *partition, model->space().Shape(), options);
+  const std::uint64_t thread_ql_solves = ql_solves.value();
+
+  options.backend = core::DistBackend::kProcess;
+  options.process.worker_binary = M2TD_WORKER_BIN;
+  options.num_workers = 2;
+  options.process.job_dir = Path("job");
+  ql_solves.Reset();
+  auto process_result = core::DM2tdDecompose(
+      *subs, *partition, model->space().Shape(), options);
+  const std::uint64_t process_ql_solves = ql_solves.value();
+  obs::SetMetricsEnabled(metrics_were_enabled);
+  linalg::SetDefaultEigenMethod(previous_method);
+
+  ASSERT_TRUE(thread_result.ok()) << thread_result.status();
+  ASSERT_TRUE(process_result.ok()) << process_result.status();
+  ExpectBitIdentical(*process_result, *thread_result);
+  EXPECT_GT(thread_ql_solves, 0u);
+  EXPECT_EQ(process_ql_solves, thread_ql_solves);
 }
 
 TEST_F(DistTest, SocketTransportMatchesThreadBitIdentical) {

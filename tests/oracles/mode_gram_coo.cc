@@ -34,8 +34,9 @@ Result<linalg::Matrix> ModeGramCoo(const SparseTensor& x, std::size_t mode) {
   };
   std::vector<Entry> entries;
   entries.reserve(nnz);
+  const std::vector<std::uint64_t> columns = x.MatricizationColumns(mode);
   for (std::uint64_t e = 0; e < nnz; ++e) {
-    entries.push_back(Entry{x.MatricizationColumn(mode, e),
+    entries.push_back(Entry{columns[e],
                             x.Index(mode, e), x.Value(e)});
   }
   std::sort(entries.begin(), entries.end(),

@@ -191,11 +191,11 @@ TEST(SparseTensorTest, MatricizationColumnMatchesDenseConvention) {
   SparseTensor x({2, 3, 4});
   x.AppendEntry({1, 2, 3}, 1.0);
   // Column for mode 1: linear over (mode0, mode2) = 1*4 + 3.
-  EXPECT_EQ(x.MatricizationColumn(1, 0), 7u);
+  EXPECT_EQ(x.MatricizationColumns(1)[0], 7u);
   // Mode 0: linear over (mode1, mode2) = 2*4 + 3.
-  EXPECT_EQ(x.MatricizationColumn(0, 0), 11u);
+  EXPECT_EQ(x.MatricizationColumns(0)[0], 11u);
   // Mode 2: linear over (mode0, mode1) = 1*3 + 2.
-  EXPECT_EQ(x.MatricizationColumn(2, 0), 5u);
+  EXPECT_EQ(x.MatricizationColumns(2)[0], 5u);
 }
 
 // ----------------------------------------------------------- Matricize
