@@ -92,7 +92,7 @@ using TaskKey = std::pair<std::string, int>;  // (phase, index)
 /// One stage = `count` tasks of one phase. A stage that reads committed
 /// task outputs carries the prototype of the phase producing them — the
 /// map phase for a reduce stage, the previous reduce phase for a phase-3
-/// map stage — so a DataLoss verdict on a committed blob can be turned
+/// map stage — so a DataLoss verdict on a committed file can be turned
 /// back into a re-execution of its producer.
 struct StagePlan {
   std::string phase;
@@ -841,8 +841,8 @@ class Coordinator {
     return Status::Internal("unknown worker frame '" + frame + "'");
   }
 
-  /// A task hit a corrupt committed blob of the stage's upstream phase.
-  /// The blob names its producer in a "[task <phase>:<m>]" marker:
+  /// A task hit a corrupt committed file of the stage's upstream phase.
+  /// The error names its producer in a "[task <phase>:<m>]" marker:
   /// re-execute that task (its fresh commit atomically replaces the
   /// poisoned one) and hold the reader until it lands — never retry the
   /// poisoned bytes.
@@ -866,22 +866,22 @@ class Coordinator {
     }
     if (plan.upstream == nullptr || culprit_index < 0 ||
         culprit_phase != plan.upstream->phase) {
-      // No replayable producer (job input blob, or unparseable): the data
+      // No replayable producer (job input file, or unparseable): the data
       // is gone for good.
       return failure;
     }
     const TaskKey culprit{culprit_phase, culprit_index};
-    M2TD_LOG_WARNING() << "shuffle blob of " << culprit_phase << ":"
+    M2TD_LOG_WARNING() << "shuffle file of " << culprit_phase << ":"
                      << culprit_index
                      << " failed its integrity check; re-executing it ("
                      << phase << ":" << index << " held)";
     ctx->blocked->push_back({RebuildTask(phase, index, plan), culprit});
     if (ctx->reexec_inflight->insert(culprit).second) {
-      // The poisoned commit is deliberately left in place: other
-      // readers still reading it must see a commit (their untouched
-      // blobs are fine; clearing would fail them with NotFound
-      // mid-read). The re-executed attempt atomically replaces it via
-      // CommitTask's rename.
+      // The poisoned file is deliberately left in place: other readers
+      // still need a committed file (their own segments are fine, and
+      // removing it would fail them with NotFound). The re-executed
+      // attempt's commit renames over it; a reader that already opened
+      // it keeps a consistent view through its descriptor.
       TaskRequest task = *plan.upstream;
       task.index = culprit_index;
       task.attempt = NextAttempt(culprit);
@@ -939,7 +939,7 @@ class Coordinator {
 // ----------------------------------------------------- input preparation
 
 /// Contiguous split m of [0, size) into `splits` ranges — the same
-/// arithmetic the thread engine uses for its map shards, so blob
+/// arithmetic the thread engine uses for its map shards, so segment
 /// concatenation in split order reproduces the global input order.
 std::pair<std::size_t, std::size_t> SplitRange(std::size_t size, int splits,
                                                int m) {
@@ -952,42 +952,41 @@ std::pair<std::size_t, std::size_t> SplitRange(std::size_t size, int splits,
 
 Status WriteCellSplits(const io::ShuffleStore& store,
                        const std::vector<TensorCell>& cells, int splits) {
-  for (int m = 0; m < splits; ++m) {
-    const auto [begin, end] = SplitRange(cells.size(), splits, m);
-    const std::vector<TensorCell> part(cells.begin() + begin,
-                                       cells.begin() + end);
-    M2TD_RETURN_IF_ERROR(store.WriteBlob(
-        "input/cells/split" + std::to_string(m),
-        dm2td_tasks::EncodeCells(part)));
-  }
-  return Status::OK();
+  return store.WriteFile(
+      dm2td_tasks::kCellsFile, static_cast<std::size_t>(splits),
+      [&](std::size_t m) {
+        const auto [begin, end] =
+            SplitRange(cells.size(), splits, static_cast<int>(m));
+        return dm2td_tasks::EncodeCells(cells.data() + begin, end - begin);
+      });
 }
 
-/// Reads the committed "data" blob of every reduce task of `phase`, in
-/// task order.
+/// Reads the committed output of every reduce task of `phase`, in task
+/// order.
 Result<std::vector<std::string>> GatherReduceOutputs(
     const io::ShuffleStore& store, const std::string& phase, int shards) {
   std::vector<std::string> payloads;
   payloads.reserve(static_cast<std::size_t>(shards));
   for (int r = 0; r < shards; ++r) {
-    M2TD_ASSIGN_OR_RETURN(
-        std::string bytes,
-        dm2td_tasks::ReadCommittedBlob(store, phase, r, "data"));
+    M2TD_ASSIGN_OR_RETURN(std::string bytes,
+                          dm2td_tasks::ReadReduceOutput(store, phase, r));
     payloads.push_back(std::move(bytes));
   }
   return payloads;
 }
 
 /// Total records the committed tasks of `phase` emitted, read from their
-/// commit manifests — no blob is opened.
+/// file headers — no segment is read.
 Result<std::uint64_t> CommittedRecords(const io::ShuffleStore& store,
                                        const std::string& phase,
                                        int shards) {
   std::uint64_t records = 0;
   for (int r = 0; r < shards; ++r) {
-    M2TD_ASSIGN_OR_RETURN(io::ShuffleStore::TaskCommit commit,
-                          store.ReadCommit(phase, r));
-    records += commit.records;
+    M2TD_ASSIGN_OR_RETURN(
+        io::ShuffleStore::FileHeader header,
+        store.ReadHeader(io::ShuffleStore::TaskFileName(phase, r),
+                         phase + ":" + std::to_string(r)));
+    records += header.records;
   }
   return records;
 }
@@ -1142,11 +1141,9 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
   // mode n reads the committed output of reduce task m of the previous
   // stage (p2red for mode 0), so only the final mode is gathered.
   obs::ObsSpan core_span("core_recovery", obs::ObsSpan::kAlwaysTime);
-  for (std::size_t n = 0; n < num_modes; ++n) {
-    M2TD_RETURN_IF_ERROR(
-        store.WriteBlob("input/factor" + std::to_string(n),
-                        dm2td_tasks::EncodeMatrix(factors[n])));
-  }
+  M2TD_RETURN_IF_ERROR(store.WriteFile(
+      dm2td_tasks::kFactorsFile, num_modes,
+      [&](std::size_t n) { return dm2td_tasks::EncodeMatrix(factors[n]); }));
   std::vector<std::uint64_t> current_shape = full_shape;
   TaskRequest upstream = p2red;
   std::uint64_t mode_input_records = result.join_nnz;
@@ -1246,7 +1243,7 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
   M2TD_ASSIGN_OR_RETURN(io::ShuffleStore store,
                         io::ShuffleStore::Create(job_dir));
 
-  // Job config + input blobs.
+  // Job config + input files.
   const JobGeometry geometry =
       dm2td_internal::MakeGeometry(partition, full_shape);
   DistJobConfig config;
@@ -1275,10 +1272,10 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
     std::vector<std::uint64_t> cand1, cand2;
     dm2td_internal::GatherZeroJoinCandidates(all_cells, geometry, &cand1,
                                              &cand2);
-    M2TD_RETURN_IF_ERROR(
-        store.WriteBlob("input/cand1", dm2td_tasks::EncodeU64List(cand1)));
-    M2TD_RETURN_IF_ERROR(
-        store.WriteBlob("input/cand2", dm2td_tasks::EncodeU64List(cand2)));
+    M2TD_RETURN_IF_ERROR(store.WriteFile(
+        dm2td_tasks::kCandidatesFile, 2, [&](std::size_t side) {
+          return dm2td_tasks::EncodeU64List(side == 0 ? cand1 : cand2);
+        }));
   }
 
   SigpipeGuard sigpipe_guard;

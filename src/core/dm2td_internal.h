@@ -138,17 +138,24 @@ void JoinPivotGroup(std::uint64_t pivot_key,
                     const std::vector<std::uint64_t>& cand2,
                     std::vector<JoinCell>* out);
 
-/// Phase-3 fiber key of `cell` for mode `n`: the row-major rank over all
-/// modes except `n` under `current_shape`.
+/// Phase-3 fiber key of a cell (given by its index array `idx`, one
+/// entry per mode of `current_shape`) for mode `n`: the row-major rank
+/// over all modes except `n`.
 inline std::uint64_t Phase3FiberKey(
-    const JoinCell& cell, std::size_t n,
+    const std::uint32_t* idx, std::size_t n,
     const std::vector<std::uint64_t>& current_shape) {
   std::uint64_t key = 0;
   for (std::size_t m = 0; m < current_shape.size(); ++m) {
     if (m == n) continue;
-    key = key * current_shape[m] + cell.idx[m];
+    key = key * current_shape[m] + idx[m];
   }
   return key;
+}
+
+inline std::uint64_t Phase3FiberKey(
+    const JoinCell& cell, std::size_t n,
+    const std::vector<std::uint64_t>& current_shape) {
+  return Phase3FiberKey(cell.idx.data(), n, current_shape);
 }
 
 /// Phase-3 reducer body: contracts one fiber (all (i_n, v) pairs sharing

@@ -1,5 +1,6 @@
 #include "core/dm2td_tasks.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -99,15 +100,6 @@ Status ReadMatrix(ByteReader* reader, const char* what,
   return Status::OK();
 }
 
-// ------------------------------------------------------------ blob names
-
-std::string CellSplitName(int split) {
-  return "input/cells/split" + std::to_string(split);
-}
-std::string FactorName(int mode) {
-  return "input/factor" + std::to_string(mode);
-}
-
 void MaybeChaosSleep() {
   const char* ms = std::getenv(kChaosSleepEnv);
   if (ms == nullptr) return;
@@ -145,17 +137,76 @@ void MaybeStragglerSleep(const TaskRequest& task) {
   }
 }
 
+/// Calls `on_count(count)` once, then `on_cell(idx, value)` for every
+/// cell of an EncodeJoinCells segment. `idx` is one scratch buffer reused
+/// across cells, so walking a segment allocates nothing per cell.
+template <typename OnCount, typename OnCell>
+Status ForEachJoinCell(const std::string& bytes, OnCount&& on_count,
+                       OnCell&& on_cell) {
+  ByteReader reader(bytes);
+  std::uint64_t count = 0;
+  M2TD_RETURN_IF_ERROR(reader.U64(&count));
+  // Smallest record: arity + value, no indices.
+  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, 12, "join cell"));
+  on_count(count);
+  std::vector<std::uint32_t> idx;
+  for (std::uint64_t e = 0; e < count; ++e) {
+    std::uint32_t arity = 0;
+    double value = 0.0;
+    M2TD_RETURN_IF_ERROR(reader.U32(&arity));
+    M2TD_RETURN_IF_ERROR(
+        reader.CheckFits(arity, sizeof(std::uint32_t), "join cell index"));
+    idx.resize(arity);
+    for (std::uint32_t& i : idx) M2TD_RETURN_IF_ERROR(reader.U32(&i));
+    M2TD_RETURN_IF_ERROR(reader.F64(&value));
+    M2TD_RETURN_IF_ERROR(on_cell(idx, value));
+  }
+  return Status::OK();
+}
+
+/// Appends the pairs of an EncodeFiberPairs segment to `out`.
+Status AppendFiberPairs(const std::string& bytes,
+                        std::vector<FiberPair>* out) {
+  ByteReader reader(bytes);
+  std::uint64_t count = 0;
+  M2TD_RETURN_IF_ERROR(reader.U64(&count));
+  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, kFiberPairBytes, "fiber pair"));
+  if (out->empty()) out->reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t e = 0; e < count; ++e) {
+    FiberPair pair;
+    M2TD_RETURN_IF_ERROR(reader.U64(&pair.key));
+    M2TD_RETURN_IF_ERROR(reader.U32(&pair.i));
+    M2TD_RETURN_IF_ERROR(reader.F64(&pair.v));
+    out->push_back(pair);
+  }
+  return Status::OK();
+}
+
 // --------------------------------------------------------------- stages
+
+/// Writes the task's output file and commits it, with the chaos window
+/// between the two.
+Status WriteAndCommit(const io::ShuffleStore& store, const TaskRequest& task,
+                      std::size_t segments,
+                      const io::ShuffleStore::SegmentSource& source,
+                      std::uint64_t records) {
+  M2TD_RETURN_IF_ERROR(store.WriteAttempt(task.phase, task.index,
+                                          task.attempt, segments, source,
+                                          records));
+  MaybeChaosSleep();
+  return store.CommitAttempt(task.phase, task.index, task.attempt);
+}
 
 Status RunMapTask(const io::ShuffleStore& store, const DistJobConfig& config,
                   const TaskRequest& task) {
   const JobGeometry geometry = GeometryOf(config);
-  const int shards = config.shards;
-  std::vector<std::string> encoded(shards);
+  const std::size_t shards = static_cast<std::size_t>(config.shards);
 
   if (task.phase == "p1map" || task.phase == "p2map") {
-    M2TD_ASSIGN_OR_RETURN(std::string bytes,
-                          store.ReadBlob(CellSplitName(task.index), "input"));
+    M2TD_ASSIGN_OR_RETURN(
+        std::string bytes,
+        store.ReadSegment(kCellsFile, static_cast<std::size_t>(task.index),
+                          "input"));
     M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> cells, DecodeCells(bytes));
     std::vector<std::vector<TensorCell>> buckets(shards);
     for (TensorCell& cell : cells) {
@@ -164,172 +215,196 @@ Status RunMapTask(const io::ShuffleStore& store, const DistJobConfig& config,
       // worker count and any split boundaries.
       const std::uint64_t shard =
           task.phase == "p1map"
-              ? static_cast<std::uint64_t>(cell.kappa - 1) %
-                    static_cast<std::uint64_t>(shards)
+              ? static_cast<std::uint64_t>(cell.kappa - 1) % shards
               : dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims) %
-                    static_cast<std::uint64_t>(shards);
+                    shards;
       buckets[shard].push_back(std::move(cell));
     }
-    for (int r = 0; r < shards; ++r) {
-      if (!buckets[r].empty()) encoded[r] = EncodeCells(buckets[r]);
-    }
-  } else {  // p3map_<n>: split m is upstream reduce task m's output
-    M2TD_ASSIGN_OR_RETURN(
-        std::string bytes,
-        ReadCommittedBlob(store, Phase3UpstreamPhase(task.mode), task.index,
-                          "data"));
-    M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> cells,
-                          DecodeJoinCells(bytes));
-    std::vector<std::vector<FiberPair>> buckets(shards);
-    for (const JoinCell& cell : cells) {
-      const std::uint64_t key = dm2td_internal::Phase3FiberKey(
-          cell, static_cast<std::size_t>(task.mode), task.shape);
-      buckets[key % static_cast<std::uint64_t>(shards)].push_back(
-          FiberPair{key, cell.idx[static_cast<std::size_t>(task.mode)],
-                    cell.value});
-    }
-    for (int r = 0; r < shards; ++r) {
-      if (!buckets[r].empty()) encoded[r] = EncodeFiberPairs(buckets[r]);
-    }
+    return WriteAndCommit(
+        store, task, shards,
+        [&](std::size_t r) {
+          return buckets[r].empty() ? std::string() : EncodeCells(buckets[r]);
+        },
+        cells.size());
   }
 
-  std::vector<std::string> blob_names;
-  for (int r = 0; r < shards; ++r) {
-    if (encoded[r].empty()) continue;
-    const std::string name = io::ShuffleStore::BlobName(
-        task.phase, task.index, task.attempt, "shard" + std::to_string(r));
-    M2TD_RETURN_IF_ERROR(store.WriteBlob(name, encoded[r]));
-    blob_names.push_back(name);
+  // p3map_<n>: split m is upstream reduce task m's output, walked
+  // straight into (key, i_n, value) buckets.
+  const std::size_t mode = static_cast<std::size_t>(task.mode);
+  if (task.mode < 0 || mode >= task.shape.size()) {
+    return Status::InvalidArgument("phase-3 task for mode " +
+                                   std::to_string(task.mode) + " of a " +
+                                   std::to_string(task.shape.size()) +
+                                   "-mode tensor");
   }
-  MaybeChaosSleep();
-  return store.CommitTask(task.phase, task.index, task.attempt, blob_names);
+  M2TD_ASSIGN_OR_RETURN(
+      std::string bytes,
+      ReadReduceOutput(store, Phase3UpstreamPhase(task.mode), task.index));
+  std::vector<std::vector<FiberPair>> buckets(shards);
+  std::uint64_t records = 0;
+  M2TD_RETURN_IF_ERROR(ForEachJoinCell(
+      bytes,
+      [&](std::uint64_t count) {
+        records = count;
+        for (std::vector<FiberPair>& bucket : buckets) {
+          bucket.reserve(static_cast<std::size_t>(count / shards));
+        }
+      },
+      [&](const std::vector<std::uint32_t>& idx, double value) -> Status {
+        if (idx.size() != task.shape.size()) {
+          return Status::IOError(
+              "join cell of arity " + std::to_string(idx.size()) + " in a " +
+              std::to_string(task.shape.size()) + "-mode tensor");
+        }
+        const std::uint64_t key =
+            dm2td_internal::Phase3FiberKey(idx.data(), mode, task.shape);
+        buckets[key % shards].push_back(FiberPair{key, idx[mode], value});
+        return Status::OK();
+      }));
+  // The upstream segment is no longer needed while the output is written.
+  bytes.clear();
+  bytes.shrink_to_fit();
+  return WriteAndCommit(
+      store, task, shards,
+      [&](std::size_t r) {
+        return buckets[r].empty() ? std::string()
+                                  : EncodeFiberPairs(buckets[r]);
+      },
+      records);
 }
 
-/// Concatenates the committed shard-`r` blobs of every map task of
+/// Calls `fn` on segment `r` of every committed map task file of
 /// `map_phase`, in map-task order — reproducing the global input order
-/// the thread backend's shuffle delivers.
-Result<std::vector<std::string>> ReadShardBlobs(
-    const io::ShuffleStore& store, const std::string& map_phase, int shards,
-    int r) {
-  std::vector<std::string> payloads;
+/// the thread backend's shuffle delivers. Empty segments (a map task
+/// that emitted nothing for this shard) are skipped.
+template <typename Fn>
+Status ForEachShardSegment(const io::ShuffleStore& store,
+                           const std::string& map_phase, int shards, int r,
+                           Fn&& fn) {
   for (int m = 0; m < shards; ++m) {
-    M2TD_ASSIGN_OR_RETURN(io::ShuffleStore::TaskCommit commit,
-                          store.ReadCommit(map_phase, m));
-    const std::string name = io::ShuffleStore::BlobName(
-        map_phase, m, commit.attempt, "shard" + std::to_string(r));
-    bool listed = false;
-    for (const std::string& blob : commit.blobs) {
-      if (blob == name) {
-        listed = true;
-        break;
-      }
-    }
-    if (!listed) continue;  // map task emitted nothing for this shard
     M2TD_ASSIGN_OR_RETURN(
         std::string bytes,
-        store.ReadBlob(name, map_phase + ":" + std::to_string(m)));
-    payloads.push_back(std::move(bytes));
+        store.ReadSegment(io::ShuffleStore::TaskFileName(map_phase, m),
+                          static_cast<std::size_t>(r),
+                          map_phase + ":" + std::to_string(m)));
+    if (!bytes.empty()) M2TD_RETURN_IF_ERROR(fn(bytes));
   }
-  return payloads;
+  return Status::OK();
 }
 
 Status RunReduceTask(const io::ShuffleStore& store,
                      const DistJobConfig& config, const TaskRequest& task) {
   const JobGeometry geometry = GeometryOf(config);
   const std::string map_phase = MapPhaseOf(task.phase);
-  M2TD_ASSIGN_OR_RETURN(
-      std::vector<std::string> payloads,
-      ReadShardBlobs(store, map_phase, config.shards, task.index));
 
-  std::string out_bytes;
-  std::uint64_t records = 0;
   if (task.phase == "p1red") {
-    std::vector<TensorCell> cells;
-    for (const std::string& bytes : payloads) {
-      M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part,
-                            DecodeCells(bytes));
-      cells.insert(cells.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-    }
     std::map<int, std::vector<TensorCell>> by_kappa;
-    for (TensorCell& cell : cells) {
-      by_kappa[cell.kappa].push_back(std::move(cell));
-    }
+    M2TD_RETURN_IF_ERROR(ForEachShardSegment(
+        store, map_phase, config.shards, task.index,
+        [&](const std::string& bytes) -> Status {
+          M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part,
+                                DecodeCells(bytes));
+          for (TensorCell& cell : part) {
+            by_kappa[cell.kappa].push_back(std::move(cell));
+          }
+          return Status::OK();
+        }));
     std::vector<GramPiece> pieces;
     for (const auto& [kappa, group] : by_kappa) {
       M2TD_RETURN_IF_ERROR(dm2td_internal::BuildGramsForSub(
           kappa, kappa == 1 ? config.shape1 : config.shape2, group,
           &pieces));
     }
-    records = pieces.size();
-    out_bytes = EncodeGramPieces(pieces);
-  } else if (task.phase == "p2red") {
+    return WriteAndCommit(
+        store, task, 1, [&](std::size_t) { return EncodeGramPieces(pieces); },
+        pieces.size());
+  }
+
+  if (task.phase == "p2red") {
     std::vector<std::uint64_t> cand1, cand2;
     if (config.zero_join) {
       M2TD_ASSIGN_OR_RETURN(std::string c1,
-                            store.ReadBlob("input/cand1", "input"));
+                            store.ReadSegment(kCandidatesFile, 0, "input"));
       M2TD_ASSIGN_OR_RETURN(std::string c2,
-                            store.ReadBlob("input/cand2", "input"));
+                            store.ReadSegment(kCandidatesFile, 1, "input"));
       M2TD_ASSIGN_OR_RETURN(cand1, DecodeU64List(c1));
       M2TD_ASSIGN_OR_RETURN(cand2, DecodeU64List(c2));
     }
     // Group by pivot key, preserving global arrival order within each
     // group; fold groups in ascending key order (canonical).
     std::map<std::uint64_t, std::vector<TensorCell>> groups;
-    for (const std::string& bytes : payloads) {
-      M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part,
-                            DecodeCells(bytes));
-      for (TensorCell& cell : part) {
-        const std::uint64_t key =
-            dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims);
-        groups[key].push_back(std::move(cell));
-      }
-    }
+    M2TD_RETURN_IF_ERROR(ForEachShardSegment(
+        store, map_phase, config.shards, task.index,
+        [&](const std::string& bytes) -> Status {
+          M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part,
+                                DecodeCells(bytes));
+          for (TensorCell& cell : part) {
+            const std::uint64_t key =
+                dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims);
+            groups[key].push_back(std::move(cell));
+          }
+          return Status::OK();
+        }));
     std::vector<JoinCell> out;
     for (const auto& [key, group] : groups) {
       dm2td_internal::JoinPivotGroup(key, group, geometry, config.zero_join,
                                      cand1, cand2, &out);
     }
-    records = out.size();
-    out_bytes = EncodeJoinCells(out);
-  } else {  // p3red_<n>
-    const std::size_t n = static_cast<std::size_t>(task.mode);
-    M2TD_ASSIGN_OR_RETURN(
-        std::string factor_bytes,
-        store.ReadBlob(FactorName(task.mode), "input"));
-    M2TD_ASSIGN_OR_RETURN(linalg::Matrix factor, DecodeMatrix(factor_bytes));
-    std::vector<std::uint64_t> other_dims;
-    std::vector<std::size_t> other_modes;
-    for (std::size_t m = 0; m < task.shape.size(); ++m) {
-      if (m != n) {
-        other_dims.push_back(task.shape[m]);
-        other_modes.push_back(m);
-      }
-    }
-    std::map<std::uint64_t, std::vector<std::pair<std::uint32_t, double>>>
-        groups;
-    for (const std::string& bytes : payloads) {
-      M2TD_ASSIGN_OR_RETURN(std::vector<FiberPair> part,
-                            DecodeFiberPairs(bytes));
-      for (const FiberPair& pair : part) {
-        groups[pair.key].emplace_back(pair.i, pair.v);
-      }
-    }
-    std::vector<JoinCell> out;
-    for (auto& [key, fiber] : groups) {
-      dm2td_internal::ContractFiber(key, &fiber, factor, n, other_dims,
-                                    other_modes, task.shape.size(), &out);
-    }
-    records = out.size();
-    out_bytes = EncodeJoinCells(out);
+    return WriteAndCommit(
+        store, task, 1, [&](std::size_t) { return EncodeJoinCells(out); },
+        out.size());
   }
 
-  const std::string name = io::ShuffleStore::BlobName(
-      task.phase, task.index, task.attempt, "data");
-  M2TD_RETURN_IF_ERROR(store.WriteBlob(name, out_bytes));
-  MaybeChaosSleep();
-  return store.CommitTask(task.phase, task.index, task.attempt, {name},
-                          records);
+  // p3red_<n>: group the (key, i_n, value) pairs by sorting them on
+  // (key, i_n). Keys come out ascending, as the fold order requires, and
+  // i_n is unique within a fiber (cells have unique index vectors), so
+  // the order — and every bit ContractFiber computes — is canonical.
+  const std::size_t n = static_cast<std::size_t>(task.mode);
+  M2TD_ASSIGN_OR_RETURN(
+      std::string factor_bytes,
+      store.ReadSegment(kFactorsFile, n, "input"));
+  M2TD_ASSIGN_OR_RETURN(linalg::Matrix factor, DecodeMatrix(factor_bytes));
+  std::vector<std::uint64_t> other_dims;
+  std::vector<std::size_t> other_modes;
+  for (std::size_t m = 0; m < task.shape.size(); ++m) {
+    if (m != n) {
+      other_dims.push_back(task.shape[m]);
+      other_modes.push_back(m);
+    }
+  }
+  std::vector<FiberPair> pairs;
+  M2TD_RETURN_IF_ERROR(ForEachShardSegment(
+      store, map_phase, config.shards, task.index,
+      [&](const std::string& bytes) {
+        return AppendFiberPairs(bytes, &pairs);
+      }));
+  std::sort(pairs.begin(), pairs.end(),
+            [](const FiberPair& a, const FiberPair& b) {
+              return a.key != b.key ? a.key < b.key : a.i < b.i;
+            });
+  std::vector<JoinCell> out;
+  std::vector<std::pair<std::uint32_t, double>> fiber;
+  for (std::size_t begin = 0; begin < pairs.size();) {
+    const std::uint64_t key = pairs[begin].key;
+    fiber.clear();
+    std::size_t end = begin;
+    for (; end < pairs.size() && pairs[end].key == key; ++end) {
+      if (pairs[end].i >= factor.rows()) {
+        return Status::IOError("fiber pair index " +
+                               std::to_string(pairs[end].i) +
+                               " outside the mode-" + std::to_string(n) +
+                               " factor's " + std::to_string(factor.rows()) +
+                               " rows");
+      }
+      fiber.emplace_back(pairs[end].i, pairs[end].v);
+    }
+    dm2td_internal::ContractFiber(key, &fiber, factor, n, other_dims,
+                                  other_modes, task.shape.size(), &out);
+    begin = end;
+  }
+  return WriteAndCommit(
+      store, task, 1, [&](std::size_t) { return EncodeJoinCells(out); },
+      out.size());
 }
 
 }  // namespace
@@ -445,14 +520,10 @@ std::string Phase3UpstreamPhase(int mode) {
   return mode == 0 ? "p2red" : "p3red_" + std::to_string(mode - 1);
 }
 
-Result<std::string> ReadCommittedBlob(const io::ShuffleStore& store,
-                                      const std::string& phase, int task,
-                                      const std::string& leaf) {
-  M2TD_ASSIGN_OR_RETURN(io::ShuffleStore::TaskCommit commit,
-                        store.ReadCommit(phase, task));
-  return store.ReadBlob(
-      io::ShuffleStore::BlobName(phase, task, commit.attempt, leaf),
-      phase + ":" + std::to_string(task));
+Result<std::string> ReadReduceOutput(const io::ShuffleStore& store,
+                                     const std::string& phase, int task) {
+  return store.ReadSegment(io::ShuffleStore::TaskFileName(phase, task), 0,
+                           phase + ":" + std::to_string(task));
 }
 
 std::string EncodeTaskFrame(const TaskRequest& task) {
@@ -488,22 +559,27 @@ Result<TaskRequest> DecodeTaskFrame(const std::string& frame) {
 
 // ---------------------------------------------------------------- codecs
 
-std::string EncodeCells(const std::vector<TensorCell>& cells) {
+std::string EncodeCells(const TensorCell* cells, std::size_t count) {
   std::size_t size = sizeof(std::uint64_t);
-  for (const TensorCell& cell : cells) {
+  for (std::size_t e = 0; e < count; ++e) {
     size += 2 * sizeof(std::uint32_t) +
-            cell.idx.size() * sizeof(std::uint32_t) + sizeof(double);
+            cells[e].idx.size() * sizeof(std::uint32_t) + sizeof(double);
   }
   std::string out;
   out.reserve(size);
-  PutU64(&out, cells.size());
-  for (const TensorCell& cell : cells) {
+  PutU64(&out, count);
+  for (std::size_t e = 0; e < count; ++e) {
+    const TensorCell& cell = cells[e];
     PutU32(&out, static_cast<std::uint32_t>(cell.kappa));
     PutU32(&out, static_cast<std::uint32_t>(cell.idx.size()));
     for (std::uint32_t i : cell.idx) PutU32(&out, i);
     PutF64(&out, cell.value);
   }
   return out;
+}
+
+std::string EncodeCells(const std::vector<TensorCell>& cells) {
+  return EncodeCells(cells.data(), cells.size());
 }
 
 Result<std::vector<TensorCell>> DecodeCells(const std::string& bytes) {
@@ -548,24 +624,16 @@ std::string EncodeJoinCells(const std::vector<JoinCell>& cells) {
 }
 
 Result<std::vector<JoinCell>> DecodeJoinCells(const std::string& bytes) {
-  ByteReader reader(bytes);
-  std::uint64_t count = 0;
-  M2TD_RETURN_IF_ERROR(reader.U64(&count));
-  // Smallest record: arity + value, no indices.
-  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, 12, "join cell"));
   std::vector<JoinCell> cells;
-  cells.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t e = 0; e < count; ++e) {
-    JoinCell cell;
-    std::uint32_t arity = 0;
-    M2TD_RETURN_IF_ERROR(reader.U32(&arity));
-    M2TD_RETURN_IF_ERROR(
-        reader.CheckFits(arity, sizeof(std::uint32_t), "join cell index"));
-    cell.idx.resize(arity);
-    for (std::uint32_t& i : cell.idx) M2TD_RETURN_IF_ERROR(reader.U32(&i));
-    M2TD_RETURN_IF_ERROR(reader.F64(&cell.value));
-    cells.push_back(std::move(cell));
-  }
+  M2TD_RETURN_IF_ERROR(ForEachJoinCell(
+      bytes,
+      [&](std::uint64_t count) {
+        cells.reserve(static_cast<std::size_t>(count));
+      },
+      [&](const std::vector<std::uint32_t>& idx, double value) {
+        cells.push_back(JoinCell{idx, value});
+        return Status::OK();
+      }));
   return cells;
 }
 
@@ -582,19 +650,8 @@ std::string EncodeFiberPairs(const std::vector<FiberPair>& pairs) {
 }
 
 Result<std::vector<FiberPair>> DecodeFiberPairs(const std::string& bytes) {
-  ByteReader reader(bytes);
-  std::uint64_t count = 0;
-  M2TD_RETURN_IF_ERROR(reader.U64(&count));
-  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, kFiberPairBytes, "fiber pair"));
   std::vector<FiberPair> pairs;
-  pairs.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t e = 0; e < count; ++e) {
-    FiberPair pair;
-    M2TD_RETURN_IF_ERROR(reader.U64(&pair.key));
-    M2TD_RETURN_IF_ERROR(reader.U32(&pair.i));
-    M2TD_RETURN_IF_ERROR(reader.F64(&pair.v));
-    pairs.push_back(pair);
-  }
+  M2TD_RETURN_IF_ERROR(AppendFiberPairs(bytes, &pairs));
   return pairs;
 }
 

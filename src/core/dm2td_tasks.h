@@ -11,15 +11,15 @@
 // Phase names: "p1map"/"p1red" (sub-tensor Grams), "p2map"/"p2red"
 // (JE-stitch, sharded by pivot hash), "p3map_<n>"/"p3red_<n>" (TTM for
 // mode n). Map task m of every phase reads split m (fixed split count =
-// shards, independent of worker count) and writes one blob per reduce
-// shard; reduce task r concatenates the committed shard-r blobs in
-// map-task order, groups by key, and folds groups in ascending key
-// order. Phase 1 and 2 splits are contiguous ranges of the job input
-// (so phase-2 groups see the global input order); the phase-3 chain
-// never leaves the workers — split m of p3map_<n> is the committed
-// output of reduce task m of the previous phase (p2red or p3red_<n-1>),
-// and ContractFiber orders each fiber itself. Determinism therefore
-// never depends on which worker ran what.
+// shards, independent of worker count) and commits one file holding a
+// segment per reduce shard; reduce task r concatenates segment r of the
+// committed map files in map-task order, groups by key, and folds groups
+// in ascending key order. Phase 1 and 2 splits are contiguous ranges of
+// the job input (so phase-2 groups see the global input order); the
+// phase-3 chain never leaves the workers — split m of p3map_<n> is the
+// committed output of reduce task m of the previous phase (p2red or
+// p3red_<n-1>), and ContractFiber orders each fiber itself. Determinism
+// therefore never depends on which worker ran what.
 
 #include <cstdint>
 #include <string>
@@ -33,8 +33,8 @@
 namespace m2td::core::dm2td_tasks {
 
 /// Environment knob (milliseconds): when set in a worker's environment,
-/// every map task sleeps this long between writing its shard blobs and
-/// committing — a deterministic window for chaos tests to land a SIGKILL
+/// every task sleeps this long between writing its attempt file and
+/// committing it — a deterministic window for chaos tests to land a SIGKILL
 /// "mid-shuffle-write".
 inline constexpr char kChaosSleepEnv[] = "M2TD_DIST_CHAOS_SLEEP_MS";
 
@@ -96,16 +96,23 @@ struct TaskRequest {
 /// phase consumes.
 std::string MapPhaseOf(const std::string& reduce_phase);
 
-/// The reduce phase whose committed "data" blobs are the splits of
+/// The reduce phase whose committed outputs are the splits of
 /// "p3map_<mode>": "p2red" for mode 0, "p3red_<mode-1>" after it.
 std::string Phase3UpstreamPhase(int mode);
 
-/// Reads blob `leaf` of the committed attempt of (`phase`, `task`). A
-/// corrupt blob is DataLoss tagged "[task <phase>:<task>]", naming the
+/// Job inputs the coordinator writes once, one segmented file each:
+/// segment m of the cells file is map split m, segment n of the factors
+/// file is mode n's factor, and the zero-join candidate file holds the
+/// side-1 and side-2 key lists.
+inline constexpr char kCellsFile[] = "input/cells";
+inline constexpr char kFactorsFile[] = "input/factors";
+inline constexpr char kCandidatesFile[] = "input/candidates";
+
+/// Reads the output of the committed reduce task (`phase`, `task`). A
+/// corrupt file is DataLoss tagged "[task <phase>:<task>]", naming the
 /// producer the coordinator must re-execute.
-Result<std::string> ReadCommittedBlob(const io::ShuffleStore& store,
-                                      const std::string& phase, int task,
-                                      const std::string& leaf);
+Result<std::string> ReadReduceOutput(const io::ShuffleStore& store,
+                                     const std::string& phase, int task);
 
 /// Wire form of a task assignment ("task <is_map> <phase> <index>
 /// <attempt> <mode> <nshape> <d0> ..."), carried as one frame payload.
@@ -119,11 +126,13 @@ struct FiberPair {
   double v = 0.0;
 };
 
-// Little-endian binary record codecs for the shuffle blobs. Decoders
+// Little-endian binary record codecs for the shuffle segments. Decoders
 // check every length prefix against the bytes that remain (without
 // overflow) before sizing anything, and return IOError on truncation or
 // an impossible count (a failed CRC check would normally catch
 // corruption first).
+std::string EncodeCells(const dm2td_internal::TensorCell* cells,
+                        std::size_t count);
 std::string EncodeCells(const std::vector<dm2td_internal::TensorCell>& cells);
 Result<std::vector<dm2td_internal::TensorCell>> DecodeCells(
     const std::string& bytes);
@@ -143,13 +152,13 @@ std::string EncodeU64List(const std::vector<std::uint64_t>& values);
 Result<std::vector<std::uint64_t>> DecodeU64List(const std::string& bytes);
 
 /// Executes one task against the store: reads inputs, computes via the
-/// shared dm2td_internal bodies, durably writes + commits outputs (a
-/// reduce commit records how many records the task emitted). DataLoss
-/// from a corrupted upstream output — a map task's shard blob read by a
-/// reducer, or a reduce task's data blob read by a phase-3 mapper —
+/// shared dm2td_internal bodies, durably writes + commits its output file
+/// (whose header records how many records the task emitted). DataLoss
+/// from a corrupted upstream output — a map task's shard segment read by
+/// a reducer, or a reduce task's output read by a phase-3 mapper —
 /// carries a "[task <phase>:<m>]" marker naming the producer (see
-/// ShuffleStore::ReadBlob), so the coordinator re-executes it instead of
-/// retrying the poisoned blob.
+/// ShuffleStore::ReadSegment), so the coordinator re-executes it instead
+/// of retrying the poisoned file.
 Status RunDistTask(const io::ShuffleStore& store,
                    const DistJobConfig& config, const TaskRequest& task);
 

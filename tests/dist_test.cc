@@ -1,6 +1,6 @@
 // Multi-process D-M2TD backend tests (ctest -L distributed): durable
-// shuffle-store semantics (CRC footer, attempt-scoped commits, orphan
-// GC), the binary record codecs and task wire frames shared by the
+// shuffle-store semantics (CRC-checked segmented task files, commit by
+// rename, orphan GC, hostile headers), the binary record codecs and task wire frames shared by the
 // coordinator and m2td_worker, and end-to-end bit-identity of the
 // process backend against the in-process thread backend.
 //
@@ -15,10 +15,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <initializer_list>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +38,7 @@
 #include "linalg/matrix.h"
 #include "mapreduce/wire.h"
 #include "obs/metrics.h"
+#include "robust/crc32.h"
 #include "robust/heartbeat.h"
 #include "tensor/tucker.h"
 #include "util/cpu_features.h"
@@ -70,102 +74,282 @@ class DistTest : public ::testing::Test {
 
 // ------------------------------------------------------- ShuffleStore
 
+ShuffleStore::SegmentSource Segments(const std::vector<std::string>& parts) {
+  return [&parts](std::size_t i) { return parts[i]; };
+}
+
+/// Writes and commits attempt `attempt` of (`phase`, `task`).
+void Commit(const ShuffleStore& store, const std::string& phase, int task,
+            int attempt, const std::vector<std::string>& parts,
+            std::uint64_t records = 0) {
+  ASSERT_TRUE(store.WriteAttempt(phase, task, attempt, parts.size(),
+                                 Segments(parts), records)
+                  .ok());
+  ASSERT_TRUE(store.CommitAttempt(phase, task, attempt).ok());
+}
+
 TEST_F(DistTest, BlobRoundtrip) {
   auto store = ShuffleStore::Create(Path("store"));
   ASSERT_TRUE(store.ok());
-  const std::string name = ShuffleStore::BlobName("p1map", 3, 0, "shard2");
-  EXPECT_EQ(name, "p1map/task3/a0/shard2");
-  const std::string payload("binary\0payload", 14);
-  ASSERT_TRUE(store->WriteBlob(name, payload).ok());
-  auto read = store->ReadBlob(name, "p1map:3");
-  ASSERT_TRUE(read.ok()) << read.status();
-  EXPECT_EQ(*read, payload);
-  EXPECT_TRUE(store->BlobExists(name));
-  EXPECT_FALSE(store->BlobExists("p1map/task3/a0/other"));
+  const std::string name = ShuffleStore::TaskFileName("p1map", 3);
+  EXPECT_EQ(name, "p1map/task3");
+  const std::vector<std::string> parts = {std::string("binary\0payload", 14),
+                                          "", "third"};
+  Commit(*store, "p1map", 3, 0, parts);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    auto read = store->ReadSegment(name, i, "p1map:3");
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(*read, parts[i]) << "segment " << i;
+  }
+  EXPECT_TRUE(std::filesystem::exists(Path("store/" + name)));
+  EXPECT_FALSE(std::filesystem::exists(Path("store/p1map/task4")));
+  EXPECT_EQ(std::filesystem::file_size(Path("store/" + name)),
+            ShuffleStore::HeaderBytes(3) + 14 + 5);
+
+  // Job inputs: a plain segmented file, no attempts.
+  ASSERT_TRUE(store->WriteFile("input/cells", 2, Segments({"a", "bc"})).ok());
+  auto input = store->ReadSegment("input/cells", 1, "input");
+  ASSERT_TRUE(input.ok()) << input.status();
+  EXPECT_EQ(*input, "bc");
+  EXPECT_FALSE(std::filesystem::exists(Path("store/input/cells.tmp")));
+  EXPECT_FALSE(store->ReadSegment("input/cells", 2, "input").ok());
 }
 
 TEST_F(DistTest, CorruptedBlobIsDataLossNamingPathAndTask) {
   auto store = ShuffleStore::Create(Path("store"));
   ASSERT_TRUE(store.ok());
-  const std::string name = ShuffleStore::BlobName("p2map", 5, 1, "shard0");
-  ASSERT_TRUE(store->WriteBlob(name, std::string(256, 'x')).ok());
+  const std::string name = ShuffleStore::TaskFileName("p2map", 5);
+  Commit(*store, "p2map", 5, 1, {std::string(256, 'x'), "intact"});
 
-  // Flip one payload byte under the CRC footer.
+  // Flip one payload byte of segment 0, under its CRC.
   const std::string path = Path("store") + "/" + name;
   {
     std::fstream file(path, std::ios::in | std::ios::out |
                                 std::ios::binary);
     ASSERT_TRUE(file.is_open());
-    file.seekp(17);
+    file.seekp(static_cast<std::streamoff>(ShuffleStore::HeaderBytes(2) + 17));
     file.put('y');
   }
 
-  auto read = store->ReadBlob(name, "p2map:5");
+  auto read = store->ReadSegment(name, 0, "p2map:5");
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
-  // The message must name both the blob and the producing task so the
+  // The message must name both the file and the producing task so the
   // coordinator can re-execute the producer.
   EXPECT_NE(read.status().message().find(name), std::string::npos)
       << read.status();
   EXPECT_NE(read.status().message().find("[task p2map:5]"),
             std::string::npos)
       << read.status();
+  // A reader of the other segment never touches the rotten bytes.
+  auto intact = store->ReadSegment(name, 1, "p2map:5");
+  ASSERT_TRUE(intact.ok()) << intact.status();
+  EXPECT_EQ(*intact, "intact");
 }
 
 TEST_F(DistTest, CommitLifecycle) {
   auto store = ShuffleStore::Create(Path("store"));
   ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store->ReadCommit("p1map", 0).status().code(),
+  const std::string name = ShuffleStore::TaskFileName("p1map", 0);
+  EXPECT_EQ(store->ReadHeader(name, "p1map:0").status().code(),
             StatusCode::kNotFound);
 
-  const std::string blob = ShuffleStore::BlobName("p1map", 0, 2, "shard1");
-  ASSERT_TRUE(store->WriteBlob(blob, "abc").ok());
-  ASSERT_TRUE(store->CommitTask("p1map", 0, 2, {blob}).ok());
+  // A written attempt stays invisible until its rename commits it.
+  ASSERT_TRUE(
+      store->WriteAttempt("p1map", 0, 2, 1, Segments({"abc"})).ok());
+  EXPECT_TRUE(std::filesystem::exists(Path("store/p1map/task0.a2.tmp")));
+  EXPECT_EQ(store->ReadHeader(name, "p1map:0").status().code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(store->CommitAttempt("p1map", 0, 2).ok());
+  EXPECT_FALSE(std::filesystem::exists(Path("store/p1map/task0.a2.tmp")));
 
-  auto commit = store->ReadCommit("p1map", 0);
-  ASSERT_TRUE(commit.ok());
+  auto commit = store->ReadHeader(name, "p1map:0");
+  ASSERT_TRUE(commit.ok()) << commit.status();
   EXPECT_EQ(commit->attempt, 2);
-  EXPECT_EQ(commit->blobs, std::vector<std::string>{blob});
+  ASSERT_EQ(commit->segments.size(), 1u);
+  EXPECT_EQ(commit->segments[0].length, 3u);
 
-  // Clearing the commit makes the task look never-run (re-execution),
-  // while the blob bytes stay until orphan collection.
-  ASSERT_TRUE(store->ClearCommit("p1map", 0).ok());
-  EXPECT_EQ(store->ReadCommit("p1map", 0).status().code(),
+  // A re-executed attempt's commit replaces the earlier one in place.
+  Commit(*store, "p1map", 0, 3, {"abcd"});
+  auto replaced = store->ReadHeader(name, "p1map:0");
+  ASSERT_TRUE(replaced.ok()) << replaced.status();
+  EXPECT_EQ(replaced->attempt, 3);
+  EXPECT_EQ(*store->ReadSegment(name, 0, "p1map:0"), "abcd");
+
+  // Committing an attempt that was never written is an error.
+  EXPECT_EQ(store->CommitAttempt("p1map", 0, 9).code(),
             StatusCode::kNotFound);
-  EXPECT_TRUE(store->BlobExists(blob));
 }
 
 TEST_F(DistTest, CommitCarriesRecordCount) {
   auto store = ShuffleStore::Create(Path("store"));
   ASSERT_TRUE(store.ok());
-  const std::string blob = ShuffleStore::BlobName("p2red", 4, 1, "data");
-  ASSERT_TRUE(store->WriteBlob(blob, "cells").ok());
-  ASSERT_TRUE(store->CommitTask("p2red", 4, 1, {blob}, 250047).ok());
-  auto commit = store->ReadCommit("p2red", 4);
+  Commit(*store, "p2red", 4, 1, {"cells"}, 250047);
+  auto commit =
+      store->ReadHeader(ShuffleStore::TaskFileName("p2red", 4), "p2red:4");
   ASSERT_TRUE(commit.ok()) << commit.status();
   EXPECT_EQ(commit->records, 250047u);
 
   // A commit without a count records zero.
-  ASSERT_TRUE(store->CommitTask("p2red", 5, 0, {}).ok());
-  auto empty = store->ReadCommit("p2red", 5);
+  Commit(*store, "p2red", 5, 0, {});
+  auto empty =
+      store->ReadHeader(ShuffleStore::TaskFileName("p2red", 5), "p2red:5");
   ASSERT_TRUE(empty.ok()) << empty.status();
   EXPECT_EQ(empty->records, 0u);
+  EXPECT_TRUE(empty->segments.empty());
 }
 
 TEST_F(DistTest, CollectOrphansKeepsOnlyCommittedAttempt) {
   auto store = ShuffleStore::Create(Path("store"));
   ASSERT_TRUE(store.ok());
-  const std::string a0 = ShuffleStore::BlobName("p2map", 1, 0, "shard0");
-  const std::string a1 = ShuffleStore::BlobName("p2map", 1, 1, "shard0");
-  ASSERT_TRUE(store->WriteBlob(a0, "stale attempt").ok());
-  ASSERT_TRUE(store->WriteBlob(a1, "winning attempt").ok());
-  ASSERT_TRUE(store->CommitTask("p2map", 1, 1, {a1}).ok());
+  // Attempt 0 died between its write and its commit.
+  ASSERT_TRUE(
+      store->WriteAttempt("p2map", 1, 0, 1, Segments({"stale attempt"}))
+          .ok());
+  Commit(*store, "p2map", 1, 1, {"winning attempt"});
+  // Another task's attempt is not this task's orphan.
+  ASSERT_TRUE(
+      store->WriteAttempt("p2map", 11, 0, 1, Segments({"other"})).ok());
 
   auto removed = store->CollectOrphans("p2map", 1);
   ASSERT_TRUE(removed.ok());
   EXPECT_EQ(*removed, 1u);
-  EXPECT_FALSE(store->BlobExists(a0));
-  EXPECT_TRUE(store->BlobExists(a1));
+  EXPECT_FALSE(std::filesystem::exists(Path("store/p2map/task1.a0.tmp")));
+  EXPECT_TRUE(std::filesystem::exists(Path("store/p2map/task1")));
+  EXPECT_TRUE(std::filesystem::exists(Path("store/p2map/task11.a0.tmp")));
+  auto winner = store->ReadSegment(ShuffleStore::TaskFileName("p2map", 1), 0,
+                                   "p2map:1");
+  ASSERT_TRUE(winner.ok()) << winner.status();
+  EXPECT_EQ(*winner, "winning attempt");
+}
+
+// ------------------------------------------------ hostile task files
+//
+// Every malformed header must come back as DataLoss carrying the
+// producer's culprit tag — never a crash, never an allocation sized by a
+// field that was not checked against the file size first.
+
+class HostileTaskFileTest : public DistTest {
+ protected:
+  static constexpr char kName[] = "p2map/task1";
+
+  void SetUp() override {
+    DistTest::SetUp();
+    auto store = ShuffleStore::Create(Path("store"));
+    ASSERT_TRUE(store.ok());
+    store_ = std::make_unique<ShuffleStore>(*store);
+    Commit(*store_, "p2map", 1, 0, {std::string(40, 'a'), "bb"});
+    std::ifstream in(FilePath(), std::ios::binary);
+    bytes_.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    ASSERT_EQ(bytes_.size(), ShuffleStore::HeaderBytes(2) + 42);
+  }
+
+  std::string FilePath() const { return Path("store/") + kName; }
+
+  /// Replaces the committed file with `bytes`.
+  void Rewrite(const std::string& bytes) const {
+    std::ofstream out(FilePath(), std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// `bytes_` with the u64 at `offset` replaced and the header CRC
+  /// recomputed, so only the field's own validation can reject it.
+  std::string WithU64(std::uint64_t offset, std::uint64_t value) const {
+    std::string bytes = bytes_;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    const std::uint64_t crc_at =
+        ShuffleStore::HeaderBytes(2) - ShuffleStore::kHeaderCrcBytes;
+    const std::uint32_t crc = robust::Crc32(bytes.data(), crc_at);
+    std::memcpy(bytes.data() + crc_at, &crc, sizeof(crc));
+    return bytes;
+  }
+
+  /// Offset of field `field_offset` of segment-table entry `segment`.
+  static std::uint64_t EntryField(int segment, std::uint64_t field_offset) {
+    return ShuffleStore::kHeaderPrefixBytes +
+           ShuffleStore::kSegmentEntryBytes * segment + field_offset;
+  }
+
+  void ExpectDataLoss(const std::string& what) const {
+    for (std::size_t segment : {0, 1}) {
+      auto read = store_->ReadSegment(kName, segment, "p2map:1");
+      ASSERT_FALSE(read.ok()) << what;
+      EXPECT_EQ(read.status().code(), StatusCode::kDataLoss)
+          << what << ": " << read.status();
+      EXPECT_NE(read.status().message().find("[task p2map:1]"),
+                std::string::npos)
+          << what << ": " << read.status();
+    }
+    auto header = store_->ReadHeader(kName, "p2map:1");
+    ASSERT_FALSE(header.ok()) << what;
+    EXPECT_EQ(header.status().code(), StatusCode::kDataLoss) << what;
+  }
+
+  std::unique_ptr<ShuffleStore> store_;
+  std::string bytes_;
+};
+
+TEST_F(HostileTaskFileTest, TruncatedHeaderIsDataLoss) {
+  for (std::size_t size :
+       {std::size_t{0}, std::size_t{10},
+        static_cast<std::size_t>(ShuffleStore::kHeaderPrefixBytes),
+        static_cast<std::size_t>(ShuffleStore::HeaderBytes(2) - 1)}) {
+    Rewrite(bytes_.substr(0, size));
+    ExpectDataLoss("truncated to " + std::to_string(size));
+  }
+  // Cut inside the last segment: the header still parses, the tiling
+  // check catches it.
+  Rewrite(bytes_.substr(0, bytes_.size() - 1));
+  ExpectDataLoss("last segment cut short");
+}
+
+TEST_F(HostileTaskFileTest, SegmentCountPastEofIsDataLoss) {
+  for (std::uint32_t count : {5u, 1000u, 0xffffffffu}) {
+    std::string bytes = bytes_;
+    std::memcpy(bytes.data() + 24, &count, sizeof(count));
+    Rewrite(bytes);
+    ExpectDataLoss("segment count " + std::to_string(count));
+  }
+}
+
+TEST_F(HostileTaskFileTest, SegmentPastEofOrOverflowingIsDataLoss) {
+  const std::uint64_t offset1 = ShuffleStore::HeaderBytes(2) + 40;
+  // Length past EOF; offset + length wrapping to 0 and to 1 (inside the
+  // file); offset and length at the top of the u64 range.
+  Rewrite(WithU64(EntryField(1, 8), 3));
+  ExpectDataLoss("length past EOF");
+  Rewrite(WithU64(EntryField(1, 8), ~0ull - offset1 + 1));
+  ExpectDataLoss("offset + length wraps to 0");
+  Rewrite(WithU64(EntryField(1, 8), ~0ull - offset1 + 2));
+  ExpectDataLoss("offset + length wraps to 1");
+  Rewrite(WithU64(EntryField(0, 0), ~0ull));
+  ExpectDataLoss("offset 2^64 - 1");
+  Rewrite(WithU64(EntryField(0, 8), ~0ull));
+  ExpectDataLoss("length 2^64 - 1");
+}
+
+TEST_F(HostileTaskFileTest, HeaderCrcMismatchIsDataLoss) {
+  std::string bytes = bytes_;
+  bytes[17] ^= 0x01;  // the record count: no other check can see it
+  Rewrite(bytes);
+  ExpectDataLoss("record count flipped");
+}
+
+TEST_F(HostileTaskFileTest, SegmentCrcMismatchIsDataLoss) {
+  std::string bytes = bytes_;
+  bytes[bytes.size() - 1] ^= 0x01;  // last byte of segment 1
+  Rewrite(bytes);
+  auto read = store_->ReadSegment(kName, 1, "p2map:1");
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kDataLoss) << read.status();
+  EXPECT_NE(read.status().message().find("[task p2map:1]"),
+            std::string::npos)
+      << read.status();
+  // Segment 0 and the header are intact.
+  auto intact = store_->ReadSegment(kName, 0, "p2map:1");
+  ASSERT_TRUE(intact.ok()) << intact.status();
+  EXPECT_EQ(*intact, std::string(40, 'a'));
 }
 
 // ------------------------------------------------------------- codecs
@@ -630,6 +814,42 @@ void ExpectSameRecordCounts(const core::DM2tdResult& a,
   }
 }
 
+/// The kept job dir of a clean run holds exactly the job config, the
+/// input files, each worker's exports and one committed file per task of
+/// every phase: no per-task or per-attempt directory and no uncommitted
+/// `.tmp`. Phase-3 splits are the upstream reducers' outputs, so there
+/// are no per-mode input files either.
+void ExpectOneFilePerTask(const std::string& job_dir, int workers,
+                          int shards, std::size_t num_modes) {
+  std::vector<std::string> phases = {"p1map", "p1red", "p2map", "p2red"};
+  for (std::size_t n = 0; n < num_modes; ++n) {
+    phases.push_back("p3map_" + std::to_string(n));
+    phases.push_back("p3red_" + std::to_string(n));
+  }
+  std::set<std::string> expected_files = {"job.m2td", "input/cells",
+                                          "input/factors"};
+  for (int k = 0; k < workers; ++k) {
+    expected_files.insert("worker" + std::to_string(k) + ".metrics.json");
+    expected_files.insert("worker" + std::to_string(k) + ".spans.tsv");
+  }
+  std::set<std::string> expected_dirs = {"input"};
+  for (const std::string& phase : phases) {
+    expected_dirs.insert(phase);
+    for (int m = 0; m < shards; ++m) {
+      expected_files.insert(ShuffleStore::TaskFileName(phase, m));
+    }
+  }
+  std::set<std::string> files, dirs;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(job_dir)) {
+    const std::string relative =
+        std::filesystem::relative(entry.path(), job_dir).string();
+    (entry.is_directory() ? dirs : files).insert(relative);
+  }
+  EXPECT_EQ(files, expected_files);
+  EXPECT_EQ(dirs, expected_dirs);
+}
+
 // Neither the worker count nor the shard count — which changes what every
 // reducer emits and in what order — may move a single bit, on either
 // backend, and both backends count the same pairs and records.
@@ -675,15 +895,39 @@ TEST_F(DistTest, WorkerAndShardSweepIsBitIdentical) {
       ASSERT_TRUE(process_result.ok()) << process_result.status();
       ExpectBitIdentical(*process_result, *baseline);
       ExpectSameRecordCounts(*process_result, *baseline, label);
-      // Phase-3 splits are the upstream reducers' outputs; the
-      // coordinator writes no per-mode input blobs.
-      for (const auto& entry : std::filesystem::directory_iterator(
-               options.process.job_dir + "/input")) {
-        EXPECT_NE(entry.path().filename().string().rfind("p3_", 0), 0u)
-            << entry.path();
-      }
+      ExpectOneFilePerTask(options.process.job_dir, workers, shards,
+                           model->space().Shape().size());
     }
   }
+}
+
+// Worker shutdown must not wait out a heartbeat period: with a period
+// longer than the coordinator's 5 s drain budget, a sleeping heartbeat
+// thread would get the worker SIGKILLed before it exports its metrics.
+TEST_F(DistTest, LongHeartbeatPeriodDoesNotDelayWorkerShutdown) {
+  auto model = SmallModel();
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+
+  core::DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  options.backend = core::DistBackend::kProcess;
+  options.process.worker_binary = M2TD_WORKER_BIN;
+  options.num_workers = 1;
+  options.process.heartbeat_ms = 8000.0;
+  options.process.job_dir = Path("job");
+  const auto start = std::chrono::steady_clock::now();
+  auto result = core::DM2tdDecompose(*subs, *partition,
+                                     model->space().Shape(), options);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_LT(seconds, 3.0);
+  EXPECT_EQ(result->dist.worker_deaths, 0u);
+  EXPECT_TRUE(std::filesystem::exists(Path("job/worker0.metrics.json")));
 }
 
 TEST_F(DistTest, ZeroJoinProcessMatchesThread) {

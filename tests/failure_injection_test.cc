@@ -25,6 +25,7 @@
 #include "linalg/svd.h"
 #include "mapreduce/engine.h"
 #include "robust/retry.h"
+#include "shuffle_layout.h"
 #include "tensor/matricize.h"
 #include "tensor/tucker.h"
 #include "util/random.h"
@@ -136,7 +137,7 @@ TEST_F(FailureInjectionTest, ManifestWithOutOfRangeChunkIdTolerated) {
 
 // A committed shuffle chunk that rots on disk mid-run must surface as
 // DataLoss naming the producing map task, and the coordinator must
-// re-execute that producer — not spin retrying the poisoned blob — and
+// re-execute that producer — not spin retrying the poisoned bytes — and
 // still finish bit-identical to the thread backend.
 TEST_F(FailureInjectionTest, CorruptedShuffleChunkTriggersMapReexecution) {
   ensemble::ModelOptions model_options;
@@ -163,26 +164,16 @@ TEST_F(FailureInjectionTest, CorruptedShuffleChunkTriggersMapReexecution) {
   options.process.job_dir = Path("job");
   bool corrupted = false;
   options.process.event_hook = [&](const core::DistEvent& event) {
-    // After every p2map task committed, rot one byte of one committed
-    // shard blob: the reducer reading it must hit a CRC mismatch.
+    // After every p2map task committed, rot one byte of one shard
+    // segment of a committed map file: the reducer reading that segment
+    // must hit a CRC mismatch.
     if (corrupted || event.kind != "stage_done" || event.phase != "p2map") {
       return;
     }
-    for (const auto& entry : std::filesystem::recursive_directory_iterator(
-             Path("job") + "/p2map")) {
-      if (!entry.is_regular_file()) continue;
-      const std::string leaf = entry.path().filename().string();
-      if (leaf.rfind("shard", 0) != 0) continue;
-      std::fstream file(entry.path(),
-                        std::ios::in | std::ios::out | std::ios::binary);
-      ASSERT_TRUE(file.is_open());
-      file.seekg(6);
-      const char byte = static_cast<char>(file.get());
-      file.seekp(6);
-      file.put(static_cast<char>(byte ^ 0xff));
-      corrupted = true;
-      return;
-    }
+    const auto target = FirstSegmentPayloadByte(Path("job"), "p2map");
+    ASSERT_TRUE(target.has_value());
+    ASSERT_TRUE(FlipByte(*target));
+    corrupted = true;
   };
   auto result = core::DM2tdDecompose(*subs, *partition,
                                      (*model)->space().Shape(), options);
@@ -197,7 +188,7 @@ TEST_F(FailureInjectionTest, CorruptedShuffleChunkTriggersMapReexecution) {
 }
 
 // The phase-3 mappers of mode 0 read the committed p2red outputs
-// directly. A rotted p2red data blob must be traced back to its reduce
+// directly. A rotted p2red output must be traced back to its reduce
 // task, which is re-executed while the mapper waits.
 TEST_F(FailureInjectionTest, CorruptedReduceOutputTriggersProducerReexecution) {
   ensemble::ModelOptions model_options;
@@ -229,25 +220,14 @@ TEST_F(FailureInjectionTest, CorruptedReduceOutputTriggersProducerReexecution) {
       reexecuted.push_back(event.phase + ":" + std::to_string(event.task));
     }
     // After every p2red task committed, rot one byte of one committed
-    // data blob: the p3map_0 task reading it must hit a CRC mismatch.
+    // reduce output: the p3map_0 task reading it must hit a CRC mismatch.
     if (corrupted || event.kind != "stage_done" || event.phase != "p2red") {
       return;
     }
-    for (const auto& entry : std::filesystem::recursive_directory_iterator(
-             Path("job") + "/p2red")) {
-      if (!entry.is_regular_file() || entry.path().filename() != "data") {
-        continue;
-      }
-      std::fstream file(entry.path(),
-                        std::ios::in | std::ios::out | std::ios::binary);
-      ASSERT_TRUE(file.is_open());
-      file.seekg(6);
-      const char byte = static_cast<char>(file.get());
-      file.seekp(6);
-      file.put(static_cast<char>(byte ^ 0xff));
-      corrupted = true;
-      return;
-    }
+    const auto target = FirstSegmentPayloadByte(Path("job"), "p2red");
+    ASSERT_TRUE(target.has_value());
+    ASSERT_TRUE(FlipByte(*target));
+    corrupted = true;
   };
   auto result = core::DM2tdDecompose(*subs, *partition,
                                      (*model)->space().Shape(), options);

@@ -34,7 +34,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -336,14 +335,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::atomic<bool> running{true};
-  std::thread heartbeat([&running, &link, worker_id, heartbeat_ms] {
+  // The heartbeat waits out its period on a condition variable, so
+  // shutdown interrupts it at once instead of sleeping a full period.
+  std::mutex heartbeat_mu;
+  std::condition_variable heartbeat_cv;
+  bool heartbeat_stop = false;
+  std::thread heartbeat([&, worker_id, heartbeat_ms] {
     const auto period = std::chrono::duration<double, std::milli>(
         heartbeat_ms > 0 ? heartbeat_ms : 50.0);
     const std::string frame = "hb " + std::to_string(worker_id);
-    while (running.load(std::memory_order_relaxed)) {
+    std::unique_lock<std::mutex> lock(heartbeat_mu);
+    while (!heartbeat_stop) {
+      lock.unlock();
       link.Send(frame, /*durable=*/false);
-      std::this_thread::sleep_for(period);
+      lock.lock();
+      heartbeat_cv.wait_for(lock, period, [&] { return heartbeat_stop; });
     }
   });
 
@@ -444,7 +450,11 @@ int main(int argc, char** argv) {
   }
   state.cv.notify_all();
   runner.join();
-  running.store(false, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(heartbeat_mu);
+    heartbeat_stop = true;
+  }
+  heartbeat_cv.notify_all();
   heartbeat.join();
   ExportObservability(job_dir, worker_id, epoch_delta_us);
   return code;
