@@ -15,7 +15,7 @@
 
 namespace m2td::core {
 
-/// Execution backend for the three D-M2TD MapReduce phases.
+/// Execution backend for the D-M2TD MapReduce phases.
 enum class DistBackend {
   /// In-process thread engine (mapreduce/engine.h): tasks are pool jobs.
   kThread,
@@ -34,8 +34,8 @@ struct DistEvent {
   /// "reconnect", "disconnect", "speculate", "speculate_won",
   /// "speculate_cancelled".
   std::string kind;
-  /// Phase the event belongs to ("p1map", "p2red", "p3map_1", ...); empty
-  /// for lifecycle events.
+  /// Phase the event belongs to ("p1map", "p1red", "p2map", "p2red");
+  /// empty for lifecycle events.
   std::string phase;
   int task = -1;
   int worker = -1;
@@ -125,7 +125,7 @@ struct DM2tdOptions {
   /// worker death is recovery, not a retry, and does not consume this
   /// budget.
   robust::RetryPolicy retry;
-  /// Execution backend for the three phases.
+  /// Execution backend for the MapReduce phases.
   DistBackend backend = DistBackend::kThread;
   /// Process backend only: fixed task/shard count per phase, independent
   /// of num_workers, so the pivot-hash sharding (and therefore every
@@ -142,10 +142,11 @@ struct DistStats {
   std::uint64_t worker_deaths = 0;
   std::uint64_t tasks_reassigned = 0;
   std::uint64_t lease_expirations = 0;
-  /// Upstream tasks re-executed because a reader hit DataLoss on one of
-  /// their committed blobs: map tasks whose shard blob a reducer read,
-  /// and reduce tasks whose data blob a phase-3 mapper read. Each one
-  /// also emits a "map_reexec" DistEvent naming the producer.
+  /// Tasks re-executed because a reader hit DataLoss on one of their
+  /// committed files: map tasks whose shard segment a reducer read, and
+  /// reduce tasks whose output the coordinator gathered (the phase-1 Grams
+  /// and the phase-2 partial cores). Each one also emits a "map_reexec"
+  /// DistEvent naming the producer.
   std::uint64_t map_reexecutions = 0;
   std::uint64_t task_retries = 0;
   /// Socket transport: connections accepted / identities resumed within
@@ -173,10 +174,12 @@ struct DM2tdResult {
   std::uint64_t join_nnz = 0;
   /// Phase 1: parallel sub-tensor decomposition (Gram accumulation).
   mapreduce::JobStats phase1;
-  /// Phase 2: parallel JE-stitching (shuffle on pivot configuration).
+  /// Phase 2: per-pivot core recovery (shuffle on pivot configuration);
+  /// each reducer emits one partial core per pivot of its shard.
   mapreduce::JobStats phase2;
-  /// Phase 3: parallel tensor-matrix chain recovering the core (summed
-  /// over the N per-mode jobs) — the dominant cost, per the paper.
+  /// Phase 3: core assembly — the coordinator's gather (shuffle_seconds)
+  /// and ascending-pivot sum (reduce_seconds) of the partial cores.
+  /// intermediate_pairs counts partial cores, output_records core entries.
   mapreduce::JobStats phase3;
   DistStats dist;
 
@@ -186,24 +189,26 @@ struct DM2tdResult {
   }
 };
 
-/// \brief D-M2TD (Section VI-D): the three-phase distributed M2TD.
+/// \brief D-M2TD (Section VI-D): distributed M2TD.
 ///
 /// Phase 1 ships each sub-tensor's cells to a reducer that accumulates its
 /// per-mode Gram matrices; the driver turns Grams into (combined) factor
 /// matrices. Phase 2 shuffles cells of both sub-tensors by pivot
-/// configuration and joins within each reduce group. Phase 3 runs one
-/// MapReduce job per mode, each contracting the current tensor's fibers
-/// with that mode's factor matrix, ending at the dense core.
+/// configuration; each reduce group recovers its pivot's share of the core
+/// straight from the JE-stitching identity, without forming the join (see
+/// dm2td_internal::PivotCoreBuilder). Phase 3 is core assembly: the driver
+/// sums the per-pivot partial cores in ascending pivot key.
 ///
 /// Backends: `options.backend` selects in-process threads (default) or
 /// real worker processes (see DistBackend::kProcess). Results are
 /// bit-identical across backends, worker counts, and shard counts: every
-/// per-group body runs through the same shared code and never depends on
-/// the order its records arrive in (phase-3 fibers are ordered by the
-/// contraction itself).
+/// per-group body runs through the same shared code on its records in
+/// global input order, and the partial cores are summed in one canonical
+/// order.
 ///
-/// Produces the same decomposition as M2tdDecompose (up to floating-point
-/// reassociation in the Gram sums).
+/// Produces the same decomposition as M2tdDecompose up to floating-point
+/// reassociation (Gram sums, and the factored core against the join's
+/// mode-product chain: 1e-12 relative).
 Result<DM2tdResult> DM2tdDecompose(const SubEnsembles& subs,
                                    const PfPartition& partition,
                                    const std::vector<std::uint64_t>&

@@ -20,7 +20,6 @@
 #include <memory>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,7 +41,7 @@ namespace {
 namespace fs = std::filesystem;
 using dm2td_internal::GramPiece;
 using dm2td_internal::JobGeometry;
-using dm2td_internal::JoinCell;
+using dm2td_internal::PartialCore;
 using dm2td_internal::TensorCell;
 using dm2td_tasks::DistJobConfig;
 using dm2td_tasks::TaskRequest;
@@ -89,17 +88,44 @@ double NowUs() {
 
 using TaskKey = std::pair<std::string, int>;  // (phase, index)
 
-/// One stage = `count` tasks of one phase. A stage that reads committed
-/// task outputs carries the prototype of the phase producing them — the
-/// map phase for a reduce stage, the previous reduce phase for a phase-3
-/// map stage — so a DataLoss verdict on a committed file can be turned
-/// back into a re-execution of its producer.
+bool IsMapPhase(const std::string& phase) {
+  return phase.size() >= 3 && phase.compare(phase.size() - 3, 3, "map") == 0;
+}
+
+/// The task (`phase`, `index`) at attempt 0.
+TaskRequest MakeTask(const std::string& phase, int index) {
+  return TaskRequest{IsMapPhase(phase), phase, index, 0};
+}
+
+/// One stage = `count` tasks of one phase (or just task `only`, when
+/// set). A reduce stage reads the committed files of its map phase, so a
+/// DataLoss verdict on one of them can be turned back into a re-execution
+/// of its producer; a map stage reads only job inputs.
 struct StagePlan {
   std::string phase;
   int count = 0;
-  TaskRequest prototype;
-  const TaskRequest* upstream = nullptr;
+  int only = -1;
+
+  bool Runs(int index) const { return only < 0 || index == only; }
+  int NumTasks() const { return only < 0 ? count : 1; }
+  /// The phase whose committed files this stage reads ("" for none).
+  std::string Upstream() const {
+    return IsMapPhase(phase) ? "" : dm2td_tasks::MapPhaseOf(phase);
+  }
 };
+
+/// The producer a DataLoss message names in its "[task <phase>:<m>]"
+/// marker (see ShuffleStore::ReadSegment); index -1 when there is none.
+TaskKey CulpritOf(const std::string& message) {
+  const std::size_t open = message.rfind("[task ");
+  const std::size_t close =
+      open == std::string::npos ? std::string::npos : message.find(']', open);
+  if (close == std::string::npos) return {"", -1};
+  const std::string context = message.substr(open + 6, close - open - 6);
+  const std::size_t colon = context.find(':');
+  if (colon == std::string::npos) return {"", -1};
+  return {context.substr(0, colon), std::atoi(context.c_str() + colon + 1)};
+}
 
 /// Per-stage scheduling state threaded through the frame handlers; the
 /// network pump receives it as null outside any stage (attach window).
@@ -153,8 +179,8 @@ class Coordinator {
     stage_span.Annotate("phase", plan.phase);
     std::deque<TaskRequest> pending;
     for (int t = 0; t < plan.count; ++t) {
-      TaskRequest task = plan.prototype;
-      task.index = t;
+      if (!plan.Runs(t)) continue;
+      TaskRequest task = MakeTask(plan.phase, t);
       task.attempt = NextAttempt(TaskKey{plan.phase, t});
       pending.push_back(std::move(task));
     }
@@ -191,7 +217,7 @@ class Coordinator {
       }
 
       const bool stage_complete =
-          static_cast<int>(done.size()) == plan.count && blocked.empty();
+          static_cast<int>(done.size()) == plan.NumTasks() && blocked.empty();
       if (stage_complete) {
         pending.clear();
         bool any_busy = false;
@@ -299,6 +325,42 @@ class Coordinator {
     }
     Emit("stage_done", plan.phase, -1, -1, -1);
     return Status::OK();
+  }
+
+  /// Reads and decodes the committed output of every task of the reduce
+  /// stage `plan`, in task order, concatenating the records. A DataLoss
+  /// naming one of them re-executes that task as a one-task stage and
+  /// reads it again — the culprit recovery worker-side readers get from
+  /// HandleDataLoss.
+  template <typename Record>
+  Result<std::vector<Record>> GatherReduceOutputs(
+      const StagePlan& plan,
+      Result<std::vector<Record>> (*decode)(const std::string&)) {
+    std::vector<Record> records;
+    for (int r = 0; r < plan.count; ++r) {
+      for (int reexecs = 0;; ++reexecs) {
+        Result<std::string> bytes =
+            dm2td_tasks::ReadReduceOutput(store_, plan.phase, r);
+        if (bytes.ok()) {
+          M2TD_ASSIGN_OR_RETURN(std::vector<Record> part, decode(*bytes));
+          std::move(part.begin(), part.end(), std::back_inserter(records));
+          break;
+        }
+        const TaskKey culprit = CulpritOf(bytes.status().message());
+        if (bytes.status().code() != StatusCode::kDataLoss ||
+            culprit != TaskKey{plan.phase, r} ||
+            reexecs >= kMaxReassignments) {
+          return bytes.status();
+        }
+        M2TD_LOG_WARNING() << "output of " << plan.phase << ":" << r
+                           << " failed its integrity check; re-executing it";
+        CountReexecution(culprit);
+        StagePlan one = plan;
+        one.only = r;
+        M2TD_RETURN_IF_ERROR(RunStage(one));
+      }
+    }
+    return records;
   }
 
   /// Graceful shutdown: quit frames, closed channels, bounded wait,
@@ -766,7 +828,7 @@ class Coordinator {
       w.busy = false;
       lease_.Disarm(w.id);
       Emit("done", phase, index, w.id, w.pid);
-      if (phase == plan.phase) {
+      if (phase == plan.phase && plan.Runs(index)) {
         const bool first = ctx->done->insert(index).second;
         if (first) {
           ctx->completed_ms->push_back(elapsed_ms);
@@ -831,7 +893,7 @@ class Coordinator {
         retries_[key]++;
         stats_.task_retries++;
         obs::GetCounter("dist.task_retries").Increment();
-        TaskRequest task = RebuildTask(phase, index, plan);
+        TaskRequest task = MakeTask(phase, index);
         task.attempt = NextAttempt(key);
         ctx->pending->push_back(std::move(task));
         return Status::OK();
@@ -850,58 +912,36 @@ class Coordinator {
                         const std::string& message, StageCtx* ctx,
                         const Status& failure) {
     const StagePlan& plan = *ctx->plan;
-    const std::size_t open = message.rfind("[task ");
-    const std::size_t close =
-        open == std::string::npos ? std::string::npos : message.find(']', open);
-    std::string culprit_phase;
-    int culprit_index = -1;
-    if (close != std::string::npos) {
-      const std::string context =
-          message.substr(open + 6, close - open - 6);
-      const std::size_t colon = context.find(':');
-      if (colon != std::string::npos) {
-        culprit_phase = context.substr(0, colon);
-        culprit_index = std::atoi(context.c_str() + colon + 1);
-      }
-    }
-    if (plan.upstream == nullptr || culprit_index < 0 ||
-        culprit_phase != plan.upstream->phase) {
+    const TaskKey culprit = CulpritOf(message);
+    if (culprit.second < 0 || culprit.first.empty() ||
+        culprit.first != plan.Upstream()) {
       // No replayable producer (job input file, or unparseable): the data
       // is gone for good.
       return failure;
     }
-    const TaskKey culprit{culprit_phase, culprit_index};
-    M2TD_LOG_WARNING() << "shuffle file of " << culprit_phase << ":"
-                     << culprit_index
-                     << " failed its integrity check; re-executing it ("
-                     << phase << ":" << index << " held)";
-    ctx->blocked->push_back({RebuildTask(phase, index, plan), culprit});
+    M2TD_LOG_WARNING() << "shuffle file of " << culprit.first << ":"
+                       << culprit.second
+                       << " failed its integrity check; re-executing it ("
+                       << phase << ":" << index << " held)";
+    ctx->blocked->push_back({MakeTask(phase, index), culprit});
     if (ctx->reexec_inflight->insert(culprit).second) {
       // The poisoned file is deliberately left in place: other readers
       // still need a committed file (their own segments are fine, and
       // removing it would fail them with NotFound). The re-executed
       // attempt's commit renames over it; a reader that already opened
       // it keeps a consistent view through its descriptor.
-      TaskRequest task = *plan.upstream;
-      task.index = culprit_index;
+      TaskRequest task = MakeTask(culprit.first, culprit.second);
       task.attempt = NextAttempt(culprit);
       ctx->pending->push_front(std::move(task));
-      stats_.map_reexecutions++;
-      obs::GetCounter("dist.map_reexecutions").Increment();
-      Emit("map_reexec", culprit_phase, culprit_index, -1, -1);
+      CountReexecution(culprit);
     }
     return Status::OK();
   }
 
-  /// The stage-task or upstream-prototype TaskRequest for (phase, index).
-  TaskRequest RebuildTask(const std::string& phase, int index,
-                          const StagePlan& plan) const {
-    TaskRequest task = phase == plan.phase         ? plan.prototype
-                       : plan.upstream != nullptr ? *plan.upstream
-                                                  : plan.prototype;
-    task.phase = phase;
-    task.index = index;
-    return task;
+  void CountReexecution(const TaskKey& culprit) {
+    stats_.map_reexecutions++;
+    obs::GetCounter("dist.map_reexecutions").Increment();
+    Emit("map_reexec", culprit.first, culprit.second, -1, -1);
   }
 
   void KillAll() {
@@ -959,36 +999,6 @@ Status WriteCellSplits(const io::ShuffleStore& store,
             SplitRange(cells.size(), splits, static_cast<int>(m));
         return dm2td_tasks::EncodeCells(cells.data() + begin, end - begin);
       });
-}
-
-/// Reads the committed output of every reduce task of `phase`, in task
-/// order.
-Result<std::vector<std::string>> GatherReduceOutputs(
-    const io::ShuffleStore& store, const std::string& phase, int shards) {
-  std::vector<std::string> payloads;
-  payloads.reserve(static_cast<std::size_t>(shards));
-  for (int r = 0; r < shards; ++r) {
-    M2TD_ASSIGN_OR_RETURN(std::string bytes,
-                          dm2td_tasks::ReadReduceOutput(store, phase, r));
-    payloads.push_back(std::move(bytes));
-  }
-  return payloads;
-}
-
-/// Total records the committed tasks of `phase` emitted, read from their
-/// file headers — no segment is read.
-Result<std::uint64_t> CommittedRecords(const io::ShuffleStore& store,
-                                       const std::string& phase,
-                                       int shards) {
-  std::uint64_t records = 0;
-  for (int r = 0; r < shards; ++r) {
-    M2TD_ASSIGN_OR_RETURN(
-        io::ShuffleStore::FileHeader header,
-        store.ReadHeader(io::ShuffleStore::TaskFileName(phase, r),
-                         phase + ":" + std::to_string(r)));
-    records += header.records;
-  }
-  return records;
 }
 
 // ------------------------------------------------------ worker obs merge
@@ -1057,12 +1067,10 @@ void MergeWorkerObs(const std::string& job_dir, int workers) {
 
 Result<DM2tdResult> RunPipeline(Coordinator& coord,
                                 const io::ShuffleStore& store,
-                                const SubEnsembles& subs,
                                 const PfPartition& partition,
                                 const std::vector<std::uint64_t>& full_shape,
                                 const DM2tdOptions& options,
-                                const std::vector<TensorCell>& all_cells) {
-  const std::size_t num_modes = full_shape.size();
+                                std::uint64_t num_cells) {
   const int shards = options.num_shards;
   DM2tdResult result;
 
@@ -1072,128 +1080,65 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
   total_span.Annotate("num_shards", static_cast<std::int64_t>(shards));
   total_span.Annotate("backend", "process");
 
+  // Map stage "p<n>map", then reduce stage "p<n>red", timed into `stats`.
+  auto run_phase = [&](const std::string& n, mapreduce::JobStats* stats) {
+    {
+      obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
+      M2TD_RETURN_IF_ERROR(coord.RunStage({"p" + n + "map", shards}));
+      stats->map_seconds = map_span.End();
+    }
+    obs::ObsSpan reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
+    M2TD_RETURN_IF_ERROR(coord.RunStage({"p" + n + "red", shards}));
+    stats->reduce_seconds = reduce_span.End();
+    stats->intermediate_pairs = num_cells;
+    return Status::OK();
+  };
+
   // ---------- Phase 1: parallel sub-tensor decomposition. ----------
   obs::ObsSpan sub_span("sub_decompose", obs::ObsSpan::kAlwaysTime);
-  TaskRequest p1map;
-  p1map.is_map = true;
-  p1map.phase = "p1map";
-  TaskRequest p1red;
-  p1red.is_map = false;
-  p1red.phase = "p1red";
-  {
-    obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
-    M2TD_RETURN_IF_ERROR(coord.RunStage({"p1map", shards, p1map, nullptr}));
-    result.phase1.map_seconds = map_span.End();
-  }
-  {
-    obs::ObsSpan reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
-    M2TD_RETURN_IF_ERROR(coord.RunStage({"p1red", shards, p1red, &p1map}));
-    result.phase1.reduce_seconds = reduce_span.End();
-  }
-  result.phase1.intermediate_pairs = all_cells.size();
-
+  M2TD_RETURN_IF_ERROR(run_phase("1", &result.phase1));
+  // Factors are assembled driver-side and published for the phase-2
+  // reducers.
   obs::ObsSpan gather1_span("dist_gather", obs::ObsSpan::kAlwaysTime);
-  M2TD_ASSIGN_OR_RETURN(std::vector<std::string> gram_payloads,
-                        GatherReduceOutputs(store, "p1red", shards));
-  std::unordered_map<std::uint64_t, linalg::Matrix> grams;
-  for (const std::string& payload : gram_payloads) {
-    M2TD_ASSIGN_OR_RETURN(std::vector<GramPiece> pieces,
-                          dm2td_tasks::DecodeGramPieces(payload));
-    for (GramPiece& piece : pieces) {
-      result.phase1.output_records++;
-      grams[static_cast<std::uint64_t>(piece.kappa) * 64 + piece.sub_mode] =
-          std::move(piece.gram);
-    }
-  }
-  M2TD_ASSIGN_OR_RETURN(std::vector<linalg::Matrix> factors,
-                        dm2td_internal::AssembleFactors(grams, partition,
-                                                        full_shape, options));
+  M2TD_ASSIGN_OR_RETURN(std::vector<GramPiece> pieces,
+                        coord.GatherReduceOutputs<GramPiece>(
+                            {"p1red", shards}, dm2td_tasks::DecodeGramPieces));
+  result.phase1.output_records = pieces.size();
+  M2TD_ASSIGN_OR_RETURN(
+      std::vector<linalg::Matrix> factors,
+      dm2td_internal::AssembleFactors(std::move(pieces), partition,
+                                      full_shape, options));
+  M2TD_RETURN_IF_ERROR(store.WriteFile(
+      dm2td_tasks::kFactorsFile, factors.size(),
+      [&](std::size_t n) { return dm2td_tasks::EncodeMatrix(factors[n]); }));
   result.phase1.shuffle_seconds = gather1_span.End();
   sub_span.End();
 
-  // ---------- Phase 2: parallel JE-stitching. ----------
+  // ---------- Phase 2: per-pivot core recovery. ----------
   obs::ObsSpan stitch_span("stitch", obs::ObsSpan::kAlwaysTime);
-  TaskRequest p2map;
-  p2map.is_map = true;
-  p2map.phase = "p2map";
-  TaskRequest p2red;
-  p2red.is_map = false;
-  p2red.phase = "p2red";
-  {
-    obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
-    M2TD_RETURN_IF_ERROR(coord.RunStage({"p2map", shards, p2map, nullptr}));
-    result.phase2.map_seconds = map_span.End();
-  }
-  {
-    obs::ObsSpan reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
-    M2TD_RETURN_IF_ERROR(coord.RunStage({"p2red", shards, p2red, &p2map}));
-    result.phase2.reduce_seconds = reduce_span.End();
-  }
-  result.phase2.intermediate_pairs = all_cells.size();
-  M2TD_ASSIGN_OR_RETURN(result.join_nnz,
-                        CommittedRecords(store, "p2red", shards));
-  result.phase2.output_records = result.join_nnz;
-  stitch_span.Annotate("join_nnz", result.join_nnz);
+  M2TD_RETURN_IF_ERROR(run_phase("2", &result.phase2));
   stitch_span.End();
 
-  // ---------- Phase 3: one map+reduce stage pair per mode. ----------
-  // The join tensor never comes back to the coordinator: map task m of
-  // mode n reads the committed output of reduce task m of the previous
-  // stage (p2red for mode 0), so only the final mode is gathered.
+  // ---------- Phase 3: core assembly. ----------
+  // The coordinator gathers every pivot's partial core and sums them in
+  // ascending pivot key.
   obs::ObsSpan core_span("core_recovery", obs::ObsSpan::kAlwaysTime);
-  M2TD_RETURN_IF_ERROR(store.WriteFile(
-      dm2td_tasks::kFactorsFile, num_modes,
-      [&](std::size_t n) { return dm2td_tasks::EncodeMatrix(factors[n]); }));
-  std::vector<std::uint64_t> current_shape = full_shape;
-  TaskRequest upstream = p2red;
-  std::uint64_t mode_input_records = result.join_nnz;
-  for (std::size_t n = 0; n < num_modes; ++n) {
-    obs::ObsSpan ttm_span("ttm_job", obs::ObsSpan::kAlwaysTime);
-    ttm_span.Annotate("mode", static_cast<std::uint64_t>(n));
-    const std::string suffix = "_" + std::to_string(n);
-    TaskRequest p3map;
-    p3map.is_map = true;
-    p3map.phase = "p3map" + suffix;
-    p3map.mode = static_cast<int>(n);
-    p3map.shape = current_shape;
-    TaskRequest p3red = p3map;
-    p3red.is_map = false;
-    p3red.phase = "p3red" + suffix;
-    {
-      obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
-      M2TD_RETURN_IF_ERROR(
-          coord.RunStage({p3map.phase, shards, p3map, &upstream}));
-      result.phase3.map_seconds += map_span.End();
-    }
-    {
-      obs::ObsSpan reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
-      M2TD_RETURN_IF_ERROR(
-          coord.RunStage({p3red.phase, shards, p3red, &p3map}));
-      result.phase3.reduce_seconds += reduce_span.End();
-    }
-    result.phase3.intermediate_pairs += mode_input_records;
-    M2TD_ASSIGN_OR_RETURN(mode_input_records,
-                          CommittedRecords(store, p3red.phase, shards));
-    current_shape[n] = factors[n].cols();
-    upstream = std::move(p3red);
-  }
-  result.phase3.output_records = mode_input_records;
-
   obs::ObsSpan gather_span("dist_gather", obs::ObsSpan::kAlwaysTime);
-  M2TD_ASSIGN_OR_RETURN(std::vector<std::string> payloads,
-                        GatherReduceOutputs(store, upstream.phase, shards));
-  // Final cells have unique index vectors, so the scatter order into the
-  // zero core is immaterial.
-  tensor::DenseTensor core(current_shape);
-  for (const std::string& payload : payloads) {
-    M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> cells,
-                          dm2td_tasks::DecodeJoinCells(payload));
-    for (const JoinCell& cell : cells) core.at(cell.idx) += cell.value;
-  }
+  M2TD_ASSIGN_OR_RETURN(
+      std::vector<PartialCore> parts,
+      coord.GatherReduceOutputs<PartialCore>({"p2red", shards},
+                                             dm2td_tasks::DecodePartialCores));
   result.phase3.shuffle_seconds = gather_span.End();
-  result.tucker.core = std::move(core);
+  result.phase2.output_records = parts.size();
+  result.phase3.intermediate_pairs = parts.size();
+  obs::ObsSpan sum_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
+  M2TD_ASSIGN_OR_RETURN(
+      result.tucker.core,
+      dm2td_internal::SumPartialCores(&parts, factors, &result.join_nnz));
+  result.phase3.reduce_seconds = sum_span.End();
+  result.phase3.output_records = result.tucker.core.NumElements();
+  core_span.Annotate("join_nnz", result.join_nnz);
   result.tucker.factors = std::move(factors);
-  (void)subs;
   return result;
 }
 
@@ -1258,15 +1203,7 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
   M2TD_RETURN_IF_ERROR(
       dm2td_tasks::SaveJobConfig(job_dir + "/job.m2td", config));
 
-  std::vector<TensorCell> all_cells =
-      dm2td_internal::CollectCells(subs.x1, 1);
-  {
-    std::vector<TensorCell> cells2 =
-        dm2td_internal::CollectCells(subs.x2, 2);
-    all_cells.insert(all_cells.end(),
-                     std::make_move_iterator(cells2.begin()),
-                     std::make_move_iterator(cells2.end()));
-  }
+  std::vector<TensorCell> all_cells = dm2td_internal::CollectAllCells(subs);
   M2TD_RETURN_IF_ERROR(WriteCellSplits(store, all_cells, options.num_shards));
   if (options.stitch.zero_join) {
     std::vector<std::uint64_t> cand1, cand2;
@@ -1277,6 +1214,9 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
           return dm2td_tasks::EncodeU64List(side == 0 ? cand1 : cand2);
         }));
   }
+  // The workers read the cells from the store from here on.
+  const std::uint64_t num_cells = all_cells.size();
+  std::vector<TensorCell>().swap(all_cells);
 
   SigpipeGuard sigpipe_guard;
   // Coordinator-side net faults are armed for the run's duration only.
@@ -1293,7 +1233,7 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
     Coordinator coord(options, store, job_dir, worker_binary);
     M2TD_RETURN_IF_ERROR(coord.SpawnWorkers());
     Result<DM2tdResult> result = RunPipeline(
-        coord, store, subs, partition, full_shape, options, all_cells);
+        coord, store, partition, full_shape, options, num_cells);
     coord.Drain();
     if (result.ok()) result->dist = coord.stats();
     return result;

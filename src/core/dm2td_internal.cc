@@ -1,7 +1,7 @@
 #include "core/dm2td_internal.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "linalg/svd.h"
@@ -25,75 +25,214 @@ Status BuildGramsForSub(int kappa, const std::vector<std::uint64_t>& shape,
   return Status::OK();
 }
 
-void JoinPivotGroup(std::uint64_t pivot_key,
-                    const std::vector<TensorCell>& cells,
-                    const JobGeometry& geometry, bool zero_join,
-                    const std::vector<std::uint64_t>& cand1,
-                    const std::vector<std::uint64_t>& cand2,
-                    std::vector<JoinCell>* out) {
-  std::unordered_map<std::uint64_t, double> lookup1, lookup2;
-  for (const TensorCell& cell : cells) {
-    if (cell.kappa == 1) {
-      lookup1[SideKey(cell.idx, geometry.k, geometry.side1_dims)] =
-          cell.value;
-    } else {
-      lookup2[SideKey(cell.idx, geometry.k, geometry.side2_dims)] =
-          cell.value;
-    }
-  }
-  std::vector<std::uint32_t> indices(geometry.num_modes);
-  ScatterKey(pivot_key, geometry.pivot_dims, geometry.pivot_modes, &indices);
-  auto emit_pair = [&](std::uint64_t key1, double v1, std::uint64_t key2,
-                       double v2) {
-    ScatterKey(key1, geometry.side1_dims, geometry.side1_modes, &indices);
-    ScatterKey(key2, geometry.side2_dims, geometry.side2_modes, &indices);
-    out->push_back(JoinCell{indices, 0.5 * (v1 + v2)});
-  };
-  if (!zero_join) {
-    for (const auto& [key1, v1] : lookup1) {
-      for (const auto& [key2, v2] : lookup2) emit_pair(key1, v1, key2, v2);
-    }
-    return;
-  }
-  for (std::uint64_t key1 : cand1) {
-    const auto v1 = lookup1.find(key1);
-    for (std::uint64_t key2 : cand2) {
-      const auto v2 = lookup2.find(key2);
-      if (v1 == lookup1.end() && v2 == lookup2.end()) continue;
-      emit_pair(key1, v1 != lookup1.end() ? v1->second : 0.0, key2,
-                v2 != lookup2.end() ? v2->second : 0.0);
+void PivotCoreBuilder::ModeGroup::KronRow(const std::uint32_t* idx,
+                                          std::vector<double>* row) const {
+  row->assign(1, 1.0);
+  for (std::size_t f = 0; f < factors.size(); ++f) {
+    // Grow the product in place from the back: entry i spreads to
+    // [i * rank, (i + 1) * rank), which no unread entry overlaps.
+    const std::size_t rank = factors[f].cols();
+    const double* u = factors[f].RowPtr(idx[f]);
+    const std::size_t size = row->size();
+    row->resize(size * rank);
+    for (std::size_t i = size; i-- > 0;) {
+      const double v = (*row)[i];
+      for (std::size_t j = rank; j-- > 0;) (*row)[i * rank + j] = v * u[j];
     }
   }
 }
 
-void ContractFiber(std::uint64_t key,
-                   std::vector<std::pair<std::uint32_t, double>>* fiber,
-                   const linalg::Matrix& factor, std::size_t n,
-                   const std::vector<std::uint64_t>& other_dims,
-                   const std::vector<std::size_t>& other_modes,
-                   std::size_t num_modes, std::vector<JoinCell>* out) {
-  std::sort(fiber->begin(), fiber->end());
-  const std::size_t rank = factor.cols();
-  std::vector<double> acc(rank, 0.0);
-  for (const auto& [i_n, v] : *fiber) {
-    for (std::size_t j = 0; j < rank; ++j) {
-      acc[j] += factor(i_n, j) * v;
+Result<PivotCoreBuilder> PivotCoreBuilder::Create(
+    const JobGeometry& geometry, const std::vector<linalg::Matrix>& factors,
+    bool zero_join, const std::vector<std::uint64_t>& cand1,
+    const std::vector<std::uint64_t>& cand2) {
+  if (factors.empty() || factors.size() != geometry.num_modes) {
+    return Status::IOError("expected " + std::to_string(geometry.num_modes) +
+                           " factors, got " + std::to_string(factors.size()));
+  }
+  std::vector<std::uint64_t> strides(factors.size(), 1);
+  for (std::size_t m = factors.size(); m-- > 1;) {
+    strides[m - 1] = strides[m] * factors[m].cols();
+  }
+  PivotCoreBuilder builder;
+  builder.k_ = geometry.k;
+  builder.zero_join_ = zero_join;
+  builder.core_size_ = strides[0] * factors[0].cols();
+  // Each mode belongs to one group at most, so tuple offsets stay inside
+  // the core.
+  std::vector<bool> seen(factors.size(), false);
+  auto make_group = [&](const std::vector<std::size_t>& modes,
+                        const std::vector<std::uint64_t>& dims,
+                        const std::vector<std::uint64_t>* cands,
+                        ModeGroup* group) -> Status {
+    group->dims = dims;
+    group->offsets = {0};
+    for (std::size_t i = 0; i < modes.size(); ++i) {
+      if (modes[i] >= factors.size() || seen[modes[i]]) {
+        return Status::IOError("mode " + std::to_string(modes[i]) +
+                               " repeated or out of range");
+      }
+      seen[modes[i]] = true;
+      const linalg::Matrix& factor = factors[modes[i]];
+      if (factor.rows() != dims[i]) {
+        return Status::IOError("mode-" + std::to_string(modes[i]) +
+                               " factor has " + std::to_string(factor.rows()) +
+                               " rows for extent " + std::to_string(dims[i]));
+      }
+      group->factors.push_back(factor);
+      std::vector<std::uint64_t> next;
+      for (std::uint64_t base : group->offsets) {
+        for (std::uint64_t j = 0; j < factor.cols(); ++j) {
+          next.push_back(base + j * strides[modes[i]]);
+        }
+      }
+      group->offsets = std::move(next);
+    }
+    if (!zero_join || cands == nullptr) return Status::OK();
+    std::uint64_t space = 1;
+    for (std::uint64_t d : dims) space *= d;
+    group->num_cand = cands->size();
+    group->cand_sum.assign(group->offsets.size(), 0.0);
+    std::vector<std::uint32_t> idx(dims.size());
+    std::vector<double> row;
+    for (std::uint64_t key : *cands) {
+      if (key >= space) return Status::IOError("candidate key out of range");
+      DecodeKey(key, dims, idx.data());
+      group->KronRow(idx.data(), &row);
+      for (std::size_t j = 0; j < row.size(); ++j) group->cand_sum[j] += row[j];
+    }
+    return Status::OK();
+  };
+  M2TD_RETURN_IF_ERROR(make_group(geometry.pivot_modes, geometry.pivot_dims,
+                                  nullptr, &builder.pivot_));
+  M2TD_RETURN_IF_ERROR(make_group(geometry.side1_modes, geometry.side1_dims,
+                                  &cand1, &builder.side1_));
+  M2TD_RETURN_IF_ERROR(make_group(geometry.side2_modes, geometry.side2_dims,
+                                  &cand2, &builder.side2_));
+  return builder;
+}
+
+Status PivotCoreBuilder::Build(std::uint64_t pivot_key,
+                               const std::vector<TensorCell>& cells,
+                               std::vector<PartialCore>* out) const {
+  // A/C: side-1 value and indicator sums; B/D: side-2 indicator and value
+  // sums. Under zero-join the indicator sums are the candidate sums.
+  std::vector<double> a(side1_.offsets.size(), 0.0), c(a.size(), 0.0),
+      b(side2_.offsets.size(), 0.0), d(b.size(), 0.0), row;
+  std::uint64_t n1 = 0, n2 = 0;
+  for (const TensorCell& cell : cells) {
+    const bool first = cell.kappa == 1;
+    const ModeGroup& side = first ? side1_ : side2_;
+    if (cell.idx.size() != k_ + side.dims.size()) {
+      return Status::IOError("cell of arity " +
+                             std::to_string(cell.idx.size()) +
+                             " in pivot group " + std::to_string(pivot_key));
+    }
+    for (std::size_t i = 0; i < side.dims.size(); ++i) {
+      if (cell.idx[k_ + i] >= side.dims[i]) {
+        return Status::IOError("cell index out of range in pivot group " +
+                               std::to_string(pivot_key));
+      }
+    }
+    side.KronRow(cell.idx.data() + k_, &row);
+    std::vector<double>& values = first ? a : d;
+    std::vector<double>& indicators = first ? c : b;
+    ++(first ? n1 : n2);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      values[j] += cell.value * row[j];
+      if (!zero_join_) indicators[j] += row[j];
     }
   }
-  std::vector<std::uint32_t> indices(num_modes);
-  ScatterKey(key, other_dims, other_modes, &indices);
-  for (std::size_t j = 0; j < rank; ++j) {
-    if (acc[j] == 0.0) continue;
-    indices[n] = static_cast<std::uint32_t>(j);
-    out->push_back(JoinCell{indices, acc[j]});
+  // Zero-join pairs every candidate with every candidate, less the pairs
+  // with neither member simulated.
+  const std::uint64_t e1 = side1_.num_cand, e2 = side2_.num_cand;
+  const std::uint64_t join_cells =
+      zero_join_
+          ? e1 * e2 - (e1 - std::min(n1, e1)) * (e2 - std::min(n2, e2))
+          : n1 * n2;
+  if (join_cells == 0) return Status::OK();
+  if (zero_join_) {
+    c = side1_.cand_sum;
+    b = side2_.cand_sum;
   }
+
+  std::vector<std::uint32_t> pivot_idx(k_);
+  DecodeKey(pivot_key, pivot_.dims, pivot_idx.data());
+  std::vector<double> w;
+  pivot_.KronRow(pivot_idx.data(), &w);
+  std::vector<double> h(a.size() * b.size());
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    for (std::size_t l = 0; l < b.size(); ++l) {
+      h[j * b.size() + l] = 0.5 * (a[j] * b[l] + c[j] * d[l]);
+    }
+  }
+  PartialCore part{pivot_key, join_cells,
+                   std::vector<double>(static_cast<std::size_t>(core_size_))};
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      const std::uint64_t base = pivot_.offsets[i] + side1_.offsets[j];
+      for (std::size_t l = 0; l < b.size(); ++l) {
+        part.values[base + side2_.offsets[l]] = w[i] * h[j * b.size() + l];
+      }
+    }
+  }
+  out->push_back(std::move(part));
+  return Status::OK();
+}
+
+Result<tensor::DenseTensor> SumPartialCores(
+    std::vector<PartialCore>* parts, const std::vector<linalg::Matrix>& factors,
+    std::uint64_t* join_nnz) {
+  std::vector<std::uint64_t> core_shape;
+  for (const linalg::Matrix& factor : factors) {
+    core_shape.push_back(factor.cols());
+  }
+  std::sort(parts->begin(), parts->end(),
+            [](const PartialCore& x, const PartialCore& y) {
+              return x.pivot_key < y.pivot_key;
+            });
+  tensor::DenseTensor core(core_shape);
+  std::vector<double>& data = core.mutable_data();
+  for (const PartialCore& part : *parts) {
+    if (part.values.size() != data.size()) {
+      return Status::IOError("partial core of pivot " +
+                             std::to_string(part.pivot_key) + " has " +
+                             std::to_string(part.values.size()) +
+                             " entries for a core of " +
+                             std::to_string(data.size()));
+    }
+    for (std::size_t e = 0; e < data.size(); ++e) data[e] += part.values[e];
+    *join_nnz += part.join_cells;
+  }
+  return core;
+}
+
+std::vector<TensorCell> CollectAllCells(const SubEnsembles& subs) {
+  std::vector<TensorCell> cells;
+  cells.reserve(subs.x1.NumNonZeros() + subs.x2.NumNonZeros());
+  for (int kappa = 1; kappa <= 2; ++kappa) {
+    const tensor::SparseTensor& sub = kappa == 1 ? subs.x1 : subs.x2;
+    for (std::uint64_t e = 0; e < sub.NumNonZeros(); ++e) {
+      TensorCell cell{kappa, std::vector<std::uint32_t>(sub.num_modes()),
+                      sub.Value(e)};
+      for (std::size_t m = 0; m < sub.num_modes(); ++m) {
+        cell.idx[m] = sub.Index(m, e);
+      }
+      cells.push_back(std::move(cell));
+    }
+  }
+  return cells;
 }
 
 Result<std::vector<linalg::Matrix>> AssembleFactors(
-    std::unordered_map<std::uint64_t, linalg::Matrix>& grams,
-    const PfPartition& partition,
+    std::vector<GramPiece> pieces, const PfPartition& partition,
     const std::vector<std::uint64_t>& full_shape,
     const DM2tdOptions& options) {
+  std::unordered_map<std::uint64_t, linalg::Matrix> grams;
+  for (GramPiece& piece : pieces) {
+    grams[static_cast<std::uint64_t>(piece.kappa) * 64 + piece.sub_mode] =
+        std::move(piece.gram);
+  }
   const std::size_t num_modes = full_shape.size();
   const std::size_t k = partition.pivot_modes.size();
   auto gram_of = [&grams](int kappa,
@@ -172,18 +311,19 @@ void GatherZeroJoinCandidates(const std::vector<TensorCell>& all_cells,
                               const JobGeometry& geometry,
                               std::vector<std::uint64_t>* cand1,
                               std::vector<std::uint64_t>* cand2) {
-  std::unordered_set<std::uint64_t> set1, set2;
+  cand1->clear();
+  cand2->clear();
   for (const TensorCell& cell : all_cells) {
     if (cell.kappa == 1) {
-      set1.insert(SideKey(cell.idx, geometry.k, geometry.side1_dims));
+      cand1->push_back(SideKey(cell.idx, geometry.k, geometry.side1_dims));
     } else {
-      set2.insert(SideKey(cell.idx, geometry.k, geometry.side2_dims));
+      cand2->push_back(SideKey(cell.idx, geometry.k, geometry.side2_dims));
     }
   }
-  cand1->assign(set1.begin(), set1.end());
-  cand2->assign(set2.begin(), set2.end());
-  std::sort(cand1->begin(), cand1->end());
-  std::sort(cand2->begin(), cand2->end());
+  for (std::vector<std::uint64_t>* cands : {cand1, cand2}) {
+    std::sort(cands->begin(), cands->end());
+    cands->erase(std::unique(cands->begin(), cands->end()), cands->end());
+  }
 }
 
 }  // namespace m2td::core::dm2td_internal

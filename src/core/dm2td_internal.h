@@ -4,19 +4,20 @@
 // Shared building blocks of the two D-M2TD execution backends. The
 // in-process thread engine (dm2td.cc) and the multi-process task bodies
 // (dm2td_tasks.cc) both compute through these functions, so the backends
-// agree bit for bit. Every group body is independent of the order its
-// records arrive in — Gram sub-tensors are coalesced, phase-2 groups see
-// the global input order on both backends, and ContractFiber orders its
-// own fiber — so results never depend on worker count, shard count,
-// kill schedule, or the order reducers emit their outputs.
+// agree bit for bit. Every group body sees its records in the global input
+// order on both backends — Gram sub-tensors are coalesced, and a pivot
+// group's cells arrive in input order however they were sharded — and the
+// per-pivot partial cores are summed in ascending pivot key, so results
+// never depend on worker count, shard count, kill schedule, or the order
+// reducers emit their outputs.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/dm2td.h"
 #include "core/pf_partition.h"
 #include "linalg/matrix.h"
+#include "tensor/dense_tensor.h"
 #include "tensor/sparse_tensor.h"
 #include "util/result.h"
 
@@ -36,11 +37,13 @@ struct GramPiece {
   linalg::Matrix gram;
 };
 
-/// A cell of the join tensor (and of the phase-3 intermediates), in
-/// original mode order.
-struct JoinCell {
-  std::vector<std::uint32_t> idx;
-  double value = 0.0;
+/// Phase-2 reducer output: one pivot configuration's share of the core.
+/// `values` holds prod(ranks) partial-core entries in the core's row-major
+/// order; `join_cells` counts the join cells the pivot stands for.
+struct PartialCore {
+  std::uint64_t pivot_key = 0;
+  std::uint64_t join_cells = 0;
+  std::vector<double> values;
 };
 
 /// Mode geometry shared by every phase: the pivot/side split of the
@@ -94,31 +97,19 @@ inline std::uint64_t SideKey(const std::vector<std::uint32_t>& idx,
   return key;
 }
 
-inline void ScatterKey(std::uint64_t key,
-                       const std::vector<std::uint64_t>& dims,
-                       const std::vector<std::size_t>& modes,
-                       std::vector<std::uint32_t>* out) {
+/// Inverse of PivotKey/SideKey: the per-mode indices of a row-major key.
+inline void DecodeKey(std::uint64_t key,
+                      const std::vector<std::uint64_t>& dims,
+                      std::uint32_t* out) {
   for (std::size_t i = dims.size(); i-- > 0;) {
-    (*out)[modes[i]] = static_cast<std::uint32_t>(key % dims[i]);
+    out[i] = static_cast<std::uint32_t>(key % dims[i]);
     key /= dims[i];
   }
 }
 
-inline std::vector<TensorCell> CollectCells(const tensor::SparseTensor& sub,
-                                            int kappa) {
-  std::vector<TensorCell> cells;
-  cells.reserve(sub.NumNonZeros());
-  const std::size_t modes = sub.num_modes();
-  for (std::uint64_t e = 0; e < sub.NumNonZeros(); ++e) {
-    TensorCell cell;
-    cell.kappa = kappa;
-    cell.idx.resize(modes);
-    for (std::size_t m = 0; m < modes; ++m) cell.idx[m] = sub.Index(m, e);
-    cell.value = sub.Value(e);
-    cells.push_back(std::move(cell));
-  }
-  return cells;
-}
+/// Every stored cell of both sub-tensors, x1's first — the job input of
+/// both phases, whose order every group body sees.
+std::vector<TensorCell> CollectAllCells(const SubEnsembles& subs);
 
 /// Phase-1 reducer body: builds one sub-tensor from its cells and emits
 /// the per-mode Gram pieces. Input cells must have unique indices (they
@@ -128,53 +119,72 @@ Status BuildGramsForSub(int kappa, const std::vector<std::uint64_t>& shape,
                         const std::vector<TensorCell>& cells,
                         std::vector<GramPiece>* out);
 
-/// Phase-2 reducer body: joins one pivot group. `cells` must arrive in
-/// global input order (both backends guarantee this) so the join output
-/// sequence is reproducible. Appends to `out`.
-void JoinPivotGroup(std::uint64_t pivot_key,
-                    const std::vector<TensorCell>& cells,
-                    const JobGeometry& geometry, bool zero_join,
-                    const std::vector<std::uint64_t>& cand1,
-                    const std::vector<std::uint64_t>& cand2,
-                    std::vector<JoinCell>* out);
+/// Phase-2 reducer body: recovers one pivot group's core contribution
+/// without forming its join slice. JE-stitching makes the slice at pivot
+/// p separable, J_p = 1/2 (x1_p (x) m2_p + m1_p (x) x2_p), where m1_p and
+/// m2_p are the member indicators — or, under zero-join, the global
+/// candidate indicators. Its core contribution is therefore
+///
+///   w_p (x) 1/2 (A_p (x) B_p + C_p (x) D_p),
+///
+/// with w_p the Kronecker row of the pivot factors at p, A_p / D_p the
+/// value-weighted sums of the side-1 / side-2 factor Kronecker rows over
+/// the group's cells, and C_p / B_p the indicator sums (over the group's
+/// cells, or over the candidate sets under zero-join, where they are the
+/// same for every p and computed once). See docs/ALGORITHMS.md.
+class PivotCoreBuilder {
+ public:
+  /// `factors` holds one factor per original mode; `cand1`/`cand2` are the
+  /// zero-join candidate side keys (ignored without zero-join). Factor
+  /// extents and candidate keys are checked against the geometry, since
+  /// the process backend reads both from job files.
+  static Result<PivotCoreBuilder> Create(
+      const JobGeometry& geometry, const std::vector<linalg::Matrix>& factors,
+      bool zero_join, const std::vector<std::uint64_t>& cand1,
+      const std::vector<std::uint64_t>& cand2);
 
-/// Phase-3 fiber key of a cell (given by its index array `idx`, one
-/// entry per mode of `current_shape`) for mode `n`: the row-major rank
-/// over all modes except `n`.
-inline std::uint64_t Phase3FiberKey(
-    const std::uint32_t* idx, std::size_t n,
-    const std::vector<std::uint64_t>& current_shape) {
-  std::uint64_t key = 0;
-  for (std::size_t m = 0; m < current_shape.size(); ++m) {
-    if (m == n) continue;
-    key = key * current_shape[m] + idx[m];
-  }
-  return key;
-}
+  /// Appends pivot `pivot_key`'s partial core, built from its group, whose
+  /// cells must arrive in global input order (both backends guarantee
+  /// this) so the side sums are reproducible. Appends nothing when the
+  /// group joins no cells. IOError for a cell of the wrong arity or out of
+  /// range.
+  Status Build(std::uint64_t pivot_key, const std::vector<TensorCell>& cells,
+               std::vector<PartialCore>* out) const;
 
-inline std::uint64_t Phase3FiberKey(
-    const JoinCell& cell, std::size_t n,
-    const std::vector<std::uint64_t>& current_shape) {
-  return Phase3FiberKey(cell.idx.data(), n, current_shape);
-}
+ private:
+  /// The pivot modes or one side's modes: their factors and extents, the
+  /// core offset of each rank tuple (row-major over the group, the
+  /// Kronecker row order) and, for a side under zero-join, the candidate
+  /// count and indicator sum.
+  struct ModeGroup {
+    std::vector<linalg::Matrix> factors;
+    std::vector<std::uint64_t> dims, offsets;
+    std::uint64_t num_cand = 0;
+    std::vector<double> cand_sum;
 
-/// Phase-3 reducer body: contracts one fiber (all (i_n, v) pairs sharing
-/// `key`) with `factor`, appending the non-zero results. The fiber may
-/// arrive in any order: it is first sorted by ascending i_n (unique within
-/// a fiber, since cells have unique index vectors), so the accumulation
-/// order — and hence every bit of the result — is canonical.
-void ContractFiber(std::uint64_t key,
-                   std::vector<std::pair<std::uint32_t, double>>* fiber,
-                   const linalg::Matrix& factor, std::size_t n,
-                   const std::vector<std::uint64_t>& other_dims,
-                   const std::vector<std::size_t>& other_modes,
-                   std::size_t num_modes, std::vector<JoinCell>* out);
+    /// Overwrites `row` with the Kronecker product of row idx[i] of
+    /// factors[i], the first factor varying slowest.
+    void KronRow(const std::uint32_t* idx, std::vector<double>* row) const;
+  };
 
-/// Driver-side factor assembly from the phase-1 Gram pieces (keyed
-/// kappa * 64 + sub_mode). Shared by both backends so factors are
-/// computed by literally the same code path.
+  std::size_t k_ = 0;
+  bool zero_join_ = false;
+  std::uint64_t core_size_ = 0;
+  ModeGroup pivot_, side1_, side2_;
+};
+
+/// Sums the partial cores in ascending pivot key — the one canonical order
+/// on every backend — into the dense core whose mode-n extent is
+/// factors[n].cols(), and their join-cell counts into `*join_nnz`. IOError
+/// when a partial core has the wrong size.
+Result<tensor::DenseTensor> SumPartialCores(
+    std::vector<PartialCore>* parts, const std::vector<linalg::Matrix>& factors,
+    std::uint64_t* join_nnz);
+
+/// Driver-side factor assembly from the phase-1 Gram pieces. Shared by
+/// both backends so factors are computed by literally the same code path.
 Result<std::vector<linalg::Matrix>> AssembleFactors(
-    std::unordered_map<std::uint64_t, linalg::Matrix>& grams,
+    std::vector<GramPiece> pieces,
     const PfPartition& partition,
     const std::vector<std::uint64_t>& full_shape, const DM2tdOptions& options);
 

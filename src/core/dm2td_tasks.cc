@@ -1,6 +1,5 @@
 #include "core/dm2td_tasks.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -19,7 +18,7 @@ namespace m2td::core::dm2td_tasks {
 
 using dm2td_internal::GramPiece;
 using dm2td_internal::JobGeometry;
-using dm2td_internal::JoinCell;
+using dm2td_internal::PartialCore;
 using dm2td_internal::TensorCell;
 
 namespace {
@@ -74,10 +73,6 @@ class ByteReader {
   const std::string& bytes_;
   std::size_t off_ = 0;
 };
-
-/// Encoded size of one FiberPair: key + i_n + value.
-constexpr std::size_t kFiberPairBytes =
-    sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(double);
 
 /// Reads a rows x cols header and the matrix body that follows it. The
 /// element count is checked against the unread bytes without ever forming
@@ -137,52 +132,18 @@ void MaybeStragglerSleep(const TaskRequest& task) {
   }
 }
 
-/// Calls `on_count(count)` once, then `on_cell(idx, value)` for every
-/// cell of an EncodeJoinCells segment. `idx` is one scratch buffer reused
-/// across cells, so walking a segment allocates nothing per cell.
-template <typename OnCount, typename OnCell>
-Status ForEachJoinCell(const std::string& bytes, OnCount&& on_count,
-                       OnCell&& on_cell) {
-  ByteReader reader(bytes);
-  std::uint64_t count = 0;
-  M2TD_RETURN_IF_ERROR(reader.U64(&count));
-  // Smallest record: arity + value, no indices.
-  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, 12, "join cell"));
-  on_count(count);
-  std::vector<std::uint32_t> idx;
-  for (std::uint64_t e = 0; e < count; ++e) {
-    std::uint32_t arity = 0;
-    double value = 0.0;
-    M2TD_RETURN_IF_ERROR(reader.U32(&arity));
-    M2TD_RETURN_IF_ERROR(
-        reader.CheckFits(arity, sizeof(std::uint32_t), "join cell index"));
-    idx.resize(arity);
-    for (std::uint32_t& i : idx) M2TD_RETURN_IF_ERROR(reader.U32(&i));
-    M2TD_RETURN_IF_ERROR(reader.F64(&value));
-    M2TD_RETURN_IF_ERROR(on_cell(idx, value));
-  }
-  return Status::OK();
-}
-
-/// Appends the pairs of an EncodeFiberPairs segment to `out`.
-Status AppendFiberPairs(const std::string& bytes,
-                        std::vector<FiberPair>* out) {
-  ByteReader reader(bytes);
-  std::uint64_t count = 0;
-  M2TD_RETURN_IF_ERROR(reader.U64(&count));
-  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, kFiberPairBytes, "fiber pair"));
-  if (out->empty()) out->reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t e = 0; e < count; ++e) {
-    FiberPair pair;
-    M2TD_RETURN_IF_ERROR(reader.U64(&pair.key));
-    M2TD_RETURN_IF_ERROR(reader.U32(&pair.i));
-    M2TD_RETURN_IF_ERROR(reader.F64(&pair.v));
-    out->push_back(pair);
-  }
-  return Status::OK();
-}
-
 // --------------------------------------------------------------- stages
+
+/// The pivot key of a decoded cell, IOError when it has fewer indices than
+/// there are pivot modes.
+Result<std::uint64_t> CheckedPivotKey(const TensorCell& cell,
+                                      const JobGeometry& geometry) {
+  if (cell.idx.size() < geometry.k) {
+    return Status::IOError("cell of arity " + std::to_string(cell.idx.size()) +
+                           " has no pivot coordinates");
+  }
+  return dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims);
+}
 
 /// Writes the task's output file and commits it, with the chaos window
 /// between the two.
@@ -202,75 +163,31 @@ Status RunMapTask(const io::ShuffleStore& store, const DistJobConfig& config,
   const JobGeometry geometry = GeometryOf(config);
   const std::size_t shards = static_cast<std::size_t>(config.shards);
 
-  if (task.phase == "p1map" || task.phase == "p2map") {
-    M2TD_ASSIGN_OR_RETURN(
-        std::string bytes,
-        store.ReadSegment(kCellsFile, static_cast<std::size_t>(task.index),
-                          "input"));
-    M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> cells, DecodeCells(bytes));
-    std::vector<std::vector<TensorCell>> buckets(shards);
-    for (TensorCell& cell : cells) {
-      // Phase 1 shards by sub-tensor, phase 2 by pivot hash — both
-      // functions of the record alone, so sharding is identical for any
-      // worker count and any split boundaries.
-      const std::uint64_t shard =
-          task.phase == "p1map"
-              ? static_cast<std::uint64_t>(cell.kappa - 1) % shards
-              : dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims) %
-                    shards;
-      buckets[shard].push_back(std::move(cell));
-    }
-    return WriteAndCommit(
-        store, task, shards,
-        [&](std::size_t r) {
-          return buckets[r].empty() ? std::string() : EncodeCells(buckets[r]);
-        },
-        cells.size());
-  }
-
-  // p3map_<n>: split m is upstream reduce task m's output, walked
-  // straight into (key, i_n, value) buckets.
-  const std::size_t mode = static_cast<std::size_t>(task.mode);
-  if (task.mode < 0 || mode >= task.shape.size()) {
-    return Status::InvalidArgument("phase-3 task for mode " +
-                                   std::to_string(task.mode) + " of a " +
-                                   std::to_string(task.shape.size()) +
-                                   "-mode tensor");
+  if (task.phase != "p1map" && task.phase != "p2map") {
+    return Status::InvalidArgument("unknown map phase '" + task.phase + "'");
   }
   M2TD_ASSIGN_OR_RETURN(
       std::string bytes,
-      ReadReduceOutput(store, Phase3UpstreamPhase(task.mode), task.index));
-  std::vector<std::vector<FiberPair>> buckets(shards);
-  std::uint64_t records = 0;
-  M2TD_RETURN_IF_ERROR(ForEachJoinCell(
-      bytes,
-      [&](std::uint64_t count) {
-        records = count;
-        for (std::vector<FiberPair>& bucket : buckets) {
-          bucket.reserve(static_cast<std::size_t>(count / shards));
-        }
-      },
-      [&](const std::vector<std::uint32_t>& idx, double value) -> Status {
-        if (idx.size() != task.shape.size()) {
-          return Status::IOError(
-              "join cell of arity " + std::to_string(idx.size()) + " in a " +
-              std::to_string(task.shape.size()) + "-mode tensor");
-        }
-        const std::uint64_t key =
-            dm2td_internal::Phase3FiberKey(idx.data(), mode, task.shape);
-        buckets[key % shards].push_back(FiberPair{key, idx[mode], value});
-        return Status::OK();
-      }));
-  // The upstream segment is no longer needed while the output is written.
-  bytes.clear();
-  bytes.shrink_to_fit();
+      store.ReadSegment(kCellsFile, static_cast<std::size_t>(task.index),
+                        "input"));
+  M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> cells, DecodeCells(bytes));
+  std::vector<std::vector<TensorCell>> buckets(shards);
+  for (TensorCell& cell : cells) {
+    // Phase 1 shards by sub-tensor, phase 2 by pivot hash — both functions
+    // of the record alone, so sharding is identical for any worker count
+    // and any split boundaries.
+    std::uint64_t shard = static_cast<std::uint64_t>(cell.kappa - 1);
+    if (task.phase == "p2map") {
+      M2TD_ASSIGN_OR_RETURN(shard, CheckedPivotKey(cell, geometry));
+    }
+    buckets[shard % shards].push_back(std::move(cell));
+  }
   return WriteAndCommit(
       store, task, shards,
       [&](std::size_t r) {
-        return buckets[r].empty() ? std::string()
-                                  : EncodeFiberPairs(buckets[r]);
+        return buckets[r].empty() ? std::string() : EncodeCells(buckets[r]);
       },
-      records);
+      cells.size());
 }
 
 /// Calls `fn` on segment `r` of every committed map task file of
@@ -320,91 +237,52 @@ Status RunReduceTask(const io::ShuffleStore& store,
         pieces.size());
   }
 
-  if (task.phase == "p2red") {
-    std::vector<std::uint64_t> cand1, cand2;
-    if (config.zero_join) {
-      M2TD_ASSIGN_OR_RETURN(std::string c1,
-                            store.ReadSegment(kCandidatesFile, 0, "input"));
-      M2TD_ASSIGN_OR_RETURN(std::string c2,
-                            store.ReadSegment(kCandidatesFile, 1, "input"));
-      M2TD_ASSIGN_OR_RETURN(cand1, DecodeU64List(c1));
-      M2TD_ASSIGN_OR_RETURN(cand2, DecodeU64List(c2));
-    }
-    // Group by pivot key, preserving global arrival order within each
-    // group; fold groups in ascending key order (canonical).
-    std::map<std::uint64_t, std::vector<TensorCell>> groups;
-    M2TD_RETURN_IF_ERROR(ForEachShardSegment(
-        store, map_phase, config.shards, task.index,
-        [&](const std::string& bytes) -> Status {
-          M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part,
-                                DecodeCells(bytes));
-          for (TensorCell& cell : part) {
-            const std::uint64_t key =
-                dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims);
-            groups[key].push_back(std::move(cell));
-          }
-          return Status::OK();
-        }));
-    std::vector<JoinCell> out;
-    for (const auto& [key, group] : groups) {
-      dm2td_internal::JoinPivotGroup(key, group, geometry, config.zero_join,
-                                     cand1, cand2, &out);
-    }
-    return WriteAndCommit(
-        store, task, 1, [&](std::size_t) { return EncodeJoinCells(out); },
-        out.size());
+  if (task.phase != "p2red") {
+    return Status::InvalidArgument("unknown reduce phase '" + task.phase +
+                                   "'");
   }
-
-  // p3red_<n>: group the (key, i_n, value) pairs by sorting them on
-  // (key, i_n). Keys come out ascending, as the fold order requires, and
-  // i_n is unique within a fiber (cells have unique index vectors), so
-  // the order — and every bit ContractFiber computes — is canonical.
-  const std::size_t n = static_cast<std::size_t>(task.mode);
+  std::vector<linalg::Matrix> factors(geometry.num_modes);
+  for (std::size_t n = 0; n < factors.size(); ++n) {
+    M2TD_ASSIGN_OR_RETURN(std::string factor_bytes,
+                          store.ReadSegment(kFactorsFile, n, "input"));
+    M2TD_ASSIGN_OR_RETURN(factors[n], DecodeMatrix(factor_bytes));
+  }
+  std::vector<std::uint64_t> cand1, cand2;
+  if (config.zero_join) {
+    M2TD_ASSIGN_OR_RETURN(std::string c1,
+                          store.ReadSegment(kCandidatesFile, 0, "input"));
+    M2TD_ASSIGN_OR_RETURN(std::string c2,
+                          store.ReadSegment(kCandidatesFile, 1, "input"));
+    M2TD_ASSIGN_OR_RETURN(cand1, DecodeU64List(c1));
+    M2TD_ASSIGN_OR_RETURN(cand2, DecodeU64List(c2));
+  }
   M2TD_ASSIGN_OR_RETURN(
-      std::string factor_bytes,
-      store.ReadSegment(kFactorsFile, n, "input"));
-  M2TD_ASSIGN_OR_RETURN(linalg::Matrix factor, DecodeMatrix(factor_bytes));
-  std::vector<std::uint64_t> other_dims;
-  std::vector<std::size_t> other_modes;
-  for (std::size_t m = 0; m < task.shape.size(); ++m) {
-    if (m != n) {
-      other_dims.push_back(task.shape[m]);
-      other_modes.push_back(m);
-    }
-  }
-  std::vector<FiberPair> pairs;
+      const dm2td_internal::PivotCoreBuilder builder,
+      dm2td_internal::PivotCoreBuilder::Create(geometry, factors,
+                                               config.zero_join, cand1,
+                                               cand2));
+  // Group by pivot key, preserving global arrival order within each
+  // group; fold groups in ascending key order (canonical).
+  std::map<std::uint64_t, std::vector<TensorCell>> groups;
   M2TD_RETURN_IF_ERROR(ForEachShardSegment(
       store, map_phase, config.shards, task.index,
-      [&](const std::string& bytes) {
-        return AppendFiberPairs(bytes, &pairs);
+      [&](const std::string& bytes) -> Status {
+        M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part,
+                              DecodeCells(bytes));
+        for (TensorCell& cell : part) {
+          M2TD_ASSIGN_OR_RETURN(const std::uint64_t key,
+                                CheckedPivotKey(cell, geometry));
+          groups[key].push_back(std::move(cell));
+        }
+        return Status::OK();
       }));
-  std::sort(pairs.begin(), pairs.end(),
-            [](const FiberPair& a, const FiberPair& b) {
-              return a.key != b.key ? a.key < b.key : a.i < b.i;
-            });
-  std::vector<JoinCell> out;
-  std::vector<std::pair<std::uint32_t, double>> fiber;
-  for (std::size_t begin = 0; begin < pairs.size();) {
-    const std::uint64_t key = pairs[begin].key;
-    fiber.clear();
-    std::size_t end = begin;
-    for (; end < pairs.size() && pairs[end].key == key; ++end) {
-      if (pairs[end].i >= factor.rows()) {
-        return Status::IOError("fiber pair index " +
-                               std::to_string(pairs[end].i) +
-                               " outside the mode-" + std::to_string(n) +
-                               " factor's " + std::to_string(factor.rows()) +
-                               " rows");
-      }
-      fiber.emplace_back(pairs[end].i, pairs[end].v);
-    }
-    dm2td_internal::ContractFiber(key, &fiber, factor, n, other_dims,
-                                  other_modes, task.shape.size(), &out);
-    begin = end;
+  std::vector<PartialCore> parts;
+  for (const auto& [key, group] : groups) {
+    M2TD_RETURN_IF_ERROR(builder.Build(key, group, &parts));
   }
   return WriteAndCommit(
-      store, task, 1, [&](std::size_t) { return EncodeJoinCells(out); },
-      out.size());
+      store, task, 1, [&](std::size_t) { return EncodePartialCores(parts); },
+      parts.size());
 }
 
 }  // namespace
@@ -415,25 +293,18 @@ Status SaveJobConfig(const std::string& path, const DistJobConfig& config) {
   return robust::AtomicWriteFile(path, [&](const std::string& tmp) -> Status {
     std::ofstream out(tmp);
     if (!out) return Status::IOError("cannot write job config '" + tmp + "'");
-    auto write_u64s = [&out](const char* label,
-                             const std::vector<std::uint64_t>& values) {
+    auto write_list = [&out](const char* label, const auto& values) {
       out << label << " " << values.size();
-      for (std::uint64_t v : values) out << " " << v;
-      out << "\n";
-    };
-    auto write_modes = [&out](const char* label,
-                              const std::vector<std::size_t>& values) {
-      out << label << " " << values.size();
-      for (std::size_t v : values) out << " " << v;
+      for (const auto v : values) out << " " << v;
       out << "\n";
     };
     out << "m2td-dist-job 1\n";
-    write_u64s("full_shape", config.full_shape);
-    write_u64s("shape1", config.shape1);
-    write_u64s("shape2", config.shape2);
-    write_modes("pivot_modes", config.pivot_modes);
-    write_modes("side1_modes", config.side1_modes);
-    write_modes("side2_modes", config.side2_modes);
+    write_list("full_shape", config.full_shape);
+    write_list("shape1", config.shape1);
+    write_list("shape2", config.shape2);
+    write_list("pivot_modes", config.pivot_modes);
+    write_list("side1_modes", config.side1_modes);
+    write_list("side2_modes", config.side2_modes);
     out << "shards " << config.shards << "\n";
     out << "zero_join " << (config.zero_join ? 1 : 0) << "\n";
     out.flush();
@@ -451,36 +322,23 @@ Result<DistJobConfig> LoadJobConfig(const std::string& path) {
     return Status::IOError("malformed job config '" + path + "'");
   }
   DistJobConfig config;
-  auto read_u64s = [&](const char* label,
-                       std::vector<std::uint64_t>* out) -> Status {
+  auto read_list = [&](const char* label, auto* out) -> Status {
     std::size_t count = 0;
     if (!(in >> token >> count) || token != label) {
       return Status::IOError(std::string("malformed job config: ") + label);
     }
     out->resize(count);
-    for (std::uint64_t& v : *out) {
+    for (auto& v : *out) {
       if (!(in >> v)) return Status::IOError("malformed job config value");
     }
     return Status::OK();
   };
-  auto read_modes = [&](const char* label,
-                        std::vector<std::size_t>* out) -> Status {
-    std::size_t count = 0;
-    if (!(in >> token >> count) || token != label) {
-      return Status::IOError(std::string("malformed job config: ") + label);
-    }
-    out->resize(count);
-    for (std::size_t& v : *out) {
-      if (!(in >> v)) return Status::IOError("malformed job config value");
-    }
-    return Status::OK();
-  };
-  M2TD_RETURN_IF_ERROR(read_u64s("full_shape", &config.full_shape));
-  M2TD_RETURN_IF_ERROR(read_u64s("shape1", &config.shape1));
-  M2TD_RETURN_IF_ERROR(read_u64s("shape2", &config.shape2));
-  M2TD_RETURN_IF_ERROR(read_modes("pivot_modes", &config.pivot_modes));
-  M2TD_RETURN_IF_ERROR(read_modes("side1_modes", &config.side1_modes));
-  M2TD_RETURN_IF_ERROR(read_modes("side2_modes", &config.side2_modes));
+  M2TD_RETURN_IF_ERROR(read_list("full_shape", &config.full_shape));
+  M2TD_RETURN_IF_ERROR(read_list("shape1", &config.shape1));
+  M2TD_RETURN_IF_ERROR(read_list("shape2", &config.shape2));
+  M2TD_RETURN_IF_ERROR(read_list("pivot_modes", &config.pivot_modes));
+  M2TD_RETURN_IF_ERROR(read_list("side1_modes", &config.side1_modes));
+  M2TD_RETURN_IF_ERROR(read_list("side2_modes", &config.side2_modes));
   int zero_join = 0;
   if (!(in >> token >> config.shards) || token != "shards" ||
       config.shards <= 0) {
@@ -494,19 +352,11 @@ Result<DistJobConfig> LoadJobConfig(const std::string& path) {
 }
 
 dm2td_internal::JobGeometry GeometryOf(const DistJobConfig& config) {
-  JobGeometry g;
-  g.num_modes = config.full_shape.size();
-  g.k = config.pivot_modes.size();
-  g.pivot_modes = config.pivot_modes;
-  g.side1_modes = config.side1_modes;
-  g.side2_modes = config.side2_modes;
-  g.pivot_dims = dm2td_internal::ModeDims(config.full_shape,
-                                          config.pivot_modes);
-  g.side1_dims = dm2td_internal::ModeDims(config.full_shape,
-                                          config.side1_modes);
-  g.side2_dims = dm2td_internal::ModeDims(config.full_shape,
-                                          config.side2_modes);
-  return g;
+  PfPartition partition;
+  partition.pivot_modes = config.pivot_modes;
+  partition.side1_modes = config.side1_modes;
+  partition.side2_modes = config.side2_modes;
+  return dm2td_internal::MakeGeometry(partition, config.full_shape);
 }
 
 std::string MapPhaseOf(const std::string& reduce_phase) {
@@ -514,10 +364,6 @@ std::string MapPhaseOf(const std::string& reduce_phase) {
   const std::size_t pos = map_phase.find("red");
   if (pos != std::string::npos) map_phase.replace(pos, 3, "map");
   return map_phase;
-}
-
-std::string Phase3UpstreamPhase(int mode) {
-  return mode == 0 ? "p2red" : "p3red_" + std::to_string(mode - 1);
 }
 
 Result<std::string> ReadReduceOutput(const io::ShuffleStore& store,
@@ -532,9 +378,6 @@ std::string EncodeTaskFrame(const TaskRequest& task) {
   frame += " " + task.phase;
   frame += " " + std::to_string(task.index);
   frame += " " + std::to_string(task.attempt);
-  frame += " " + std::to_string(task.mode);
-  frame += " " + std::to_string(task.shape.size());
-  for (std::uint64_t d : task.shape) frame += " " + std::to_string(d);
   return frame;
 }
 
@@ -542,18 +385,12 @@ Result<TaskRequest> DecodeTaskFrame(const std::string& frame) {
   std::istringstream in(frame);
   std::string word;
   int is_map = 0;
-  std::size_t nshape = 0;
   TaskRequest task;
-  if (!(in >> word >> is_map >> task.phase >> task.index >> task.attempt >>
-        task.mode >> nshape) ||
+  if (!(in >> word >> is_map >> task.phase >> task.index >> task.attempt) ||
       word != "task") {
     return Status::IOError("malformed task frame '" + frame + "'");
   }
   task.is_map = is_map != 0;
-  task.shape.resize(nshape);
-  for (std::uint64_t& d : task.shape) {
-    if (!(in >> d)) return Status::IOError("malformed task frame shape");
-  }
   return task;
 }
 
@@ -606,53 +443,45 @@ Result<std::vector<TensorCell>> DecodeCells(const std::string& bytes) {
   return cells;
 }
 
-std::string EncodeJoinCells(const std::vector<JoinCell>& cells) {
+std::string EncodePartialCores(const std::vector<PartialCore>& parts) {
   std::size_t size = sizeof(std::uint64_t);
-  for (const JoinCell& cell : cells) {
-    size += sizeof(std::uint32_t) + cell.idx.size() * sizeof(std::uint32_t) +
-            sizeof(double);
+  for (const PartialCore& part : parts) {
+    size += 3 * sizeof(std::uint64_t) + part.values.size() * sizeof(double);
   }
   std::string out;
   out.reserve(size);
-  PutU64(&out, cells.size());
-  for (const JoinCell& cell : cells) {
-    PutU32(&out, static_cast<std::uint32_t>(cell.idx.size()));
-    for (std::uint32_t i : cell.idx) PutU32(&out, i);
-    PutF64(&out, cell.value);
+  PutU64(&out, parts.size());
+  for (const PartialCore& part : parts) {
+    PutU64(&out, part.pivot_key);
+    PutU64(&out, part.join_cells);
+    PutU64(&out, part.values.size());
+    for (double v : part.values) PutF64(&out, v);
   }
   return out;
 }
 
-Result<std::vector<JoinCell>> DecodeJoinCells(const std::string& bytes) {
-  std::vector<JoinCell> cells;
-  M2TD_RETURN_IF_ERROR(ForEachJoinCell(
-      bytes,
-      [&](std::uint64_t count) {
-        cells.reserve(static_cast<std::size_t>(count));
-      },
-      [&](const std::vector<std::uint32_t>& idx, double value) {
-        cells.push_back(JoinCell{idx, value});
-        return Status::OK();
-      }));
-  return cells;
-}
-
-std::string EncodeFiberPairs(const std::vector<FiberPair>& pairs) {
-  std::string out;
-  out.reserve(sizeof(std::uint64_t) + pairs.size() * kFiberPairBytes);
-  PutU64(&out, pairs.size());
-  for (const FiberPair& pair : pairs) {
-    PutU64(&out, pair.key);
-    PutU32(&out, pair.i);
-    PutF64(&out, pair.v);
+Result<std::vector<PartialCore>> DecodePartialCores(const std::string& bytes) {
+  ByteReader reader(bytes);
+  std::uint64_t count = 0;
+  M2TD_RETURN_IF_ERROR(reader.U64(&count));
+  // Smallest record: pivot key + join cells + value count, no values.
+  M2TD_RETURN_IF_ERROR(
+      reader.CheckFits(count, 3 * sizeof(std::uint64_t), "partial core"));
+  std::vector<PartialCore> parts;
+  parts.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t e = 0; e < count; ++e) {
+    PartialCore part;
+    std::uint64_t size = 0;
+    M2TD_RETURN_IF_ERROR(reader.U64(&part.pivot_key));
+    M2TD_RETURN_IF_ERROR(reader.U64(&part.join_cells));
+    M2TD_RETURN_IF_ERROR(reader.U64(&size));
+    M2TD_RETURN_IF_ERROR(
+        reader.CheckFits(size, sizeof(double), "partial core value"));
+    part.values.resize(static_cast<std::size_t>(size));
+    for (double& v : part.values) M2TD_RETURN_IF_ERROR(reader.F64(&v));
+    parts.push_back(std::move(part));
   }
-  return out;
-}
-
-Result<std::vector<FiberPair>> DecodeFiberPairs(const std::string& bytes) {
-  std::vector<FiberPair> pairs;
-  M2TD_RETURN_IF_ERROR(AppendFiberPairs(bytes, &pairs));
-  return pairs;
+  return parts;
 }
 
 std::string EncodeMatrix(const linalg::Matrix& matrix) {

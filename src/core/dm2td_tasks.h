@@ -8,18 +8,16 @@
 // their outputs to the durable io::ShuffleStore, so any task can be
 // replayed on any worker after a death.
 //
-// Phase names: "p1map"/"p1red" (sub-tensor Grams), "p2map"/"p2red"
-// (JE-stitch, sharded by pivot hash), "p3map_<n>"/"p3red_<n>" (TTM for
-// mode n). Map task m of every phase reads split m (fixed split count =
+// Phase names: "p1map"/"p1red" (sub-tensor Grams) and "p2map"/"p2red"
+// (per-pivot core recovery, sharded by pivot hash). Map task m of both
+// phases reads split m of the job's cell file (fixed split count =
 // shards, independent of worker count) and commits one file holding a
 // segment per reduce shard; reduce task r concatenates segment r of the
-// committed map files in map-task order, groups by key, and folds groups
-// in ascending key order. Phase 1 and 2 splits are contiguous ranges of
-// the job input (so phase-2 groups see the global input order); the
-// phase-3 chain never leaves the workers — split m of p3map_<n> is the
-// committed output of reduce task m of the previous phase (p2red or
-// p3red_<n-1>), and ContractFiber orders each fiber itself. Determinism
-// therefore never depends on which worker ran what.
+// committed map files in map-task order — so every group sees the global
+// input order — groups by key, and folds groups in ascending key order.
+// A p2red task emits one partial core per pivot of its shard; the
+// coordinator gathers them and sums them in ascending pivot key.
+// Determinism therefore never depends on which worker ran what.
 
 #include <cstdint>
 #include <string>
@@ -86,24 +84,16 @@ struct TaskRequest {
   std::string phase;
   int index = 0;
   int attempt = 0;
-  /// Phase-3 only: the mode being contracted and the tensor shape at
-  /// this point of the TTM chain (it changes after every mode job).
-  int mode = -1;
-  std::vector<std::uint64_t> shape;
 };
 
-/// "p1red" -> "p1map", "p3red_2" -> "p3map_2": the map phase a reduce
-/// phase consumes.
+/// "p1red" -> "p1map", "p2red" -> "p2map": the map phase a reduce phase
+/// consumes.
 std::string MapPhaseOf(const std::string& reduce_phase);
 
-/// The reduce phase whose committed outputs are the splits of
-/// "p3map_<mode>": "p2red" for mode 0, "p3red_<mode-1>" after it.
-std::string Phase3UpstreamPhase(int mode);
-
-/// Job inputs the coordinator writes once, one segmented file each:
-/// segment m of the cells file is map split m, segment n of the factors
-/// file is mode n's factor, and the zero-join candidate file holds the
-/// side-1 and side-2 key lists.
+/// Job inputs the coordinator writes, one segmented file each: segment m
+/// of the cells file is map split m, segment n of the factors file is
+/// mode n's factor (written after phase 1), and the zero-join candidate
+/// file holds the side-1 and side-2 key lists.
 inline constexpr char kCellsFile[] = "input/cells";
 inline constexpr char kFactorsFile[] = "input/factors";
 inline constexpr char kCandidatesFile[] = "input/candidates";
@@ -115,16 +105,9 @@ Result<std::string> ReadReduceOutput(const io::ShuffleStore& store,
                                      const std::string& phase, int task);
 
 /// Wire form of a task assignment ("task <is_map> <phase> <index>
-/// <attempt> <mode> <nshape> <d0> ..."), carried as one frame payload.
+/// <attempt>"), carried as one frame payload.
 std::string EncodeTaskFrame(const TaskRequest& task);
 Result<TaskRequest> DecodeTaskFrame(const std::string& frame);
-
-/// A (key, i_n, value) record of the phase-3 shuffle.
-struct FiberPair {
-  std::uint64_t key = 0;
-  std::uint32_t i = 0;
-  double v = 0.0;
-};
 
 // Little-endian binary record codecs for the shuffle segments. Decoders
 // check every length prefix against the bytes that remain (without
@@ -136,12 +119,10 @@ std::string EncodeCells(const dm2td_internal::TensorCell* cells,
 std::string EncodeCells(const std::vector<dm2td_internal::TensorCell>& cells);
 Result<std::vector<dm2td_internal::TensorCell>> DecodeCells(
     const std::string& bytes);
-std::string EncodeJoinCells(
-    const std::vector<dm2td_internal::JoinCell>& cells);
-Result<std::vector<dm2td_internal::JoinCell>> DecodeJoinCells(
+std::string EncodePartialCores(
+    const std::vector<dm2td_internal::PartialCore>& parts);
+Result<std::vector<dm2td_internal::PartialCore>> DecodePartialCores(
     const std::string& bytes);
-std::string EncodeFiberPairs(const std::vector<FiberPair>& pairs);
-Result<std::vector<FiberPair>> DecodeFiberPairs(const std::string& bytes);
 std::string EncodeGramPieces(
     const std::vector<dm2td_internal::GramPiece>& pieces);
 Result<std::vector<dm2td_internal::GramPiece>> DecodeGramPieces(
@@ -154,9 +135,8 @@ Result<std::vector<std::uint64_t>> DecodeU64List(const std::string& bytes);
 /// Executes one task against the store: reads inputs, computes via the
 /// shared dm2td_internal bodies, durably writes + commits its output file
 /// (whose header records how many records the task emitted). DataLoss
-/// from a corrupted upstream output — a map task's shard segment read by
-/// a reducer, or a reduce task's output read by a phase-3 mapper —
-/// carries a "[task <phase>:<m>]" marker naming the producer (see
+/// from a corrupted map output read by a reducer carries a
+/// "[task <phase>:<m>]" marker naming the producer (see
 /// ShuffleStore::ReadSegment), so the coordinator re-executes it instead
 /// of retrying the poisoned file.
 Status RunDistTask(const io::ShuffleStore& store,

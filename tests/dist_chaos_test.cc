@@ -1,7 +1,8 @@
 // Worker-death chaos tests of the multi-process D-M2TD backend
-// (ctest -L chaos): SIGKILL one worker in each of the three phases —
-// mid-map, mid-shuffle-write, mid-reduce — and assert the recovered run
-// is bit-identical to the thread backend at worker counts 1, 2 and 4.
+// (ctest -L chaos): SIGKILL one worker in each map and reduce stage of
+// both phases — mid-map, mid-shuffle-write, mid-reduce — and assert the
+// recovered run is bit-identical to the thread backend at worker counts
+// 1, 2 and 4.
 //
 // Kill schedules are deterministic, not timing-based: the coordinator's
 // DistProcessOptions::event_hook fires inline on every scheduling event,
@@ -184,31 +185,32 @@ TEST_F(DistChaosTest, KillDuringPhase2ReduceIsRecoveredBitIdentical) {
   EXPECT_GE(deaths, 1u);
 }
 
-TEST_F(DistChaosTest, KillDuringPhase3TtmIsRecoveredBitIdentical) {
+TEST_F(DistChaosTest, KillDuringPhase1ReduceIsRecoveredBitIdentical) {
   ChaosSleepScope sleep(100);
   std::uint64_t deaths = 0;
-  auto result = RunProcess(4, "p3map_0", 1, &deaths);
+  auto result = RunProcess(4, "p1red", 1, &deaths);
   ASSERT_TRUE(result.ok()) << result.status();
-  ExpectBitIdentical(*result, baseline_, "kill p3map_0");
+  ExpectBitIdentical(*result, baseline_, "kill p1red");
   EXPECT_GE(deaths, 1u);
 }
 
 TEST_F(DistChaosTest, RepeatedKillsAcrossPhasesStayBitIdentical) {
-  // One run, three kills: the first assignment of each phase family
-  // loses its worker. Survivor picks everything up; results unchanged.
+  // One run, three kills: the first assignment of p1map, p2red and p2map
+  // each loses its worker. Survivor picks everything up; results
+  // unchanged.
   ChaosSleepScope sleep(50);
   core::DM2tdOptions options = BaseOptions();
   options.backend = core::DistBackend::kProcess;
   options.num_workers = 4;
   options.process.worker_binary = M2TD_WORKER_BIN;
   options.process.job_dir = (root_ / "multi").string();
-  bool killed_p1 = false, killed_p2 = false, killed_p3 = false;
+  bool killed_p1map = false, killed_p2red = false, killed_p2map = false;
   options.process.event_hook = [&](const core::DistEvent& event) {
     if (event.kind != "assign") return;
     bool* flag = nullptr;
-    if (event.phase == "p1map") flag = &killed_p1;
-    if (event.phase == "p2red") flag = &killed_p2;
-    if (event.phase == "p3red_1") flag = &killed_p3;
+    if (event.phase == "p1map") flag = &killed_p1map;
+    if (event.phase == "p2red") flag = &killed_p2red;
+    if (event.phase == "p2map") flag = &killed_p2map;
     if (flag == nullptr || *flag) return;
     ::kill(event.pid, SIGKILL);
     *flag = true;
@@ -216,8 +218,8 @@ TEST_F(DistChaosTest, RepeatedKillsAcrossPhasesStayBitIdentical) {
   auto result = core::DM2tdDecompose(subs_, partition_,
                                      model_->space().Shape(), options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(killed_p1 && killed_p2 && killed_p3);
-  ExpectBitIdentical(*result, baseline_, "kill p1+p2+p3");
+  EXPECT_TRUE(killed_p1map && killed_p2red && killed_p2map);
+  ExpectBitIdentical(*result, baseline_, "kill p1map+p2red+p2map");
   EXPECT_GE(result->dist.worker_deaths, 3u);
 }
 

@@ -20,6 +20,7 @@
 #include <initializer_list>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -29,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dm2td.h"
+#include "core/dm2td_internal.h"
 #include "core/dm2td_tasks.h"
 #include "core/m2td.h"
 #include "core/pf_partition.h"
@@ -36,6 +38,7 @@
 #include "io/chunk_store.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
+#include "mapreduce/engine.h"
 #include "mapreduce/wire.h"
 #include "obs/metrics.h"
 #include "robust/crc32.h"
@@ -368,23 +371,21 @@ TEST_F(DistTest, CellCodecRoundtrip) {
   EXPECT_EQ((*decoded)[1].value, -2.25e-8);
 }
 
-TEST_F(DistTest, JoinCellAndFiberCodecRoundtrip) {
-  std::vector<core::dm2td_internal::JoinCell> cells;
-  cells.push_back({{1, 2, 3, 4, 5}, 0.125});
-  auto join = tasks::DecodeJoinCells(tasks::EncodeJoinCells(cells));
-  ASSERT_TRUE(join.ok());
-  ASSERT_EQ(join->size(), 1u);
-  EXPECT_EQ((*join)[0].idx, cells[0].idx);
-  EXPECT_EQ((*join)[0].value, 0.125);
-
-  std::vector<tasks::FiberPair> pairs = {{42u, 3u, -1.0},
-                                         {7u, 0u, 0.5}};
-  auto fibers = tasks::DecodeFiberPairs(tasks::EncodeFiberPairs(pairs));
-  ASSERT_TRUE(fibers.ok());
-  ASSERT_EQ(fibers->size(), 2u);
-  EXPECT_EQ((*fibers)[0].key, 42u);
-  EXPECT_EQ((*fibers)[0].i, 3u);
-  EXPECT_EQ((*fibers)[0].v, -1.0);
+TEST_F(DistTest, PartialCoreCodecRoundtrip) {
+  std::vector<core::dm2td_internal::PartialCore> parts;
+  parts.push_back({7u, 12u, {0.125, -3.5e-9, 0.0, 1e300}});
+  parts.push_back({1ull << 40, 0u, {}});
+  auto decoded = tasks::DecodePartialCores(tasks::EncodePartialCores(parts));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_EQ(decoded->size(), 2u);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ((*decoded)[i].pivot_key, parts[i].pivot_key);
+    EXPECT_EQ((*decoded)[i].join_cells, parts[i].join_cells);
+    EXPECT_EQ((*decoded)[i].values, parts[i].values);
+  }
+  auto empty = tasks::DecodePartialCores(tasks::EncodePartialCores({}));
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty->empty());
 }
 
 TEST_F(DistTest, GramAndMatrixCodecRoundtrip) {
@@ -419,6 +420,16 @@ TEST_F(DistTest, TruncatedRecordIsIOError) {
   auto decoded = tasks::DecodeCells(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
+
+  // Every proper prefix of a partial-core blob is an IOError.
+  const std::string parts = tasks::EncodePartialCores(
+      {{3u, 4u, {1.0, 2.0}}, {5u, 6u, {-1.0, 0.5}}});
+  for (std::size_t size = 0; size < parts.size(); ++size) {
+    auto truncated = tasks::DecodePartialCores(parts.substr(0, size));
+    ASSERT_FALSE(truncated.ok()) << size << " bytes";
+    EXPECT_EQ(truncated.status().code(), StatusCode::kIOError)
+        << size << " bytes";
+  }
 }
 
 // Length prefixes that claim more than the blob holds must come back as
@@ -462,65 +473,136 @@ TEST_F(DistTest, HostileLengthPrefixesAreIOError) {
   const std::string cells =
       U64Bytes({1}) + U32Bytes({1, 0xfffffff0u}) + U64Bytes({0, 0});
   EXPECT_NO_THROW(ExpectIOError(tasks::DecodeCells(cells), "cells"));
-  const std::string join =
-      U64Bytes({1}) + U32Bytes({0xfffffff0u}) + U64Bytes({0, 0});
-  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeJoinCells(join), "join cells"));
+  // A partial core claiming 2^61 values (2^64 bytes, wrapping to 0) or
+  // just more than remain must not size its value vector.
+  const std::string wrapping = U64Bytes({1, 7, 3, 1ull << 61, 0});
+  EXPECT_NO_THROW(
+      ExpectIOError(tasks::DecodePartialCores(wrapping), "partial core"));
+  const std::string long_core = U64Bytes({1, 7, 3, 2, 0});
+  EXPECT_NO_THROW(
+      ExpectIOError(tasks::DecodePartialCores(long_core), "partial core"));
 
   // Record counts larger than the blob could hold.
   const std::string many = U64Bytes({~0ull, 0, 0, 0});
   EXPECT_NO_THROW(ExpectIOError(tasks::DecodeCells(many), "cell count"));
   EXPECT_NO_THROW(
-      ExpectIOError(tasks::DecodeJoinCells(many), "join cell count"));
-  EXPECT_NO_THROW(
-      ExpectIOError(tasks::DecodeFiberPairs(many), "fiber pair count"));
+      ExpectIOError(tasks::DecodePartialCores(many), "partial core count"));
   EXPECT_NO_THROW(
       ExpectIOError(tasks::DecodeGramPieces(many), "gram piece count"));
 }
 
-// ContractFiber orders the fiber itself, so any arrival order gives the
-// same cells, bit for bit, as the ascending-i_n order.
-TEST_F(DistTest, ContractFiberIsOrderInvariant) {
+// The per-pivot body runs once per pivot group wherever the group lands,
+// and partial cores are summed in ascending pivot key, so neither the
+// shard a pivot hashes to, nor the order shards are gathered in, nor the
+// worker count moves a bit of the core or its join-cell count.
+TEST_F(DistTest, PivotBodyIsShardAndWorkerInvariant) {
+  namespace internal = core::dm2td_internal;
+  // Pivot mode 1 sits between the side modes, so partial cores scatter
+  // into the core's original mode order.
+  core::PfPartition partition;
+  partition.pivot_modes = {1};
+  partition.side1_modes = {0};
+  partition.side2_modes = {2, 3};
+  const std::vector<std::uint64_t> full_shape = {5, 6, 3, 4};
+  const std::vector<std::size_t> ranks = {2, 3, 2, 2};
+  const internal::JobGeometry geometry =
+      internal::MakeGeometry(partition, full_shape);
   Rng rng(11);
-  const std::size_t rows = 9, rank = 4;
-  linalg::Matrix factor(rows, rank);
-  for (double& v : factor.mutable_data()) v = rng.Gaussian();
-  std::vector<std::pair<std::uint32_t, double>> sorted;
-  for (std::uint32_t i = 0; i < rows; ++i) {
-    // Magnitudes spread over many octaves make the sum order-sensitive.
-    sorted.emplace_back(i, rng.Gaussian() * std::ldexp(1.0, 3 * (i % 7)));
+  std::vector<linalg::Matrix> factors;
+  for (std::size_t m = 0; m < full_shape.size(); ++m) {
+    factors.emplace_back(full_shape[m], ranks[m]);
+    for (double& v : factors.back().mutable_data()) v = rng.Gaussian();
   }
-  // Mode 1 of a 3-mode tensor with extents {5, rows, 6}: key 17 names
-  // the fiber at (2, :, 5).
-  const std::vector<std::uint64_t> other_dims = {5, 6};
-  const std::vector<std::size_t> other_modes = {0, 2};
-  auto contract = [&](std::vector<std::pair<std::uint32_t, double>> fiber) {
-    std::vector<core::dm2td_internal::JoinCell> out;
-    core::dm2td_internal::ContractFiber(17, &fiber, factor, 1, other_dims,
-                                        other_modes, 3, &out);
-    return out;
-  };
-  const auto expected = contract(sorted);
-  ASSERT_EQ(expected.size(), rank);
-  for (std::size_t j = 0; j < rank; ++j) {
-    EXPECT_EQ(expected[j].idx,
-              (std::vector<std::uint32_t>{2, static_cast<std::uint32_t>(j),
-                                          5}));
-    double acc = 0.0;
-    for (const auto& [i, v] : sorted) acc += factor(i, j) * v;
-    EXPECT_EQ(expected[j].value, acc) << "rank " << j;
-  }
-
-  std::vector<std::pair<std::uint32_t, double>> permuted = sorted;
-  std::reverse(permuted.begin(), permuted.end());
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto got = contract(permuted);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t j = 0; j < got.size(); ++j) {
-      EXPECT_EQ(got[j].idx, expected[j].idx);
-      EXPECT_EQ(got[j].value, expected[j].value) << "trial " << trial;
+  // A sparse, ragged sample: some pivots have cells on one side only.
+  // Magnitudes spread over many octaves make every sum order-sensitive.
+  std::vector<internal::TensorCell> cells;
+  for (std::uint32_t p = 0; p < 6; ++p) {
+    for (std::uint32_t a = 0; a < 5; ++a) {
+      if (p != 4 && rng.UniformDouble() < 0.6) {
+        cells.push_back({1, {p, a},
+                         rng.Gaussian() * std::ldexp(1.0, 3 * (a % 7))});
+      }
     }
-    for (std::size_t k = permuted.size(); k > 1; --k) {
-      std::swap(permuted[k - 1], permuted[rng.UniformInt(k)]);
+    for (std::uint32_t b = 0; b < 12; ++b) {
+      if (p != 2 && rng.UniformDouble() < 0.5) {
+        cells.push_back({2, {p, b / 4, b % 4},
+                         rng.Gaussian() * std::ldexp(1.0, 2 * (b % 9))});
+      }
+    }
+  }
+  auto pivot_of = [&](const internal::TensorCell& cell) {
+    return internal::PivotKey(cell.idx, geometry.pivot_dims);
+  };
+
+  for (bool zero_join : {false, true}) {
+    SCOPED_TRACE(zero_join ? "zero-join" : "join");
+    std::vector<std::uint64_t> cand1, cand2;
+    if (zero_join) {
+      internal::GatherZeroJoinCandidates(cells, geometry, &cand1, &cand2);
+    }
+    auto builder = internal::PivotCoreBuilder::Create(geometry, factors,
+                                                      zero_join, cand1, cand2);
+    ASSERT_TRUE(builder.ok()) << builder.status();
+    // One p2red task: its pivots in ascending key, cells in input order.
+    auto reduce_shard = [&](int shards, int r) {
+      std::map<std::uint64_t, std::vector<internal::TensorCell>> groups;
+      for (const internal::TensorCell& cell : cells) {
+        const std::uint64_t key = pivot_of(cell);
+        if (static_cast<int>(key % shards) == r) groups[key].push_back(cell);
+      }
+      std::vector<internal::PartialCore> parts;
+      for (const auto& [key, group] : groups) {
+        EXPECT_TRUE(builder->Build(key, group, &parts).ok());
+      }
+      return parts;
+    };
+    auto sum = [&](std::vector<internal::PartialCore> parts,
+                   std::uint64_t* join_nnz) {
+      *join_nnz = 0;
+      auto core = internal::SumPartialCores(&parts, factors, join_nnz);
+      EXPECT_TRUE(core.ok()) << core.status();
+      return core.ok() ? core->data() : std::vector<double>();
+    };
+
+    std::uint64_t expected_nnz = 0;
+    const std::vector<double> expected = sum(reduce_shard(1, 0),
+                                             &expected_nnz);
+    EXPECT_GT(expected_nnz, 0u);
+    for (int shards : {2, 3, 5, 8}) {
+      for (bool reversed : {false, true}) {
+        std::vector<internal::PartialCore> parts;
+        for (int i = 0; i < shards; ++i) {
+          for (auto& part : reduce_shard(shards, reversed ? shards - 1 - i : i)) {
+            parts.push_back(std::move(part));
+          }
+        }
+        std::uint64_t nnz = 0;
+        EXPECT_EQ(sum(std::move(parts), &nnz), expected)
+            << shards << " shards, reversed " << reversed;
+        EXPECT_EQ(nnz, expected_nnz);
+      }
+    }
+    for (int workers : {1, 2, 4}) {
+      mapreduce::JobSpec<internal::TensorCell, std::uint64_t,
+                         internal::TensorCell, internal::PartialCore>
+          job;
+      job.num_workers = workers;
+      job.mapper = [&](const internal::TensorCell& cell,
+                       mapreduce::Emitter<std::uint64_t,
+                                          internal::TensorCell>* emitter) {
+        emitter->Emit(pivot_of(cell), cell);
+      };
+      job.reducer = [&](const std::uint64_t& key,
+                        std::vector<internal::TensorCell>& group,
+                        std::vector<internal::PartialCore>* out) {
+        EXPECT_TRUE(builder->Build(key, group, out).ok());
+      };
+      auto parts = mapreduce::RunJob(job, cells);
+      ASSERT_TRUE(parts.ok()) << parts.status();
+      std::uint64_t nnz = 0;
+      EXPECT_EQ(sum(std::move(*parts), &nnz), expected)
+          << workers << " workers";
+      EXPECT_EQ(nnz, expected_nnz);
     }
   }
 }
@@ -528,19 +610,16 @@ TEST_F(DistTest, ContractFiberIsOrderInvariant) {
 TEST_F(DistTest, TaskFrameRoundtrip) {
   tasks::TaskRequest task;
   task.is_map = false;
-  task.phase = "p3red_2";
+  task.phase = "p2red";
   task.index = 5;
   task.attempt = 3;
-  task.mode = 2;
-  task.shape = {4, 4, 2, 2, 4};
+  EXPECT_EQ(tasks::EncodeTaskFrame(task), "task 0 p2red 5 3");
   auto decoded = tasks::DecodeTaskFrame(tasks::EncodeTaskFrame(task));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_FALSE(decoded->is_map);
-  EXPECT_EQ(decoded->phase, "p3red_2");
+  EXPECT_EQ(decoded->phase, "p2red");
   EXPECT_EQ(decoded->index, 5);
   EXPECT_EQ(decoded->attempt, 3);
-  EXPECT_EQ(decoded->mode, 2);
-  EXPECT_EQ(decoded->shape, task.shape);
 
   EXPECT_FALSE(tasks::DecodeTaskFrame("quit").ok());
   EXPECT_FALSE(tasks::DecodeTaskFrame("task 1 p1map").ok());
@@ -570,7 +649,7 @@ TEST_F(DistTest, JobConfigRoundtrip) {
   EXPECT_TRUE(loaded->zero_join);
 
   EXPECT_EQ(tasks::MapPhaseOf("p1red"), "p1map");
-  EXPECT_EQ(tasks::MapPhaseOf("p3red_4"), "p3map_4");
+  EXPECT_EQ(tasks::MapPhaseOf("p2red"), "p2map");
 }
 
 // --------------------------------------------- heartbeat lease semantics
@@ -817,15 +896,11 @@ void ExpectSameRecordCounts(const core::DM2tdResult& a,
 /// The kept job dir of a clean run holds exactly the job config, the
 /// input files, each worker's exports and one committed file per task of
 /// every phase: no per-task or per-attempt directory and no uncommitted
-/// `.tmp`. Phase-3 splits are the upstream reducers' outputs, so there
-/// are no per-mode input files either.
+/// `.tmp`.
 void ExpectOneFilePerTask(const std::string& job_dir, int workers,
-                          int shards, std::size_t num_modes) {
-  std::vector<std::string> phases = {"p1map", "p1red", "p2map", "p2red"};
-  for (std::size_t n = 0; n < num_modes; ++n) {
-    phases.push_back("p3map_" + std::to_string(n));
-    phases.push_back("p3red_" + std::to_string(n));
-  }
+                          int shards) {
+  const std::vector<std::string> phases = {"p1map", "p1red", "p2map",
+                                           "p2red"};
   std::set<std::string> expected_files = {"job.m2td", "input/cells",
                                           "input/factors"};
   for (int k = 0; k < workers; ++k) {
@@ -895,8 +970,7 @@ TEST_F(DistTest, WorkerAndShardSweepIsBitIdentical) {
       ASSERT_TRUE(process_result.ok()) << process_result.status();
       ExpectBitIdentical(*process_result, *baseline);
       ExpectSameRecordCounts(*process_result, *baseline, label);
-      ExpectOneFilePerTask(options.process.job_dir, workers, shards,
-                           model->space().Shape().size());
+      ExpectOneFilePerTask(options.process.job_dir, workers, shards);
     }
   }
 }

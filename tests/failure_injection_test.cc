@@ -187,9 +187,9 @@ TEST_F(FailureInjectionTest, CorruptedShuffleChunkTriggersMapReexecution) {
   EXPECT_EQ(result->tucker.core.data(), thread_result->tucker.core.data());
 }
 
-// The phase-3 mappers of mode 0 read the committed p2red outputs
-// directly. A rotted p2red output must be traced back to its reduce
-// task, which is re-executed while the mapper waits.
+// The coordinator gathers the committed p2red outputs (the per-pivot
+// partial cores). A rotted p2red output must be traced back to its reduce
+// task, which is re-executed before the gather reads it again.
 TEST_F(FailureInjectionTest, CorruptedReduceOutputTriggersProducerReexecution) {
   ensemble::ModelOptions model_options;
   model_options.parameter_resolution = 4;
@@ -220,7 +220,7 @@ TEST_F(FailureInjectionTest, CorruptedReduceOutputTriggersProducerReexecution) {
       reexecuted.push_back(event.phase + ":" + std::to_string(event.task));
     }
     // After every p2red task committed, rot one byte of one committed
-    // reduce output: the p3map_0 task reading it must hit a CRC mismatch.
+    // reduce output: the coordinator's gather must hit a CRC mismatch.
     if (corrupted || event.kind != "stage_done" || event.phase != "p2red") {
       return;
     }
@@ -237,6 +237,68 @@ TEST_F(FailureInjectionTest, CorruptedReduceOutputTriggersProducerReexecution) {
   EXPECT_EQ(result->dist.worker_deaths, 0u);
   ASSERT_EQ(reexecuted.size(), 1u);
   EXPECT_EQ(reexecuted[0].rfind("p2red:", 0), 0u) << reexecuted[0];
+
+  // Recovery must be invisible in the output.
+  EXPECT_EQ(result->join_nnz, thread_result->join_nnz);
+  EXPECT_EQ(result->tucker.core.data(), thread_result->tucker.core.data());
+  ASSERT_EQ(result->tucker.factors.size(), thread_result->tucker.factors.size());
+  for (std::size_t n = 0; n < result->tucker.factors.size(); ++n) {
+    EXPECT_EQ(result->tucker.factors[n].data(),
+              thread_result->tucker.factors[n].data())
+        << "factor " << n;
+  }
+}
+
+// The coordinator's own read of the phase-1 Gram outputs gets the same
+// culprit recovery as a worker's read: a rotted p1red output re-executes
+// that reduce task instead of failing the run.
+TEST_F(FailureInjectionTest, CorruptedGramOutputTriggersProducerReexecution) {
+  ensemble::ModelOptions model_options;
+  model_options.parameter_resolution = 4;
+  model_options.time_resolution = 4;
+  model_options.dt = 0.01;
+  model_options.record_every = 5;
+  auto model = ensemble::MakeDoublePendulumModel(model_options);
+  ASSERT_TRUE(model.ok());
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model->get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+
+  core::DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  auto thread_result = core::DM2tdDecompose(
+      *subs, *partition, (*model)->space().Shape(), options);
+  ASSERT_TRUE(thread_result.ok()) << thread_result.status();
+
+  options.backend = core::DistBackend::kProcess;
+  options.num_workers = 2;
+  options.process.worker_binary = M2TD_WORKER_BIN;
+  options.process.job_dir = Path("job");
+  bool corrupted = false;
+  std::vector<std::string> reexecuted;
+  options.process.event_hook = [&](const core::DistEvent& event) {
+    if (event.kind == "map_reexec") {
+      reexecuted.push_back(event.phase + ":" + std::to_string(event.task));
+    }
+    // After every p1red task committed, rot one byte of one committed
+    // Gram output: the coordinator's gather must hit a CRC mismatch.
+    if (corrupted || event.kind != "stage_done" || event.phase != "p1red") {
+      return;
+    }
+    const auto target = FirstSegmentPayloadByte(Path("job"), "p1red");
+    ASSERT_TRUE(target.has_value());
+    ASSERT_TRUE(FlipByte(*target));
+    corrupted = true;
+  };
+  auto result = core::DM2tdDecompose(*subs, *partition,
+                                     (*model)->space().Shape(), options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(corrupted);
+  EXPECT_EQ(result->dist.map_reexecutions, 1u);
+  EXPECT_EQ(result->dist.worker_deaths, 0u);
+  ASSERT_EQ(reexecuted.size(), 1u);
+  EXPECT_EQ(reexecuted[0].rfind("p1red:", 0), 0u) << reexecuted[0];
 
   // Recovery must be invisible in the output.
   EXPECT_EQ(result->join_nnz, thread_result->join_nnz);

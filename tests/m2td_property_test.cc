@@ -2,7 +2,9 @@
 // for every combination of resolution, rank, pivot choice, pivot count,
 // stitching mode, and method — parameterized gtest over the cross product.
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/pf_partition.h"
 #include "ensemble/simulation_model.h"
 #include "linalg/matrix.h"
+#include "tensor/ttm.h"
 #include "tensor/tucker.h"
 #include "util/random.h"
 
@@ -169,6 +172,119 @@ INSTANTIATE_TEST_SUITE_P(
           break;
       }
       return name + (std::get<1>(info.param) ? "ZeroJoin" : "Join");
+    });
+
+// ----------------------------------------------------------------------
+// Sweep 3: D-M2TD's per-pivot core recovery against the join oracle. The
+// core must match JeStitch + CoreFromSparse over the same factors to
+// 1e-12 relative (max-abs error over the core's max-abs), with an equal
+// join_nnz, for every method, plain and zero-join stitching, a leading,
+// an interleaved and a two-mode pivot, on both backends. The ensemble is
+// sub-sampled, and one pivot configuration is dropped from each side, so
+// some pivots exist on one side only.
+
+enum class PivotLayout { kLeading, kInterleaved, kTwoModes };
+using OracleParam = std::tuple<M2tdMethod, bool, PivotLayout, DistBackend>;
+
+/// `sub` without the cells of pivot configuration `pivot_key` (pivot modes
+/// are the first `k` modes of a sub-tensor).
+tensor::SparseTensor DropPivot(const tensor::SparseTensor& sub, std::size_t k,
+                               std::uint64_t pivot_key) {
+  tensor::SparseTensor out(sub.shape());
+  std::vector<std::uint32_t> idx(sub.num_modes());
+  for (std::uint64_t e = 0; e < sub.NumNonZeros(); ++e) {
+    std::uint64_t key = 0;
+    for (std::size_t m = 0; m < sub.num_modes(); ++m) {
+      idx[m] = sub.Index(m, e);
+      if (m < k) key = key * sub.dim(m) + idx[m];
+    }
+    if (key != pivot_key) out.AppendEntry(idx, sub.Value(e));
+  }
+  out.SortAndCoalesce();
+  return out;
+}
+
+class DistributedCoreOracle : public ::testing::TestWithParam<OracleParam> {};
+
+TEST_P(DistributedCoreOracle, CoreMatchesJoinOracle) {
+  const auto [method, zero_join, layout, backend] = GetParam();
+  auto model = TinyModel(5);
+  const std::vector<std::size_t> pivots =
+      layout == PivotLayout::kLeading       ? std::vector<std::size_t>{0}
+      : layout == PivotLayout::kInterleaved ? std::vector<std::size_t>{2}
+                                            : std::vector<std::size_t>{1, 3};
+  auto partition = MakePartition(5, pivots);
+  ASSERT_TRUE(partition.ok());
+  SubEnsembleOptions sub_options;
+  sub_options.cell_density = 0.6;
+  auto subs = BuildSubEnsembles(model.get(), *partition, sub_options);
+  ASSERT_TRUE(subs.ok());
+  const std::size_t k = pivots.size();
+  subs->x1 = DropPivot(subs->x1, k, 1);
+  subs->x2 = DropPivot(subs->x2, k, 3);
+
+  DM2tdOptions options;
+  options.method = method;
+  options.ranks = std::vector<std::uint64_t>(5, 3);
+  options.stitch.zero_join = zero_join;
+  options.num_workers = 2;
+  options.backend = backend;
+  if (backend == DistBackend::kProcess) {
+    options.num_shards = 3;
+    options.process.worker_binary = M2TD_WORKER_BIN;
+  }
+  const std::vector<std::uint64_t> shape = model->space().Shape();
+  auto dist = DM2tdDecompose(*subs, *partition, shape, options);
+  ASSERT_TRUE(dist.ok()) << dist.status();
+
+  auto join = JeStitch(*subs, *partition, shape, options.stitch);
+  ASSERT_TRUE(join.ok()) << join.status();
+  auto oracle = tensor::CoreFromSparse(*join, dist->tucker.factors);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+
+  EXPECT_EQ(dist->join_nnz, join->NumNonZeros());
+  ASSERT_EQ(dist->tucker.core.shape(), oracle->shape());
+  double max_abs = 0.0, max_err = 0.0;
+  for (std::uint64_t i = 0; i < oracle->NumElements(); ++i) {
+    max_abs = std::max(max_abs, std::abs(oracle->flat(i)));
+    max_err = std::max(max_err,
+                       std::abs(dist->tucker.core.flat(i) - oracle->flat(i)));
+  }
+  ASSERT_GT(max_abs, 0.0);
+  EXPECT_LE(max_err, 1e-12 * max_abs) << "max_err " << max_err
+                                      << ", max_abs " << max_abs;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, DistributedCoreOracle,
+    ::testing::Combine(::testing::Values(M2tdMethod::kAvg,
+                                         M2tdMethod::kConcat,
+                                         M2tdMethod::kSelect,
+                                         M2tdMethod::kWeighted),
+                       ::testing::Bool(),
+                       ::testing::Values(PivotLayout::kLeading,
+                                         PivotLayout::kInterleaved,
+                                         PivotLayout::kTwoModes),
+                       ::testing::Values(DistBackend::kThread,
+                                         DistBackend::kProcess)),
+    [](const auto& info) {
+      std::string name = M2tdMethodName(std::get<0>(info.param));
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      name += std::get<1>(info.param) ? "_ZeroJoin" : "_Join";
+      switch (std::get<2>(info.param)) {
+        case PivotLayout::kLeading:
+          name += "_Pivot0";
+          break;
+        case PivotLayout::kInterleaved:
+          name += "_Pivot2";
+          break;
+        case PivotLayout::kTwoModes:
+          name += "_Pivots13";
+          break;
+      }
+      return name + (std::get<3>(info.param) == DistBackend::kThread
+                         ? "_Thread"
+                         : "_Process");
     });
 
 // ----------------------------------------------------------------------

@@ -287,7 +287,8 @@ int RunDm2td(int argc, const char* const* argv) {
   double speculative_floor_ms = 250.0;
 
   FlagParser parser(
-      "m2td_cli dm2td: run the three-phase distributed D-M2TD pipeline");
+      "m2td_cli dm2td: run the distributed D-M2TD pipeline (Grams, "
+      "per-pivot partial cores, core assembly)");
   parser.AddString("system", "double_pendulum | triple_pendulum | lorenz",
                    &system);
   parser.AddString("backend",
@@ -434,8 +435,8 @@ int RunDm2td(int argc, const char* const* argv) {
             << " ms\n"
             << "phase 2:     " << result->phase2.TotalSeconds() * 1e3
             << " ms\n"
-            << "phase 3:     " << result->phase3.TotalSeconds() * 1e3
-            << " ms\n"
+            << "core asm:    " << result->phase3.TotalSeconds() * 1e3
+            << " ms (phase 3: partial-core gather + sum)\n"
             << "accuracy:    " << accuracy << "\n";
   if (backend == "process") {
     std::cout << "heartbeats:  " << result->dist.heartbeats << "\n"
@@ -817,7 +818,7 @@ void PrintTopLevelUsage() {
       "m2td_cli <command> [flags]\n"
       "commands:\n"
       "  experiment  score a sampling+decomposition scheme vs ground truth\n"
-      "  dm2td       three-phase distributed D-M2TD (--backend=thread |\n"
+      "  dm2td       distributed D-M2TD (--backend=thread |\n"
       "              process; process spawns --workers m2td_worker\n"
       "              processes with a durable shuffle and worker-death\n"
       "              recovery — see --worker_heartbeat_ms, --task_lease_ms,\n"
