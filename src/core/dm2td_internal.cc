@@ -1,7 +1,6 @@
 #include "core/dm2td_internal.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "linalg/svd.h"
@@ -228,57 +227,43 @@ Result<std::vector<linalg::Matrix>> AssembleFactors(
     std::vector<GramPiece> pieces, const PfPartition& partition,
     const std::vector<std::uint64_t>& full_shape,
     const DM2tdOptions& options) {
-  std::unordered_map<std::uint64_t, linalg::Matrix> grams;
-  for (GramPiece& piece : pieces) {
-    grams[static_cast<std::uint64_t>(piece.kappa) * 64 + piece.sub_mode] =
-        std::move(piece.gram);
-  }
-  const std::size_t num_modes = full_shape.size();
   const std::size_t k = partition.pivot_modes.size();
-  auto gram_of = [&grams](int kappa,
-                          std::size_t sub_mode) -> Result<linalg::Matrix*> {
-    auto it = grams.find(static_cast<std::uint64_t>(kappa) * 64 + sub_mode);
-    if (it == grams.end()) {
-      return Status::Internal("missing Gram piece from phase 1");
+  // grams[kappa - 1][sub_mode]: a sub-tensor's pivot modes, then its side.
+  std::vector<linalg::Matrix> grams[2] = {
+      std::vector<linalg::Matrix>(k + partition.side1_modes.size()),
+      std::vector<linalg::Matrix>(k + partition.side2_modes.size())};
+  for (GramPiece& piece : pieces) {
+    if ((piece.kappa == 1 || piece.kappa == 2) &&
+        piece.sub_mode < grams[piece.kappa - 1].size()) {
+      grams[piece.kappa - 1][piece.sub_mode] = std::move(piece.gram);
     }
-    return &it->second;
-  };
-
-  std::vector<linalg::Matrix> factors(num_modes);
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t mode = partition.pivot_modes[i];
-    const std::size_t rank = static_cast<std::size_t>(
-        std::min<std::uint64_t>(options.ranks[mode], full_shape[mode]));
-    M2TD_ASSIGN_OR_RETURN(linalg::Matrix * g1, gram_of(1, i));
-    M2TD_ASSIGN_OR_RETURN(linalg::Matrix * g2, gram_of(2, i));
-    if (options.method == M2tdMethod::kConcat) {
-      const linalg::Matrix sum = linalg::LinearCombination(1.0, *g1, 1.0, *g2);
-      M2TD_ASSIGN_OR_RETURN(factors[mode],
-                            linalg::LeftSingularVectorsFromGram(sum, rank));
-    } else {
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix u1,
-                            linalg::LeftSingularVectorsFromGram(*g1, rank));
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix u2,
-                            linalg::LeftSingularVectorsFromGram(*g2, rank));
-      if (options.method == M2tdMethod::kAvg) {
-        factors[mode] = linalg::LinearCombination(0.5, u1, 0.5, u2);
-      } else if (options.method == M2tdMethod::kWeighted) {
-        M2TD_ASSIGN_OR_RETURN(factors[mode], RowWeightedBlend(u1, u2));
-      } else {
-        M2TD_ASSIGN_OR_RETURN(factors[mode], RowSelect(u1, u2));
+  }
+  for (const std::vector<linalg::Matrix>& side : grams) {
+    for (const linalg::Matrix& gram : side) {
+      if (gram.rows() == 0) {
+        return Status::Internal("missing Gram piece from phase 1");
       }
     }
   }
-  for (int side = 1; side <= 2; ++side) {
+
+  std::vector<linalg::Matrix> factors(full_shape.size());
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t mode = partition.pivot_modes[i];
+    M2TD_ASSIGN_OR_RETURN(factors[mode],
+                          CombinePivotFactor(options.method, grams[0][i],
+                                             grams[1][i], options.ranks[mode],
+                                             {}, {}));
+  }
+  for (int side = 0; side < 2; ++side) {
     const std::vector<std::size_t>& side_modes =
-        (side == 1) ? partition.side1_modes : partition.side2_modes;
+        side == 0 ? partition.side1_modes : partition.side2_modes;
     for (std::size_t i = 0; i < side_modes.size(); ++i) {
       const std::size_t mode = side_modes[i];
       const std::size_t rank = static_cast<std::size_t>(
           std::min<std::uint64_t>(options.ranks[mode], full_shape[mode]));
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix * gram, gram_of(side, k + i));
-      M2TD_ASSIGN_OR_RETURN(factors[mode],
-                            linalg::LeftSingularVectorsFromGram(*gram, rank));
+      M2TD_ASSIGN_OR_RETURN(
+          factors[mode],
+          linalg::LeftSingularVectorsFromGram(grams[side][k + i], rank));
     }
   }
   return factors;
@@ -288,13 +273,8 @@ Status ValidateDm2tdArgs(const SubEnsembles& subs,
                          const PfPartition& partition,
                          const std::vector<std::uint64_t>& full_shape,
                          const DM2tdOptions& options) {
-  const std::size_t num_modes = full_shape.size();
-  if (partition.NumModes() != num_modes) {
-    return Status::InvalidArgument("partition does not match full shape");
-  }
-  if (options.ranks.size() != num_modes) {
-    return Status::InvalidArgument("one rank per original mode required");
-  }
+  M2TD_RETURN_IF_ERROR(
+      ValidatePartitionAndRanks(partition, full_shape, options.ranks));
   if (!subs.x1.IsSorted() || !subs.x2.IsSorted()) {
     return Status::InvalidArgument("DM2TD requires coalesced sub-tensors");
   }

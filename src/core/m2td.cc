@@ -62,31 +62,54 @@ Result<linalg::Matrix> RowWeightedBlend(const linalg::Matrix& u1,
   return out;
 }
 
-namespace {
-
-/// Factor matrix of sub-tensor `sub` along its own mode `m`, at rank
-/// clamped to the mode length, solved under the configured init policy
-/// (deterministic Gram + Jacobi or sketched range finder).
-Result<linalg::Matrix> SubFactor(const tensor::SparseTensor& sub,
-                                 std::size_t m, std::uint64_t rank,
-                                 const linalg::GramFactorOptions& init) {
-  M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram, tensor::ModeGram(sub, m));
-  const std::size_t k =
-      static_cast<std::size_t>(std::min<std::uint64_t>(rank, sub.dim(m)));
-  return linalg::GramFactor(gram, k, init);
+Status ValidatePartitionAndRanks(const PfPartition& partition,
+                                 const std::vector<std::uint64_t>& full_shape,
+                                 const std::vector<std::uint64_t>& ranks) {
+  if (partition.NumModes() != full_shape.size()) {
+    return Status::InvalidArgument("partition does not match full shape");
+  }
+  if (ranks.size() != full_shape.size()) {
+    return Status::InvalidArgument("one rank per original mode required");
+  }
+  if (std::find(ranks.begin(), ranks.end(), 0) != ranks.end()) {
+    return Status::InvalidArgument("every rank must be at least 1");
+  }
+  return Status::OK();
 }
+
+Result<linalg::Matrix> CombinePivotFactor(
+    M2tdMethod method, const linalg::Matrix& gram1,
+    const linalg::Matrix& gram2, std::uint64_t rank,
+    const linalg::GramFactorOptions& init1,
+    const linalg::GramFactorOptions& init2) {
+  if (gram1.rows() != gram2.rows() || gram1.cols() != gram2.cols()) {
+    return Status::InvalidArgument(
+        "pivot Grams of the two sub-tensors differ in shape");
+  }
+  const std::size_t k = static_cast<std::size_t>(
+      std::min<std::uint64_t>(rank, gram1.rows()));
+  if (method == M2tdMethod::kConcat) {
+    return linalg::GramFactor(
+        linalg::LinearCombination(1.0, gram1, 1.0, gram2), k, init1);
+  }
+  M2TD_ASSIGN_OR_RETURN(linalg::Matrix u1, linalg::GramFactor(gram1, k, init1));
+  M2TD_ASSIGN_OR_RETURN(linalg::Matrix u2, linalg::GramFactor(gram2, k, init2));
+  if (method == M2tdMethod::kAvg) {
+    return linalg::LinearCombination(0.5, u1, 0.5, u2);
+  }
+  if (method == M2tdMethod::kWeighted) return RowWeightedBlend(u1, u2);
+  return RowSelect(u1, u2);
+}
+
+namespace {
 
 Result<M2tdResult> M2tdDecomposeImpl(
     const SubEnsembles& subs, const PfPartition& partition,
     const std::vector<std::uint64_t>& full_shape,
     const M2tdOptions& options) {
+  M2TD_RETURN_IF_ERROR(
+      ValidatePartitionAndRanks(partition, full_shape, options.ranks));
   const std::size_t num_modes = full_shape.size();
-  if (partition.NumModes() != num_modes) {
-    return Status::InvalidArgument("partition does not match full shape");
-  }
-  if (options.ranks.size() != num_modes) {
-    return Status::InvalidArgument("one rank per original mode required");
-  }
   const std::size_t k = partition.pivot_modes.size();
 
   M2tdResult result;
@@ -103,49 +126,33 @@ Result<M2tdResult> M2tdDecomposeImpl(
 
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t mode = partition.pivot_modes[i];
-    const std::uint64_t rank = options.ranks[mode];
     M2TD_TRACE_SCOPE("combine_pivot_factor");
-    linalg::Matrix combined;
-    if (options.method == M2tdMethod::kConcat) {
-      // Gram of the concatenated matricization [X1_(n) | X2_(n)].
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix g1, tensor::ModeGram(subs.x1, i));
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix g2, tensor::ModeGram(subs.x2, i));
-      const linalg::Matrix sum = linalg::LinearCombination(1.0, g1, 1.0, g2);
-      const std::size_t rk = static_cast<std::size_t>(
-          std::min<std::uint64_t>(rank, full_shape[mode]));
+    M2TD_ASSIGN_OR_RETURN(linalg::Matrix g1, tensor::ModeGram(subs.x1, i));
+    M2TD_ASSIGN_OR_RETURN(linalg::Matrix g2, tensor::ModeGram(subs.x2, i));
+    // The two sub-tensors draw decorrelated sketches: offset x2's stream
+    // past every original mode index so no (sub, mode) pair shares a seed.
+    M2TD_ASSIGN_OR_RETURN(
+        factors[mode],
+        CombinePivotFactor(options.method, g1, g2, options.ranks[mode],
+                           options.init.ForMode(mode),
+                           options.init.ForMode(mode + num_modes)));
+  }
+  // A side mode's factor comes from its own sub-tensor's Gram, at rank
+  // clamped to the mode length.
+  for (int side = 0; side < 2; ++side) {
+    const tensor::SparseTensor& sub = side == 0 ? subs.x1 : subs.x2;
+    const std::vector<std::size_t>& side_modes =
+        side == 0 ? partition.side1_modes : partition.side2_modes;
+    for (std::size_t i = 0; i < side_modes.size(); ++i) {
+      const std::size_t mode = side_modes[i];
+      M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram,
+                            tensor::ModeGram(sub, k + i));
       M2TD_ASSIGN_OR_RETURN(
-          combined, linalg::GramFactor(sum, rk, options.init.ForMode(mode)));
-    } else {
-      // The two sub-tensors draw decorrelated sketches: offset x2's stream
-      // past every original mode index so no (sub, mode) pair shares a seed.
-      M2TD_ASSIGN_OR_RETURN(
-          linalg::Matrix u1,
-          SubFactor(subs.x1, i, rank, options.init.ForMode(mode)));
-      M2TD_ASSIGN_OR_RETURN(
-          linalg::Matrix u2,
-          SubFactor(subs.x2, i, rank,
-                    options.init.ForMode(mode + num_modes)));
-      if (options.method == M2tdMethod::kAvg) {
-        combined = linalg::LinearCombination(0.5, u1, 0.5, u2);
-      } else if (options.method == M2tdMethod::kWeighted) {
-        M2TD_ASSIGN_OR_RETURN(combined, RowWeightedBlend(u1, u2));
-      } else {
-        M2TD_ASSIGN_OR_RETURN(combined, RowSelect(u1, u2));
-      }
+          factors[mode],
+          linalg::GramFactor(
+              gram, std::min<std::uint64_t>(options.ranks[mode], gram.rows()),
+              options.init.ForMode(mode + side * num_modes)));
     }
-    factors[mode] = std::move(combined);
-  }
-  for (std::size_t i = 0; i < partition.side1_modes.size(); ++i) {
-    const std::size_t mode = partition.side1_modes[i];
-    M2TD_ASSIGN_OR_RETURN(
-        factors[mode], SubFactor(subs.x1, k + i, options.ranks[mode],
-                                 options.init.ForMode(mode)));
-  }
-  for (std::size_t i = 0; i < partition.side2_modes.size(); ++i) {
-    const std::size_t mode = partition.side2_modes[i];
-    M2TD_ASSIGN_OR_RETURN(
-        factors[mode], SubFactor(subs.x2, k + i, options.ranks[mode],
-                                 options.init.ForMode(mode + num_modes)));
   }
   result.timings.sub_decompose_seconds = sub_span.End();
 

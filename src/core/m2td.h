@@ -86,6 +86,28 @@ Result<linalg::Matrix> RowSelect(const linalg::Matrix& u1,
 Result<linalg::Matrix> RowWeightedBlend(const linalg::Matrix& u1,
                                         const linalg::Matrix& u2);
 
+/// \brief The argument checks every M2TD pipeline shares: `partition`
+/// covers the modes of `full_shape`, and `ranks` holds one rank of at
+/// least 1 per original mode. InvalidArgument otherwise.
+Status ValidatePartitionAndRanks(const PfPartition& partition,
+                                 const std::vector<std::uint64_t>& full_shape,
+                                 const std::vector<std::uint64_t>& ranks);
+
+/// \brief The factor of one pivot mode from the two sub-tensors' Grams
+/// along it, combined per `method`, at `rank` clamped to the mode length.
+///
+/// kConcat solves the summed Gram (that of [X1_(n) | X2_(n)]) under
+/// `init1`. The other methods solve `gram1` under `init1` and `gram2` under
+/// `init2`, then combine the two factors row by row: kAvg averages them,
+/// kSelect applies RowSelect and kWeighted RowWeightedBlend. In-memory
+/// M2TD and both D-M2TD backends build every pivot factor here.
+/// InvalidArgument when the Grams differ in shape.
+Result<linalg::Matrix> CombinePivotFactor(
+    M2tdMethod method, const linalg::Matrix& gram1,
+    const linalg::Matrix& gram2, std::uint64_t rank,
+    const linalg::GramFactorOptions& init1,
+    const linalg::GramFactorOptions& init2);
+
 /// \brief Multi-Task Tensor Decomposition: the Tucker decomposition of the
 /// join tensor obtained from the two sub-ensemble decompositions
 /// (Algorithms 2-4).

@@ -438,6 +438,9 @@ Result<tensor::SparseTensor> BuildConventionalEnsembleRobust(
           kept = true;
           break;
         }
+        // A simulation interrupted by cancellation failed for no reason of
+        // its own: drop the in-flight batch instead of journaling it short.
+        M2TD_RETURN_IF_ERROR(robust::CheckCancelled());
         ++rep->failed_simulations;
         obs::GetCounter("robust.ensemble_failed_fibers").Add(1);
         if (rep->replacement_draws >= options.max_replacement_draws ||

@@ -90,7 +90,9 @@ struct EnsembleBuildReport {
 /// them. Replacement draws consume `rng`, so a *resumed* run only replays
 /// the recorded batches bit-identically — its later replacement draws may
 /// differ from an uninterrupted run's (the budget guarantee still holds).
-/// The `ensemble.batch` failpoint fires once per freshly simulated batch.
+/// Cancellation returns kCancelled at the next batch boundary, or at once
+/// when it interrupts a simulation, whose batch is then not journaled. The
+/// `ensemble.batch` failpoint fires once per freshly simulated batch.
 Result<tensor::SparseTensor> BuildConventionalEnsembleRobust(
     SimulationModel* model, ConventionalScheme scheme, std::uint64_t budget,
     Rng* rng, const EnsembleBuildOptions& options = {},

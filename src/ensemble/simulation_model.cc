@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "obs/metrics.h"
+#include "robust/cancel.h"
 #include "robust/failpoint.h"
 #include "sim/lorenz.h"
 #include "sim/pendulum.h"
@@ -43,17 +44,22 @@ std::uint64_t DynamicalSystemModel::ParamLinearIndex(
   return linear;
 }
 
-const sim::Trajectory& DynamicalSystemModel::GetTrajectory(
+const sim::Trajectory* DynamicalSystemModel::GetTrajectory(
     const std::vector<std::uint32_t>& indices) {
   const std::uint64_t key = ParamLinearIndex(indices);
   auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+  if (it != cache_.end()) return &it->second;
 
   std::vector<double> params(space_.num_modes() - 1);
   for (std::size_t m = 1; m < space_.num_modes(); ++m) {
     params[m - 1] = space_.Value(m, indices[m]);
   }
   Result<sim::Trajectory> trajectory = factory_(params);
+  if (!trajectory.ok() && robust::IsCancellation(trajectory.status())) {
+    // Cancelled, not failed: nothing is cached or counted, so a later run
+    // simulates these parameters again. This call's fiber still reads NaN.
+    return nullptr;
+  }
   ++simulations_run_;
   const Status injected = robust::CheckFailpoint("sim.trajectory");
   if (!trajectory.ok() || !injected.ok()) {
@@ -75,16 +81,17 @@ const sim::Trajectory& DynamicalSystemModel::GetTrajectory(
                 ? 0
                 : reference_.observables.front().size(),
             std::numeric_limits<double>::quiet_NaN()));
-    return cache_.emplace(key, std::move(poisoned)).first->second;
+    return &cache_.emplace(key, std::move(poisoned)).first->second;
   }
-  return cache_.emplace(key, std::move(trajectory).ValueOrDie())
+  return &cache_.emplace(key, std::move(trajectory).ValueOrDie())
       .first->second;
 }
 
 double DynamicalSystemModel::Cell(const std::vector<std::uint32_t>& indices) {
   M2TD_CHECK(indices.size() == space_.num_modes());
-  const sim::Trajectory& trajectory = GetTrajectory(indices);
-  return sim::ObservableDistance(trajectory, reference_, indices[0]);
+  const sim::Trajectory* trajectory = GetTrajectory(indices);
+  if (trajectory == nullptr) return std::numeric_limits<double>::quiet_NaN();
+  return sim::ObservableDistance(*trajectory, reference_, indices[0]);
 }
 
 namespace {

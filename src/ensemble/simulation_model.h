@@ -87,7 +87,9 @@ class DynamicalSystemModel : public SimulationModel {
   std::uint64_t ParamLinearIndex(
       const std::vector<std::uint32_t>& indices) const;
 
-  const sim::Trajectory& GetTrajectory(
+  /// The memoized trajectory for `indices`' parameters; null when its
+  /// simulation was cancelled (not cached, so a later call simulates again).
+  const sim::Trajectory* GetTrajectory(
       const std::vector<std::uint32_t>& indices);
 
   std::string name_;

@@ -113,11 +113,7 @@ Result<CheckpointJournal> CheckpointJournal::Open(
       // still yields it, so validate the shape and drop anything odd.
       if (token != "mark") continue;
       std::string key;
-      if (!(fields >> key)) continue;
-      std::string value;
-      std::getline(fields, value);
-      if (!value.empty() && value.front() == ' ') value.erase(0, 1);
-      journal.marks_[key] = value;
+      if (fields >> key) journal.marks_.insert(key);
     }
     if (!header_ok) {
       return Status::DataLoss("journal '" + path + "' has no valid header");
@@ -137,36 +133,25 @@ Result<CheckpointJournal> CheckpointJournal::Open(
   return journal;
 }
 
-Status CheckpointJournal::Mark(const std::string& key,
-                               const std::string& value) {
+Status CheckpointJournal::Mark(const std::string& key) {
   if (key.empty() || key.find_first_of(" \t\n\r") != std::string::npos) {
     return Status::InvalidArgument(
         "journal keys must be non-empty whitespace-free tokens");
-  }
-  if (value.find_first_of("\n\r") != std::string::npos) {
-    return Status::InvalidArgument("journal values must be single-line");
   }
   std::ofstream out(JournalPath(), std::ios::app);
   if (!out) {
     return Status::IOError("cannot append to journal '" + JournalPath() +
                            "'");
   }
-  out << "mark " << key;
-  if (!value.empty()) out << " " << value;
-  out << "\n";
+  out << "mark " << key << "\n";
   out.flush();
   if (!out) {
     return Status::IOError("journal append failed for '" + JournalPath() +
                            "'");
   }
-  marks_[key] = value;
+  marks_.insert(key);
   obs::GetCounter("robust.checkpoint_marks").Add(1);
   return Status::OK();
-}
-
-std::string CheckpointJournal::ValueOf(const std::string& key) const {
-  auto it = marks_.find(key);
-  return it == marks_.end() ? std::string() : it->second;
 }
 
 }  // namespace m2td::robust

@@ -2,7 +2,7 @@
 #define M2TD_ROBUST_CHECKPOINT_H_
 
 #include <cstdint>
-#include <map>
+#include <set>
 #include <string>
 
 #include "util/result.h"
@@ -16,8 +16,8 @@ namespace m2td::robust {
 ///
 ///   m2td-journal 1
 ///   fingerprint <token>
-///   mark <key> [value...]
-///   mark <key> [value...]
+///   mark <key>
+///   mark <key>
 ///   ...
 ///
 /// Progress is recorded by appending `mark` lines (flushed per mark); large
@@ -31,10 +31,6 @@ namespace m2td::robust {
 /// ...). Open() refuses a journal whose fingerprint differs from the
 /// caller's — resuming under a different configuration would silently mix
 /// incompatible partial results.
-///
-/// Re-marking a key overwrites its in-memory value (last mark wins), which
-/// lets sequential phases publish monotonically advancing progress under a
-/// stable key (e.g. "ooc.core_snapshot").
 class CheckpointJournal {
  public:
   /// Opens (creating the directory and journal as needed). When a journal
@@ -45,13 +41,11 @@ class CheckpointJournal {
                                         bool resume);
 
   /// Appends and flushes one mark.
-  Status Mark(const std::string& key, const std::string& value = "");
+  Status Mark(const std::string& key);
 
   bool Contains(const std::string& key) const {
     return marks_.find(key) != marks_.end();
   }
-  /// Latest value marked for `key` ("" when absent or valueless).
-  std::string ValueOf(const std::string& key) const;
   std::size_t NumMarks() const { return marks_.size(); }
 
   const std::string& directory() const { return directory_; }
@@ -71,7 +65,7 @@ class CheckpointJournal {
 
   std::string directory_;
   std::string fingerprint_;
-  std::map<std::string, std::string> marks_;
+  std::set<std::string> marks_;
 };
 
 }  // namespace m2td::robust

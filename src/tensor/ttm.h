@@ -96,7 +96,7 @@ Result<DenseTensor> CoreFromDense(const DenseTensor& x,
 
 /// Reconstruction X~ = G ×_1 U^(1) ×_2 ... ×_N U^(N). The intermediates
 /// *grow* toward the full shape here, so peak memory is ~2x the full
-/// tensor; see io/out_of_core.h when that does not fit.
+/// tensor; tensor::ReconstructCell reads single cells without it.
 Result<DenseTensor> ExpandCore(const DenseTensor& core,
                                const std::vector<linalg::Matrix>& factors);
 

@@ -8,7 +8,9 @@
 // raises SIGINT — at exactly the k-th open of a named phase span, so
 // "cancel during the 3rd HOOI sweep" is reproducible, not timing-based.
 // Because there is a single process-wide listener slot, these tests never
-// run a watchdog concurrently with an armed trigger.
+// run a watchdog concurrently with an armed trigger. The checkpointed
+// ensemble-build tests trigger from a counting model wrapper instead: it
+// cancels (or raises SIGINT) at exactly the k-th evaluated cell.
 
 #include <algorithm>
 #include <atomic>
@@ -27,10 +29,9 @@
 
 #include "core/dm2td.h"
 #include "core/m2td.h"
-#include "core/ooc_m2td.h"
 #include "core/pf_partition.h"
+#include "ensemble/sampling.h"
 #include "ensemble/simulation_model.h"
-#include "io/chunk_store.h"
 #include "mapreduce/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -38,6 +39,7 @@
 #include "robust/cancel.h"
 #include "robust/failpoint.h"
 #include "robust/retry.h"
+#include "same_tensor.h"
 #include "tensor/hooi.h"
 #include "tensor/sparse_tensor.h"
 #include "tensor/tucker.h"
@@ -138,26 +140,104 @@ tensor::SparseTensor RandomSparse(const std::vector<std::uint64_t>& shape,
   return x;
 }
 
-void ExpectBitIdentical(const core::M2tdResult& got,
-                        const core::M2tdResult& want) {
-  EXPECT_EQ(got.join_nnz, want.join_nnz);
-  ASSERT_EQ(got.tucker.core.shape(), want.tucker.core.shape());
-  for (std::uint64_t i = 0; i < want.tucker.core.NumElements(); ++i) {
-    EXPECT_EQ(got.tucker.core.flat(i), want.tucker.core.flat(i))
-        << "core[" << i << "]";
+// ------------------------------------- counting-model ensemble triggers
+
+/// Delegates to `inner` and, at the `at`-th Cell call (1-based), cancels
+/// `source` — or raises a real SIGINT when `source` is null — before that
+/// cell is evaluated. Ensemble builds evaluate a fiber's cells one after
+/// another and simulate on the first, so with `at` on a fiber's first cell
+/// the trigger lands inside that fiber's simulation.
+class TriggeringModel : public ensemble::SimulationModel {
+ public:
+  TriggeringModel(ensemble::SimulationModel* inner, std::uint64_t at,
+                  robust::CancelSource* source)
+      : inner_(inner), at_(at), source_(source) {}
+
+  const ensemble::ParameterSpace& space() const override {
+    return inner_->space();
   }
-  ASSERT_EQ(got.tucker.factors.size(), want.tucker.factors.size());
-  for (std::size_t m = 0; m < want.tucker.factors.size(); ++m) {
-    const linalg::Matrix& fa = want.tucker.factors[m];
-    const linalg::Matrix& fb = got.tucker.factors[m];
-    ASSERT_EQ(fb.rows(), fa.rows());
-    ASSERT_EQ(fb.cols(), fa.cols());
-    for (std::size_t i = 0; i < fa.rows(); ++i) {
-      for (std::size_t j = 0; j < fa.cols(); ++j) {
-        EXPECT_EQ(fb(i, j), fa(i, j)) << "factor " << m;
+  std::size_t time_mode() const override { return inner_->time_mode(); }
+  double Cell(const std::vector<std::uint32_t>& indices) override {
+    if (++calls_ == at_) {
+      if (source_ != nullptr) {
+        source_->Cancel(robust::CancelCause::kCancelled);
+      } else {
+        std::raise(SIGINT);
       }
     }
+    return inner_->Cell(indices);
   }
+  std::uint64_t SimulationsRun() const override {
+    return inner_->SimulationsRun();
+  }
+  const std::string& name() const override { return inner_->name(); }
+
+ private:
+  ensemble::SimulationModel* inner_;
+  std::uint64_t at_;
+  robust::CancelSource* source_;
+  std::uint64_t calls_ = 0;
+};
+
+/// The checkpointed build the ensemble chaos tests interrupt: 12 random
+/// simulations in batches of 4 over a double pendulum whose trajectories
+/// run 80 RK4 steps, long enough for the integrator's own cancellation
+/// check (every 64 steps) to fire inside a simulation.
+constexpr std::uint64_t kEnsembleBudget = 12;
+constexpr std::uint64_t kEnsembleSeed = 17;
+constexpr std::uint32_t kTimeResolution = 5;
+/// First cell of fiber 5, the second fiber of batch 1: batch 0 is
+/// journaled by then, batch 1 is in flight.
+constexpr std::uint64_t kTriggerCell = 5 * kTimeResolution + 1;
+
+std::unique_ptr<ensemble::DynamicalSystemModel> LongTrajectoryModel() {
+  ensemble::ModelOptions options;
+  options.parameter_resolution = 4;
+  options.time_resolution = kTimeResolution;
+  options.record_every = 20;
+  auto model = ensemble::MakeDoublePendulumModel(options);
+  EXPECT_TRUE(model.ok());
+  return std::move(model).ValueOrDie();
+}
+
+Result<tensor::SparseTensor> BuildCheckpointedEnsemble(
+    ensemble::SimulationModel* model, const std::string& checkpoint_dir,
+    bool resume, ensemble::EnsembleBuildReport* report = nullptr) {
+  ensemble::EnsembleBuildOptions options;
+  options.batch_size = 4;
+  options.checkpoint_dir = checkpoint_dir;
+  options.resume = resume;
+  Rng rng(kEnsembleSeed);
+  return ensemble::BuildConventionalEnsembleRobust(
+      model, ensemble::ConventionalScheme::kRandom, kEnsembleBudget, &rng,
+      options, report);
+}
+
+/// The uninterrupted, uncheckpointed build with the same seed, on a model
+/// instance of its own.
+tensor::SparseTensor ReferenceEnsemble() {
+  auto model = LongTrajectoryModel();
+  Rng rng(kEnsembleSeed);
+  auto reference = ensemble::BuildConventionalEnsemble(
+      model.get(), ensemble::ConventionalScheme::kRandom, kEnsembleBudget,
+      &rng);
+  EXPECT_TRUE(reference.ok()) << reference.status();
+  return std::move(reference).ValueOrDie();
+}
+
+/// Resumes the interrupted build on `model` and checks it restored exactly
+/// the one journaled batch and reproduces the reference value for value.
+void ExpectResumeMatchesReference(ensemble::SimulationModel* model,
+                                  const std::string& checkpoint_dir) {
+  ensemble::EnsembleBuildReport report;
+  auto resumed =
+      BuildCheckpointedEnsemble(model, checkpoint_dir, /*resume=*/true,
+                                &report);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(report.batches_resumed, 1u);
+  EXPECT_EQ(report.failed_simulations, 0u);
+  EXPECT_EQ(report.simulations_kept, kEnsembleBudget);
+  ExpectSameSparseTensor(*resumed, ReferenceEnsemble());
 }
 
 // --------------------------------------- deterministic mid-phase cancels
@@ -199,50 +279,26 @@ TEST_F(ChaosTest, ExpiredDeadlineFailsPipelineUpFront) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST_F(ChaosTest, OocCancelMidSlabFlushesCheckpointThenResumesBitIdentical) {
-  auto model = PendulumModel(5);
-  auto partition = core::MakePartition(5, {0});
-  ASSERT_TRUE(partition.ok());
-  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
-  ASSERT_TRUE(subs.ok());
-  auto store1 =
-      io::ChunkStore::Create(Path("s1"), subs->x1.shape(), {2, 2, 2});
-  auto store2 =
-      io::ChunkStore::Create(Path("s2"), subs->x2.shape(), {2, 2, 2});
-  ASSERT_TRUE(store1.ok() && store2.ok());
-  ASSERT_TRUE(store1->Write(subs->x1).ok());
-  ASSERT_TRUE(store2->Write(subs->x2).ok());
-
-  core::M2tdOptions options;
-  options.ranks = std::vector<std::uint64_t>(5, 2);
-  auto uninterrupted = core::M2tdDecomposeFromStores(
-      *store1, *store2, *partition, model->space().Shape(), options);
-  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status();
-
-  // Cancel at the open of the 4th pivot slab (of 5). The drain path must
-  // flush a snapshot covering the three completed slabs before returning.
-  core::OocCheckpointOptions checkpoint;
-  checkpoint.checkpoint_dir = Path("ckpt");
-  checkpoint.checkpoint_every = 2;
+TEST_F(ChaosTest, EnsembleBuildCancelMidBatchKeepsJournalAndResumesBitIdentical) {
+  // Cancel inside batch 1's second simulation. The interrupted simulation
+  // fails because of the cancellation, not because of its parameters: the
+  // build must return kCancelled without journaling the short batch, and
+  // the model must not remember the simulation as failed.
+  auto model = LongTrajectoryModel();
   robust::CancelSource source;
   {
-    SpanTrigger trigger("pivot_slab", /*at=*/4, &source);
+    TriggeringModel trigger(model.get(), kTriggerCell, &source);
     robust::CancelScope scope(source.token());
-    auto cancelled = core::M2tdDecomposeFromStores(
-        *store1, *store2, *partition, model->space().Shape(), options,
-        checkpoint);
+    ensemble::EnsembleBuildReport report;
+    auto cancelled = BuildCheckpointedEnsemble(&trigger, Path("ckpt"),
+                                               /*resume=*/false, &report);
     ASSERT_FALSE(cancelled.ok());
     EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(report.failed_simulations, 0u);
+    EXPECT_EQ(report.replacement_draws, 0u);
   }
-
-  obs::GetCounter("robust.ooc_resumes").Reset();
-  checkpoint.resume = true;
-  auto resumed = core::M2tdDecomposeFromStores(
-      *store1, *store2, *partition, model->space().Shape(), options,
-      checkpoint);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_EQ(obs::GetCounter("robust.ooc_resumes").value(), 1u);
-  ExpectBitIdentical(*resumed, *uninterrupted);
+  // Same process, same model instance, cancellation cleared.
+  ExpectResumeMatchesReference(model.get(), Path("ckpt"));
 }
 
 TEST_F(ChaosTest, MapReduceCancelMidMapDrainsWithoutRetrying) {
@@ -331,27 +387,21 @@ TEST_F(ChaosTest, SeededScheduleSoakNeverHangsOrMiscounts) {
 // ------------------------------------------------ SIGINT graceful drain
 
 /// Child body for the SIGINT-drain subprocess test: raises a real SIGINT
-/// at the open of the 4th pivot slab, expects the installed handler +
-/// cooperative checks to drain the run into a flushed checkpoint, then
+/// inside batch 1's second simulation, expects the installed handler +
+/// cooperative checks to drain the build with batch 0 journaled, then
 /// exits 42 on success (any other exit code pinpoints the failed step).
-void RunSigintDrainChild(const io::ChunkStore& store1,
-                         const io::ChunkStore& store2,
-                         const core::PfPartition& partition,
-                         const std::vector<std::uint64_t>& full_shape,
-                         const core::M2tdOptions& options,
-                         const core::OocCheckpointOptions& checkpoint) {
+void RunSigintDrainChild(const std::string& checkpoint_dir) {
   robust::CancelSource source;
   if (!robust::InstallCancelOnSignal(source)) _exit(3);
-  SpanTrigger trigger("pivot_slab", /*at=*/4, nullptr, /*raise_sigint=*/true);
+  auto model = LongTrajectoryModel();
+  TriggeringModel trigger(model.get(), kTriggerCell, /*source=*/nullptr);
   robust::CancelScope scope(source.token());
-  auto result = core::M2tdDecomposeFromStores(store1, store2, partition,
-                                              full_shape, options,
-                                              checkpoint);
+  auto result =
+      BuildCheckpointedEnsemble(&trigger, checkpoint_dir, /*resume=*/false);
   if (result.ok()) _exit(4);  // the signal should have cancelled the run
   if (result.status().code() != StatusCode::kCancelled) _exit(5);
-  if (!std::filesystem::exists(
-          std::filesystem::path(checkpoint.checkpoint_dir) /
-          "journal.m2td")) {
+  if (!std::filesystem::exists(std::filesystem::path(checkpoint_dir) /
+                               "journal.m2td")) {
     _exit(6);  // drain must leave a valid journal behind
   }
   _exit(42);
@@ -364,44 +414,14 @@ TEST_F(ChaosTest, SigintDrainFlushesJournalAndResumeIsBitIdentical) {
   const int previous_threads = parallel::GlobalThreads();
   parallel::SetGlobalThreads(1);
 
-  auto model = PendulumModel(5);
-  auto partition = core::MakePartition(5, {0});
-  ASSERT_TRUE(partition.ok());
-  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
-  ASSERT_TRUE(subs.ok());
-  auto store1 =
-      io::ChunkStore::Create(Path("s1"), subs->x1.shape(), {2, 2, 2});
-  auto store2 =
-      io::ChunkStore::Create(Path("s2"), subs->x2.shape(), {2, 2, 2});
-  ASSERT_TRUE(store1.ok() && store2.ok());
-  ASSERT_TRUE(store1->Write(subs->x1).ok());
-  ASSERT_TRUE(store2->Write(subs->x2).ok());
-
-  core::M2tdOptions options;
-  options.ranks = std::vector<std::uint64_t>(5, 2);
-  auto uninterrupted = core::M2tdDecomposeFromStores(
-      *store1, *store2, *partition, model->space().Shape(), options);
-  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status();
-
-  core::OocCheckpointOptions checkpoint;
-  checkpoint.checkpoint_dir = Path("ckpt");
-  checkpoint.checkpoint_every = 2;
-  EXPECT_EXIT(RunSigintDrainChild(*store1, *store2, *partition,
-                                  model->space().Shape(), options,
-                                  checkpoint),
+  EXPECT_EXIT(RunSigintDrainChild(Path("ckpt")),
               ::testing::ExitedWithCode(42), "");
 
-  // The checkpoint the child flushed on SIGINT lives on the shared
-  // filesystem; resuming from it must reproduce the uninterrupted run
-  // bit for bit.
-  obs::GetCounter("robust.ooc_resumes").Reset();
-  checkpoint.resume = true;
-  auto resumed = core::M2tdDecomposeFromStores(
-      *store1, *store2, *partition, model->space().Shape(), options,
-      checkpoint);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_EQ(obs::GetCounter("robust.ooc_resumes").value(), 1u);
-  ExpectBitIdentical(*resumed, *uninterrupted);
+  // The journal the child flushed on SIGINT lives on the shared
+  // filesystem; resuming from it must reproduce the uninterrupted build
+  // value for value.
+  auto model = LongTrajectoryModel();
+  ExpectResumeMatchesReference(model.get(), Path("ckpt"));
 
   parallel::SetGlobalThreads(previous_threads);
 }

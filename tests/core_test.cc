@@ -402,6 +402,20 @@ TEST(M2tdTest, Validation) {
       M2tdDecompose(*subs, *partition, model->space().Shape(), options).ok());
 }
 
+TEST(M2tdTest, ZeroRankIsInvalidArgument) {
+  auto model = SmallModel();
+  auto partition = MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+  M2tdOptions options;
+  options.ranks = {2, 2, 0, 2, 2};
+  auto result =
+      M2tdDecompose(*subs, *partition, model->space().Shape(), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ----------------------------------------------------------------- DM2TD
 
 TEST(DM2tdTest, MatchesLocalM2td) {
@@ -512,6 +526,31 @@ TEST(DM2tdTest, ReportsPhaseStats) {
   EXPECT_GT(result->phase2.intermediate_pairs, 0u);
   EXPECT_GT(result->phase3.intermediate_pairs, 0u);
   EXPECT_GE(result->TotalSeconds(), 0.0);
+}
+
+void ExpectZeroRankRejected(DistBackend backend) {
+  auto model = SmallModel();
+  auto partition = MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+  DM2tdOptions options;
+  options.ranks = {2, 2, 0, 2, 2};
+  options.num_workers = 1;
+  options.backend = backend;
+  options.process.worker_binary = M2TD_WORKER_BIN;
+  auto result =
+      DM2tdDecompose(*subs, *partition, model->space().Shape(), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DM2tdTest, ZeroRankIsInvalidArgumentOnThreadBackend) {
+  ExpectZeroRankRejected(DistBackend::kThread);
+}
+
+TEST(DM2tdTest, ZeroRankIsInvalidArgumentOnProcessBackend) {
+  ExpectZeroRankRejected(DistBackend::kProcess);
 }
 
 // ------------------------------------------------------------- Experiment

@@ -8,7 +8,6 @@
 #include "linalg/matrix.h"
 #include "tensor/dense_tensor.h"
 #include "tensor/sparse_tensor.h"
-#include "tensor/streaming.h"
 
 namespace m2td {
 namespace {
@@ -44,11 +43,6 @@ TEST(DeathTest, FindBeforeCoalesceAborts) {
 TEST(DeathTest, OversizedDenseTensorAborts) {
   EXPECT_DEATH(tensor::DenseTensor({1u << 16, 1u << 16}),
                "too large|overflow");
-}
-
-TEST(DeathTest, StreamingGramOutOfRangeAborts) {
-  tensor::StreamingGram streaming({3, 3});
-  EXPECT_DEATH(streaming.Add({3, 0}, 1.0), "out of range");
 }
 
 TEST(DeathTest, TableRowArityMismatchAborts) {

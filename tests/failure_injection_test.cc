@@ -19,7 +19,6 @@
 #include "core/pf_partition.h"
 #include "ensemble/simulation_model.h"
 #include "io/chunk_store.h"
-#include "io/out_of_core.h"
 #include "io/tensor_io.h"
 #include "linalg/eigen.h"
 #include "linalg/svd.h"
@@ -82,9 +81,6 @@ TEST_F(FailureInjectionTest, DeletedChunkBlobSurfacesIOError) {
   auto all = store->ReadAll();
   ASSERT_FALSE(all.ok());
   EXPECT_EQ(all.status().code(), StatusCode::kIOError);
-  // Out-of-core HOSVD propagates the same failure instead of producing a
-  // silently wrong decomposition.
-  EXPECT_FALSE(io::HosvdFromStore(*store, {2, 2}).ok());
 }
 
 TEST_F(FailureInjectionTest, TruncatedBinaryBlobRejected) {

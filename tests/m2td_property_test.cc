@@ -141,6 +141,16 @@ TEST_P(M2tdMethodEquivalence, DistributedMatchesLocal) {
   ASSERT_TRUE(dist.ok());
 
   EXPECT_EQ(dist->join_nnz, local->join_nnz);
+  // Both pipelines combine pivot factors in CombinePivotFactor, so the
+  // factors themselves agree, not only the reconstructions.
+  ASSERT_EQ(dist->tucker.factors.size(), local->tucker.factors.size());
+  for (std::size_t m = 0; m < local->tucker.factors.size(); ++m) {
+    const linalg::Matrix& a = local->tucker.factors[m];
+    const linalg::Matrix& b = dist->tucker.factors[m];
+    ASSERT_EQ(b.rows(), a.rows()) << "mode " << m;
+    ASSERT_EQ(b.cols(), a.cols()) << "mode " << m;
+    EXPECT_LE(linalg::Matrix::MaxAbsDiff(a, b), 1e-12) << "mode " << m;
+  }
   auto r_local = tensor::Reconstruct(local->tucker);
   auto r_dist = tensor::Reconstruct(dist->tucker);
   ASSERT_TRUE(r_local.ok() && r_dist.ok());

@@ -12,9 +12,7 @@
 
 #include "io/chunk_store.h"
 #include "io/tensor_io.h"
-#include "tensor/matricize.h"
 #include "tensor/sparse_tensor.h"
-#include "tensor/streaming.h"
 #include "util/random.h"
 
 namespace m2td {
@@ -51,33 +49,6 @@ TEST(RandomizedConsistencyTest, SparseTensorVsMapOracle) {
     tensor::SparseTensor back =
         tensor::SparseTensor::FromDense(x.ToDense(), 0.0);
     EXPECT_LE(back.NumNonZeros(), x.NumNonZeros());  // exact zeros dropped
-  }
-}
-
-TEST(RandomizedConsistencyTest, StreamingGramUnderRandomInterleaving) {
-  Rng rng(7777);
-  for (int episode = 0; episode < 5; ++episode) {
-    const std::vector<std::uint64_t> shape = {3 + rng.UniformInt(4),
-                                              3 + rng.UniformInt(4)};
-    tensor::StreamingGram streaming(shape);
-    tensor::SparseTensor batch(shape);
-    // Deliberately includes many repeated coordinates.
-    for (int op = 0; op < 150; ++op) {
-      std::vector<std::uint32_t> idx = {
-          static_cast<std::uint32_t>(rng.UniformInt(shape[0])),
-          static_cast<std::uint32_t>(rng.UniformInt(shape[1]))};
-      const double v = rng.UniformDouble(-2.0, 2.0);
-      streaming.Add(idx, v);
-      batch.AppendEntry(idx, v);
-    }
-    batch.SortAndCoalesce();
-    for (std::size_t mode = 0; mode < 2; ++mode) {
-      auto expected = tensor::ModeGram(batch, mode);
-      ASSERT_TRUE(expected.ok());
-      EXPECT_LT(
-          linalg::Matrix::MaxAbsDiff(streaming.Gram(mode), *expected), 1e-9)
-          << "episode " << episode << " mode " << mode;
-    }
   }
 }
 

@@ -197,6 +197,7 @@ int RunExperiment(int argc, const char* const* argv) {
   init_flags.Register(parser);
   auto positional = parser.Parse(argc, argv);
   if (!positional.ok()) return Fail(positional.status());
+  if (rank < 1) return Fail(Status::InvalidArgument("--rank must be >= 1"));
   NoteSeed(seed);
   auto init = init_flags.ToOptions();
   if (!init.ok()) return Fail(init.status());
@@ -365,6 +366,7 @@ int RunDm2td(int argc, const char* const* argv) {
                    &speculative_floor_ms);
   auto positional = parser.Parse(argc, argv);
   if (!positional.ok()) return Fail(positional.status());
+  if (rank < 1) return Fail(Status::InvalidArgument("--rank must be >= 1"));
 
   auto model = BuildModel(system, resolution);
   if (!model.ok()) return Fail(model.status());
@@ -555,6 +557,7 @@ int RunDecompose(int argc, const char* const* argv) {
   init_flags.Register(parser);
   auto positional = parser.Parse(argc, argv);
   if (!positional.ok()) return Fail(positional.status());
+  if (rank < 1) return Fail(Status::InvalidArgument("--rank must be >= 1"));
   if (input.empty()) {
     return Fail(Status::InvalidArgument("--input is required"));
   }
@@ -760,6 +763,7 @@ int RunAnalyze(int argc, const char* const* argv) {
                   &top_k);
   auto positional = parser.Parse(argc, argv);
   if (!positional.ok()) return Fail(positional.status());
+  if (rank < 1) return Fail(Status::InvalidArgument("--rank must be >= 1"));
   if (top_k <= 0) return Fail(Status::InvalidArgument("--top_k must be > 0"));
 
   auto model = BuildModel(system, resolution);
