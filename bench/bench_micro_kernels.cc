@@ -1,7 +1,7 @@
 // Micro-benchmarks for the sparse tensor and linear-algebra kernels that
-// dominate M2TD's runtime: Gram accumulation from COO, the Jacobi
-// eigensolver, sparse TTM / core recovery, HOSVD, sorting/coalescing, and
-// JE-stitching.
+// dominate M2TD's runtime: Gram accumulation from COO, the Jacobi and QL
+// eigensolvers, sparse TTM / core recovery, HOSVD, sorting/coalescing,
+// and JE-stitching.
 
 #include <benchmark/benchmark.h>
 
@@ -92,7 +92,10 @@ void BM_ModeGram(benchmark::State& state) {
 }
 BENCHMARK(BM_ModeGram)->Args({16, 1000})->Args({16, 10000})->Args({64, 10000});
 
-void BM_JacobiEigen(benchmark::State& state) {
+// One symmetric eigensolve per iteration of a Gaussian n x n input; 96
+// is the time-mode Gram of the long_horizon e2e workload.
+void RunEigenBenchmark(benchmark::State& state,
+                       m2td::linalg::EigenMethod method) {
   const std::size_t n = state.range(0);
   Rng rng(3);
   Matrix a(n, n);
@@ -101,12 +104,23 @@ void BM_JacobiEigen(benchmark::State& state) {
       a(i, j) = a(j, i) = rng.Gaussian();
     }
   }
+  m2td::linalg::EigenOptions options;
+  options.method = method;
   for (auto _ : state) {
-    auto eig = m2td::linalg::SymmetricEigen(a);
+    auto eig = m2td::linalg::SymmetricEigen(a, options);
     benchmark::DoNotOptimize(eig);
   }
 }
-BENCHMARK(BM_JacobiEigen)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+void BM_JacobiEigen(benchmark::State& state) {
+  RunEigenBenchmark(state, m2td::linalg::EigenMethod::kJacobi);
+}
+BENCHMARK(BM_JacobiEigen)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
+
+void BM_QlEigen(benchmark::State& state) {
+  RunEigenBenchmark(state, m2td::linalg::EigenMethod::kTridiagonalQL);
+}
+BENCHMARK(BM_QlEigen)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
 
 void BM_SparseModeProduct(benchmark::State& state) {
   const std::uint64_t nnz = state.range(0);

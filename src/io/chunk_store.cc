@@ -288,26 +288,6 @@ Status ChunkStore::Write(const tensor::SparseTensor& x) {
   return WriteManifest();
 }
 
-Result<tensor::SparseTensor> ChunkStore::ReadChunk(
-    const std::vector<std::uint64_t>& chunk_index) const {
-  if (chunk_index.size() != shape_.size()) {
-    return Status::InvalidArgument("chunk index arity mismatch");
-  }
-  const std::vector<std::uint64_t> grid = ChunkGrid();
-  for (std::size_t m = 0; m < grid.size(); ++m) {
-    if (chunk_index[m] >= grid[m]) {
-      return Status::OutOfRange("chunk index outside the chunk grid");
-    }
-  }
-  const std::uint64_t id = ChunkIdOf(chunk_index);
-  if (chunks_.find(id) == chunks_.end()) {
-    tensor::SparseTensor empty(shape_);
-    empty.SortAndCoalesce();
-    return empty;
-  }
-  return ReadChunkBlob(ChunkPath(id));
-}
-
 Result<tensor::SparseTensor> ChunkStore::ReadAll() const {
   obs::ObsSpan span("chunk_store_read_all");
   span.Annotate("chunks", static_cast<std::uint64_t>(chunks_.size()));
@@ -325,59 +305,6 @@ Result<tensor::SparseTensor> ChunkStore::ReadAll() const {
   }
   out.SortAndCoalesce();
   return out;
-}
-
-Result<tensor::SparseTensor> ChunkStore::ReadRegion(
-    const std::vector<std::uint64_t>& lo,
-    const std::vector<std::uint64_t>& hi) const {
-  const std::size_t modes = shape_.size();
-  if (lo.size() != modes || hi.size() != modes) {
-    return Status::InvalidArgument("region arity mismatch");
-  }
-  for (std::size_t m = 0; m < modes; ++m) {
-    if (lo[m] >= hi[m] || hi[m] > shape_[m]) {
-      return Status::InvalidArgument("empty or out-of-range region");
-    }
-  }
-  obs::ObsSpan span("chunk_store_read_region");
-  // Chunk-grid bounding box of the region.
-  std::vector<std::uint64_t> chunk_lo(modes), chunk_hi(modes);
-  for (std::size_t m = 0; m < modes; ++m) {
-    chunk_lo[m] = lo[m] / chunk_shape_[m];
-    chunk_hi[m] = (hi[m] - 1) / chunk_shape_[m] + 1;
-  }
-
-  tensor::SparseTensor out(shape_);
-  std::vector<std::uint64_t> cursor = chunk_lo;
-  std::vector<std::uint32_t> idx(modes);
-  while (true) {
-    const std::uint64_t id = ChunkIdOf(cursor);
-    if (chunks_.find(id) != chunks_.end()) {
-      M2TD_ASSIGN_OR_RETURN(tensor::SparseTensor chunk,
-                            ReadChunkBlob(ChunkPath(id)));
-      for (std::uint64_t e = 0; e < chunk.NumNonZeros(); ++e) {
-        bool inside = true;
-        for (std::size_t m = 0; m < modes; ++m) {
-          idx[m] = chunk.Index(m, e);
-          if (idx[m] < lo[m] || idx[m] >= hi[m]) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) out.AppendEntry(idx, chunk.Value(e));
-      }
-    }
-    // Advance the chunk cursor inside the bounding box.
-    std::size_t m = modes;
-    while (m-- > 0) {
-      if (++cursor[m] < chunk_hi[m]) break;
-      cursor[m] = chunk_lo[m];
-      if (m == 0) {
-        out.SortAndCoalesce();
-        return out;
-      }
-    }
-  }
 }
 
 // --------------------------------------------------------- ShuffleStore

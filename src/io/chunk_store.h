@@ -20,9 +20,8 @@ namespace m2td::io {
 /// hyper-rectangular chunks (`chunk_shape` cells per mode). Each non-empty
 /// chunk's entries live in their own binary blob under the store
 /// directory; a text manifest records the tensor shape, the chunk shape,
-/// and the non-empty chunk list. Reads can therefore touch only the chunks
-/// overlapping a region — the access pattern block-based tensor systems
-/// rely on for out-of-core mode products.
+/// and the non-empty chunk list. Each blob carries a CRC-32 footer that
+/// ReadAll verifies. The `m2td_cli store` command is its user.
 ///
 /// Concurrency: a store is single-writer; readers may share.
 class ChunkStore {
@@ -50,23 +49,8 @@ class ChunkStore {
   /// The tensor's shape must match the store's.
   Status Write(const tensor::SparseTensor& x);
 
-  /// Reads the chunk at grid position `chunk_index` (one coordinate per
-  /// mode). Returns a tensor with the *full* logical shape containing only
-  /// that chunk's entries; an empty tensor if the chunk has no entries.
-  Result<tensor::SparseTensor> ReadChunk(
-      const std::vector<std::uint64_t>& chunk_index) const;
-
   /// Reads the entire tensor back (union of all chunks), coalesced.
   Result<tensor::SparseTensor> ReadAll() const;
-
-  /// Reads all entries with lo[m] <= index[m] < hi[m], touching only the
-  /// chunks overlapping the region.
-  Result<tensor::SparseTensor> ReadRegion(
-      const std::vector<std::uint64_t>& lo,
-      const std::vector<std::uint64_t>& hi) const;
-
-  /// Grid extent (number of chunk slots) along each mode.
-  std::vector<std::uint64_t> ChunkGrid() const;
 
  private:
   ChunkStore(std::string directory, std::vector<std::uint64_t> shape,
@@ -75,6 +59,8 @@ class ChunkStore {
         shape_(std::move(shape)),
         chunk_shape_(std::move(chunk_shape)) {}
 
+  /// Grid extent (number of chunk slots) along each mode.
+  std::vector<std::uint64_t> ChunkGrid() const;
   std::uint64_t ChunkIdOf(const std::vector<std::uint64_t>& chunk_index) const;
   std::string ChunkPath(std::uint64_t chunk_id) const;
   Status WriteManifest() const;

@@ -12,7 +12,6 @@ namespace {
 
 constexpr char kSparseTextMagic[] = "m2td-sparse";
 constexpr std::uint64_t kSparseBinaryMagic = 0x4d32544453503031ULL;  // "M2TDSP01"
-constexpr char kDenseTextMagic[] = "m2td-dense";
 
 Status OpenFailed(const std::string& path) {
   return Status::IOError("cannot open '" + path + "'");
@@ -167,51 +166,6 @@ Result<tensor::SparseTensor> LoadSparseBinary(const std::string& path) {
     if (!appended.ok()) return RejectEntry(path, appended);
   }
   x.SortAndCoalesce();
-  return x;
-}
-
-Status SaveDenseText(const tensor::DenseTensor& x, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return OpenFailed(path);
-  out << kDenseTextMagic << " 1\n";
-  out << "modes " << x.num_modes() << "\n";
-  out << "shape";
-  for (std::uint64_t d : x.shape()) out << " " << d;
-  out << "\n";
-  out << std::setprecision(17);
-  for (std::uint64_t i = 0; i < x.NumElements(); ++i) {
-    out << x.flat(i) << "\n";
-  }
-  if (!out) return Status::IOError("write failed for '" + path + "'");
-  return Status::OK();
-}
-
-Result<tensor::DenseTensor> LoadDenseText(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return OpenFailed(path);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kDenseTextMagic || version != 1) {
-    return ParseFailed(path, "bad magic/version");
-  }
-  std::string token;
-  std::size_t modes = 0;
-  if (!(in >> token >> modes) || token != "modes" || modes == 0) {
-    return ParseFailed(path, "bad mode count");
-  }
-  if (!(in >> token) || token != "shape") {
-    return ParseFailed(path, "missing shape");
-  }
-  std::vector<std::uint64_t> shape(modes);
-  for (std::uint64_t& d : shape) {
-    if (!(in >> d) || d == 0) return ParseFailed(path, "bad shape entry");
-  }
-  tensor::DenseTensor x(shape);
-  for (std::uint64_t i = 0; i < x.NumElements(); ++i) {
-    double value = 0.0;
-    if (!(in >> value)) return ParseFailed(path, "truncated data");
-    x.flat(i) = value;
-  }
   return x;
 }
 

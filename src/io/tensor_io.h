@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "tensor/dense_tensor.h"
 #include "tensor/sparse_tensor.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -32,12 +31,6 @@ Status SaveSparseBinary(const tensor::SparseTensor& x,
                         const std::string& path);
 
 Result<tensor::SparseTensor> LoadSparseBinary(const std::string& path);
-
-/// Dense tensor as text: header plus NumElements values in row-major
-/// order.
-Status SaveDenseText(const tensor::DenseTensor& x, const std::string& path);
-
-Result<tensor::DenseTensor> LoadDenseText(const std::string& path);
 
 }  // namespace m2td::io
 

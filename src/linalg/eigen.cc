@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 
+#include "linalg/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
@@ -23,33 +24,36 @@ constexpr std::size_t kParallelEigenRows = 64;
 std::atomic<EigenMethod> g_default_method{EigenMethod::kJacobi};
 
 double OffDiagonalNorm(const Matrix& a) {
-  auto row_range_sum = [&a](std::uint64_t rb, std::uint64_t re) {
+  const std::size_t n = a.rows();
+  auto row_range_sum = [&a, n](std::uint64_t rb, std::uint64_t re) {
     double sum = 0.0;
     for (std::size_t i = static_cast<std::size_t>(rb);
          i < static_cast<std::size_t>(re); ++i) {
-      for (std::size_t j = 0; j < a.cols(); ++j) {
-        if (i != j) sum += a(i, j) * a(i, j);
+      const double* row = a.RowPtr(i);
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i != j) sum += row[j] * row[j];
       }
     }
     return sum;
   };
-  if (a.rows() < kParallelEigenRows) {
-    return std::sqrt(row_range_sum(0, a.rows()));
+  if (n < kParallelEigenRows) {
+    return std::sqrt(row_range_sum(0, n));
   }
   // Ordered chunk merge keeps the summation association a pure function
   // of the matrix size; results match across thread counts (though they
   // reassociate relative to the small-matrix serial path, which is a
   // size-based, thread-independent choice).
   const double sum = parallel::ParallelReduce<double>(
-      0, a.rows(), 0, 0.0, row_range_sum,
+      0, n, 0, 0.0, row_range_sum,
       [](double& acc, double partial) { acc += partial; },
       "offdiag_norm");
   return std::sqrt(sum);
 }
 
-// Sorts (diag, columns of v) by decreasing diag into a packed result.
+// Sorts (diag, rows of vt) by decreasing diag into a packed result whose
+// eigenvectors are columns: row j of `vt` is the eigenvector of diag[j].
 SymmetricEigenResult PackSortedEigenpairs(const std::vector<double>& diag,
-                                          const Matrix& v, int sweeps,
+                                          const Matrix& vt, int sweeps,
                                           bool converged) {
   const std::size_t n = diag.size();
   std::vector<std::size_t> order(n);
@@ -63,11 +67,11 @@ SymmetricEigenResult PackSortedEigenpairs(const std::vector<double>& diag,
   result.converged = converged;
   result.eigenvalues.resize(n);
   result.eigenvectors = Matrix(n, n);
+  double* out = result.eigenvectors.mutable_data().data();
   for (std::size_t j = 0; j < n; ++j) {
     result.eigenvalues[j] = diag[order[j]];
-    for (std::size_t i = 0; i < n; ++i) {
-      result.eigenvectors(i, j) = v(i, order[j]);
-    }
+    const double* vec = vt.RowPtr(order[j]);
+    for (std::size_t i = 0; i < n; ++i) out[i * n + j] = vec[i];
   }
   return result;
 }
@@ -76,11 +80,18 @@ Result<SymmetricEigenResult> SymmetricEigenJacobi(const Matrix& input,
                                                   const EigenOptions& options,
                                                   double fro) {
   const std::size_t n = input.rows();
+  M2TD_CHECK(input.cols() == n && n >= 2);
   Matrix a = input;
-  Matrix v = Matrix::Identity(n);
+  double* a_data = a.mutable_data().data();
+  // Transposed eigenvector basis: row j is eigenvector j, so the basis
+  // update of a rotation is a contiguous two-row kernel.
+  Matrix vt = Matrix::Identity(n);
+  const simd::Kernels& kernels = simd::ActiveKernels();
 
   obs::ObsSpan span("symmetric_eigen");
   span.Annotate("method", std::string_view("jacobi"));
+  span.Annotate("n", static_cast<std::uint64_t>(n));
+  obs::GetCounter("linalg.eigen.jacobi_solves").Increment();
   const double threshold = options.tolerance * std::max(fro, 1e-300);
   int sweeps = 0;
   bool converged = false;
@@ -94,11 +105,14 @@ Result<SymmetricEigenResult> SymmetricEigenJacobi(const Matrix& input,
     }
     ++sweeps;
     for (std::size_t p = 0; p < n - 1; ++p) {
+      double* row_p = a_data + p * n;
       for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
+        double* row_q = a_data + q * n;
+        const double apq = row_p[q];
         if (std::fabs(apq) <= 1e-300) continue;
-        const double app = a(p, p);
-        const double aqq = a(q, q);
+        const double app = row_p[p];
+        const double aqp = row_q[p];
+        const double aqq = row_q[q];
         // Classic stable rotation computation.
         const double tau = (aqq - app) / (2.0 * apq);
         const double t = (tau >= 0.0)
@@ -106,29 +120,41 @@ Result<SymmetricEigenResult> SymmetricEigenJacobi(const Matrix& input,
                              : -1.0 / (-tau + std::sqrt(1.0 + tau * tau));
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = t * c;
-        // Apply rotation J(p, q, theta) on both sides of A.
-        for (std::size_t k = 0; k < n; ++k) {
-          const double akp = a(k, p);
-          const double akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double apk = a(p, k);
-          const double aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
-        }
+        // Apply rotation J(p, q, theta) on both sides of A: columns p and
+        // q first, then rows p and q. Outside the 2x2 block {p, q}^2 the
+        // two passes touch disjoint entries, so the column pass runs on
+        // the other rows, the block is rotated on both sides from its
+        // pre-rotation values (same products and sums as column then
+        // row), and the row pass is one contiguous kernel call whose
+        // block entries are then overwritten.
+        auto column_pass = [&](std::size_t k_begin, std::size_t k_end) {
+          for (std::size_t k = k_begin; k < k_end; ++k) {
+            double* row_k = a_data + k * n;
+            const double akp = row_k[p];
+            const double akq = row_k[q];
+            row_k[p] = c * akp - s * akq;
+            row_k[q] = s * akp + c * akq;
+          }
+        };
+        column_pass(0, p);
+        column_pass(p + 1, q);
+        column_pass(q + 1, n);
+        const double cpp = c * app - s * apq;  // column pass, row p
+        const double cpq = s * app + c * apq;
+        const double cqp = c * aqp - s * aqq;  // column pass, row q
+        const double cqq = s * aqp + c * aqq;
+        kernels.rot(n, c, s, row_p, row_q);
+        row_p[p] = c * cpp - s * cqp;
+        row_q[p] = s * cpp + c * cqp;
+        row_p[q] = c * cpq - s * cqq;
+        row_q[q] = s * cpq + c * cqq;
         // Accumulate eigenvectors.
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
+        kernels.rot(n, c, s, vt.RowPtr(p), vt.RowPtr(q));
       }
     }
   }
+  obs::GetCounter("linalg.eigen.jacobi_sweeps")
+      .Add(static_cast<std::uint64_t>(sweeps));
 
   // The loop exits non-converged only when every allowed sweep ran; the
   // last sweep may still have met the tolerance, so re-check before
@@ -149,76 +175,101 @@ Result<SymmetricEigenResult> SymmetricEigenJacobi(const Matrix& input,
   }
 
   std::vector<double> diag(n);
-  for (std::size_t i = 0; i < n; ++i) diag[i] = a(i, i);
-  return PackSortedEigenpairs(diag, v, sweeps, converged);
+  for (std::size_t i = 0; i < n; ++i) diag[i] = a.RowPtr(i)[i];
+  return PackSortedEigenpairs(diag, vt, sweeps, converged);
 }
 
 // Householder reduction of the symmetric matrix held in `z` to
 // tridiagonal form (tred2 lineage): on return `d` holds the diagonal,
 // `e` the subdiagonal (e[0] = 0), and `z` the accumulated orthogonal
-// transform Q with Q^T A Q tridiagonal.
+// transform Q with Q^T A Q tridiagonal. Row-oriented: every sum that
+// tred2 takes down a column is scattered row by row in ascending order
+// instead, so each output receives the same terms in the same order.
 void HouseholderTridiagonalize(Matrix& z, std::vector<double>& d,
                                std::vector<double>& e) {
-  const int n = static_cast<int>(d.size());
-  for (int i = n - 1; i >= 1; --i) {
-    const int l = i - 1;
+  const std::size_t n = d.size();
+  M2TD_CHECK(z.rows() == n && z.cols() == n && e.size() == n && n >= 2);
+  for (std::size_t i = n - 1; i >= 1; --i) {
+    const std::size_t l = i - 1;
+    double* row_i = z.RowPtr(i);
     double h = 0.0;
     double scale = 0.0;
     if (l > 0) {
-      for (int k = 0; k <= l; ++k) scale += std::fabs(z(i, k));
+      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(row_i[k]);
       if (scale == 0.0) {
-        e[i] = z(i, l);
+        e[i] = row_i[l];
       } else {
-        for (int k = 0; k <= l; ++k) {
-          z(i, k) /= scale;
-          h += z(i, k) * z(i, k);
+        for (std::size_t k = 0; k <= l; ++k) {
+          row_i[k] /= scale;
+          h += row_i[k] * row_i[k];
         }
-        double f = z(i, l);
+        double f = row_i[l];
         double g = (f >= 0.0) ? -std::sqrt(h) : std::sqrt(h);
         e[i] = scale * g;
         h -= f * g;
-        z(i, l) = f - g;
+        row_i[l] = f - g;
+        // e[j] = (sum_{k<=j} z(j,k) z(i,k) + sum_{j<k<=l} z(k,j) z(i,k))
+        // / h: the first sum along row j, the second scattered from
+        // rows k = j+1 .. l in ascending order.
+        for (std::size_t j = 0; j <= l; ++j) {
+          double* row_j = z.RowPtr(j);
+          row_j[i] = row_i[j] / h;
+          double sum = 0.0;
+          for (std::size_t k = 0; k <= j; ++k) sum += row_j[k] * row_i[k];
+          e[j] = sum;
+        }
+        for (std::size_t k = 1; k <= l; ++k) {
+          const double* row_k = z.RowPtr(k);
+          const double zik = row_i[k];
+          for (std::size_t j = 0; j < k; ++j) e[j] += row_k[j] * zik;
+        }
         f = 0.0;
-        for (int j = 0; j <= l; ++j) {
-          z(j, i) = z(i, j) / h;
-          g = 0.0;
-          for (int k = 0; k <= j; ++k) g += z(j, k) * z(i, k);
-          for (int k = j + 1; k <= l; ++k) g += z(k, j) * z(i, k);
-          e[j] = g / h;
-          f += e[j] * z(i, j);
+        for (std::size_t j = 0; j <= l; ++j) {
+          e[j] /= h;
+          f += e[j] * row_i[j];
         }
         const double hh = f / (h + h);
-        for (int j = 0; j <= l; ++j) {
-          f = z(i, j);
+        for (std::size_t j = 0; j <= l; ++j) {
+          f = row_i[j];
           g = e[j] - hh * f;
           e[j] = g;
-          for (int k = 0; k <= j; ++k) {
-            z(j, k) -= f * e[k] + g * z(i, k);
+          double* row_j = z.RowPtr(j);
+          for (std::size_t k = 0; k <= j; ++k) {
+            row_j[k] -= f * e[k] + g * row_i[k];
           }
         }
       }
     } else {
-      e[i] = z(i, l);
+      e[i] = row_i[l];
     }
     d[i] = h;
   }
   d[0] = 0.0;
   e[0] = 0.0;
-  // Accumulate the product of the Householder reflectors into z.
-  for (int i = 0; i < n; ++i) {
-    const int l = i - 1;
+  // Accumulate the product of the Householder reflectors into z:
+  // g[j] = sum_{k<i} z(i,k) z(k,j) scattered from rows k = 0 .. i-1,
+  // then each row k < i takes z(k,j) -= g[j] z(k,i).
+  std::vector<double> g(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row_i = z.RowPtr(i);
     if (d[i] != 0.0) {
-      for (int j = 0; j <= l; ++j) {
-        double g = 0.0;
-        for (int k = 0; k <= l; ++k) g += z(i, k) * z(k, j);
-        for (int k = 0; k <= l; ++k) z(k, j) -= g * z(k, i);
+      std::fill(g.begin(), g.begin() + i, 0.0);
+      for (std::size_t k = 0; k < i; ++k) {
+        const double* row_k = z.RowPtr(k);
+        const double zik = row_i[k];
+        for (std::size_t j = 0; j < i; ++j) g[j] += zik * row_k[j];
+      }
+      for (std::size_t k = 0; k < i; ++k) {
+        double* row_k = z.RowPtr(k);
+        const double zki = row_k[i];
+        for (std::size_t j = 0; j < i; ++j) row_k[j] -= g[j] * zki;
       }
     }
-    d[i] = z(i, i);
-    z(i, i) = 1.0;
-    for (int j = 0; j <= l; ++j) {
-      z(j, i) = 0.0;
-      z(i, j) = 0.0;
+    d[i] = row_i[i];
+    row_i[i] = 1.0;
+    for (std::size_t j = 0; j < i; ++j) {
+      z.RowPtr(j)[i] = 0.0;
+      row_i[j] = 0.0;
     }
   }
 }
@@ -226,19 +277,25 @@ void HouseholderTridiagonalize(Matrix& z, std::vector<double>& d,
 Result<SymmetricEigenResult> SymmetricEigenTridiagonalQL(
     const Matrix& input, const EigenOptions& options) {
   const std::size_t n = input.rows();
+  M2TD_CHECK(input.cols() == n && n >= 2);
+  const simd::Kernels& kernels = simd::ActiveKernels();
   obs::ObsSpan span("symmetric_eigen");
   span.Annotate("method", std::string_view("tridiagonal_ql"));
+  span.Annotate("n", static_cast<std::uint64_t>(n));
   obs::GetCounter("linalg.eigen.ql_solves").Increment();
 
   Matrix z = input;
   std::vector<double> d(n, 0.0);
   std::vector<double> e(n, 0.0);
   HouseholderTridiagonalize(z, d, e);
+  // Transposed basis: tql2 rotates columns of z, which are rows of zt.
+  Matrix zt = z.Transposed();
 
   // Implicit-shift QL on the tridiagonal (d, e) with the plane rotations
-  // applied to z's columns (tql2 lineage). Subdiagonal entries deflate
-  // once they are negligible relative to their neighboring diagonals —
-  // the machine-epsilon criterion, independent of options.tolerance.
+  // applied to the accumulated basis (tql2 lineage). Subdiagonal entries
+  // deflate once they are negligible relative to their neighboring
+  // diagonals — the machine-epsilon criterion, independent of
+  // options.tolerance.
   const int ni = static_cast<int>(n);
   const double eps = std::numeric_limits<double>::epsilon();
   for (int i = 1; i < ni; ++i) e[i - 1] = e[i];
@@ -271,7 +328,7 @@ Result<SymmetricEigenResult> SymmetricEigenTridiagonalQL(
       double p = 0.0;
       bool underflow = false;
       for (int i = m - 1; i >= l; --i) {
-        double f = s * e[i];
+        const double f = s * e[i];
         const double b = c * e[i];
         r = std::hypot(f, g);
         e[i + 1] = r;
@@ -289,12 +346,8 @@ Result<SymmetricEigenResult> SymmetricEigenTridiagonalQL(
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        // Rotate the accumulated basis: columns i and i+1 of z.
-        for (int k = 0; k < ni; ++k) {
-          f = z(k, i + 1);
-          z(k, i + 1) = s * z(k, i) + c * f;
-          z(k, i) = c * z(k, i) - s * f;
-        }
+        // Rotate the accumulated basis: basis vectors i and i+1.
+        kernels.rot(n, c, s, zt.RowPtr(i), zt.RowPtr(i + 1));
       }
       if (underflow) continue;
       d[l] -= p;
@@ -315,7 +368,7 @@ Result<SymmetricEigenResult> SymmetricEigenTridiagonalQL(
                        << " implicit-shift iterations; returning the "
                           "partial diagonalization";
   }
-  return PackSortedEigenpairs(d, z, total_iterations, converged);
+  return PackSortedEigenpairs(d, zt, total_iterations, converged);
 }
 
 }  // namespace
@@ -356,35 +409,57 @@ Result<SymmetricEigenResult> SymmetricEigen(const Matrix& input,
     return Status::InvalidArgument("SymmetricEigen requires a square matrix");
   }
   const double fro = input.FrobeniusNorm();
-  // Max asymmetry over the upper triangle. max() is exact (no rounding),
-  // so any chunking gives the identical value; the reduce is only worth
-  // a region on matrices past the size guard.
-  auto max_asymmetry = [&input](std::uint64_t rb, std::uint64_t re) {
-    double worst = 0.0;
+  // One O(n^2) scan over row i's diagonal and its upper-triangle pairs
+  // (i, j) / (j, i): every entry is checked finite, and the max
+  // asymmetry is taken. max() is exact (no rounding), so any chunking
+  // gives the identical value; the reduce is only worth a region on
+  // matrices past the size guard.
+  struct Scan {
+    double worst_asymmetry = 0.0;
+    bool finite = true;
+  };
+  auto scan_rows = [&input, n](std::uint64_t rb, std::uint64_t re) {
+    Scan scan;
     for (std::size_t i = static_cast<std::size_t>(rb);
          i < static_cast<std::size_t>(re); ++i) {
-      for (std::size_t j = i + 1; j < input.rows(); ++j) {
-        worst = std::max(worst, std::fabs(input(i, j) - input(j, i)));
+      const double* row = input.RowPtr(i);
+      scan.finite = scan.finite && std::isfinite(row[i]);
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double upper = row[j];
+        const double lower = input.RowPtr(j)[i];
+        scan.finite =
+            scan.finite && std::isfinite(upper) && std::isfinite(lower);
+        scan.worst_asymmetry =
+            std::max(scan.worst_asymmetry, std::fabs(upper - lower));
       }
     }
-    return worst;
+    return scan;
   };
-  const double asym =
+  const Scan scan =
       n < kParallelEigenRows
-          ? max_asymmetry(0, n)
-          : parallel::ParallelReduce<double>(
-                0, n, 0, 0.0, max_asymmetry,
-                [](double& acc, double partial) {
-                  acc = std::max(acc, partial);
+          ? scan_rows(0, n)
+          : parallel::ParallelReduce<Scan>(
+                0, n, 0, Scan{}, scan_rows,
+                [](Scan& acc, const Scan& partial) {
+                  acc.worst_asymmetry =
+                      std::max(acc.worst_asymmetry, partial.worst_asymmetry);
+                  acc.finite = acc.finite && partial.finite;
                 },
                 "symmetry_check");
-  if (asym > 1e-9 * std::max(1.0, fro)) {
+  // Checked first: a NaN drops out of max() and an Inf makes the
+  // tolerance infinite, so non-finite input would pass the symmetry test
+  // and come back as "converged" garbage.
+  if (!scan.finite) {
+    return Status::InvalidArgument(
+        "SymmetricEigen: matrix has a non-finite entry");
+  }
+  if (scan.worst_asymmetry > 1e-9 * std::max(1.0, fro)) {
     return Status::InvalidArgument("SymmetricEigen: matrix not symmetric");
   }
 
   if (n <= 1) {
     SymmetricEigenResult result;
-    result.eigenvalues.assign(n, n == 1 ? input(0, 0) : 0.0);
+    result.eigenvalues.assign(n, n == 1 ? input.RowPtr(0)[0] : 0.0);
     result.eigenvectors = Matrix::Identity(n);
     result.converged = true;
     return result;

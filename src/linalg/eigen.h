@@ -30,13 +30,13 @@ struct SymmetricEigenResult {
 
 /// Algorithm used by SymmetricEigen for the symmetric eigenproblem.
 enum class EigenMethod {
-  /// Cyclic Jacobi rotations — the historical path and the bit-exact
-  /// oracle; O(n^3) per sweep.
+  /// Cyclic Jacobi rotations — the historical path, the default;
+  /// O(n^3) per sweep.
   kJacobi,
   /// Householder tridiagonalization + implicit-shift QL with eigenvector
-  /// accumulation — ~(4/3)n^3 once plus O(n^2) per eigenvalue, several
-  /// times faster on the Gram sizes this library meets. Changes fp
-  /// summation order relative to Jacobi, so it is opt-in.
+  /// accumulation — ~(4/3)n^3 once plus O(n^2) per eigenvalue, ~4-6x
+  /// faster than Jacobi at n = 32..96. Changes fp summation order
+  /// relative to Jacobi, so it is opt-in.
   kTridiagonalQL,
 };
 
@@ -83,28 +83,42 @@ struct EigenOptions {
 ///
 /// **kJacobi** — cyclic Jacobi rotations. Unconditionally robust and
 /// simple; O(n^2) rotations per sweep, O(n) work each — O(n^3) per
-/// sweep, typically a handful of sweeps. The bit-exact oracle path.
+/// sweep, typically a handful of sweeps. Each rotation is a strided
+/// column update, a 2x2 block, and the `simd::Kernels::rot` row kernel
+/// over rows p and q of A and of the transposed eigenvector basis.
 ///
 /// **kTridiagonalQL** — Householder reduction to tridiagonal form with
 /// accumulation of the orthogonal transform, then implicit-shift QL on
 /// the tridiagonal matrix with the rotations applied to the accumulated
 /// basis (tred2/tql2 lineage). ~(4/3)n^3 flops once plus O(n^2) per
-/// eigenvalue — several times faster than Jacobi on the small Gram
-/// matrices this library eigendecomposes (mode-dimension squared, at
-/// most a few hundred per side). Reassociates fp sums relative to
-/// Jacobi, so it ships opt-in behind `--eigen_method=tridiagonal_ql`
-/// with Jacobi gating it in bench-smoke.
+/// eigenvalue. The reduction runs as row sweeps and the basis rotations
+/// as `rot` over rows of its transpose. ~4-6x faster than Jacobi at the
+/// Gram sizes this library eigendecomposes (n = 32..96 measured; see
+/// docs/PERFORMANCE.md). Reassociates fp sums relative to Jacobi, so it
+/// ships opt-in behind `--eigen_method=tridiagonal_ql` with Jacobi
+/// gating it in bench-smoke.
 ///
-/// Returns InvalidArgument for non-square or non-symmetric (beyond 1e-9
-/// relative) input.
+/// Both methods give the same bits at every SIMD dispatch level (`rot` is
+/// FMA-free, and this file and the rot bodies are compiled with
+/// -ffp-contract=off) and as the element-by-element loops they replaced
+/// (tests/oracles/symmetric_eigen_reference.h). Tested on x86-64; no
+/// AArch64 host has run the tests yet.
+///
+/// Returns InvalidArgument for non-square input, for any NaN or Inf
+/// entry, and for non-symmetric (beyond 1e-9 relative) input. The
+/// solvers read both triangles as given.
+///
+/// Observability: one "symmetric_eigen" span per solve (n >= 2),
+/// annotated `method` and `n`; counters `linalg.eigen.jacobi_solves` /
+/// `jacobi_sweeps` and `linalg.eigen.ql_solves` / `ql_iterations`.
 ///
 /// Thread-safety/parallelism: safe to call concurrently; inputs are
 /// const and all state is local. Rotations run serially; the two O(n^2)
-/// scans (the symmetry check, span "symmetry_check", an exact max; and
-/// the Jacobi off-diagonal norm, span "offdiag_norm", an ordered sum)
-/// run as ParallelReduce on parallel::GlobalPool() once n >= 64. Both
-/// reductions merge fixed, pool-size-independent chunks in ascending
-/// order, so the returned eigenpairs are bit-identical across
+/// scans (the finiteness and symmetry check, span "symmetry_check", an
+/// exact max; and the Jacobi off-diagonal norm, span "offdiag_norm", an
+/// ordered sum) run as ParallelReduce on parallel::GlobalPool() once
+/// n >= 64. Both reductions merge fixed, pool-size-independent chunks in
+/// ascending order, so the returned eigenpairs are bit-identical across
 /// `--threads` values for either method.
 ///
 /// Cancellation: the ambient robust::CancelToken is checked once per

@@ -1,5 +1,6 @@
 #include "linalg/simd.h"
 
+#include "linalg/simd_rot.h"
 #include "obs/metrics.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -50,7 +51,8 @@ void Dot4Scalar(std::size_t n, const double* x, const double* y0,
 }
 
 constexpr Kernels kScalarKernels{util::SimdIsa::kScalar, AxpyScalar,
-                                 DotScalar, Dot4Scalar};
+                                 DotScalar, Dot4Scalar,
+                                 internal::RotScalar};
 
 // ---------------------------------------------------------------------
 // AVX2 + FMA table (x86-64). Function-level target attributes let the
@@ -146,7 +148,7 @@ __attribute__((target("avx2,fma"))) void Dot4Avx2(
 }
 
 constexpr Kernels kAvx2Kernels{util::SimdIsa::kAvx2, AxpyAvx2, DotAvx2,
-                               Dot4Avx2};
+                               Dot4Avx2, internal::RotAvx2};
 
 #endif  // M2TD_SIMD_HAVE_AVX2
 
@@ -218,7 +220,7 @@ void Dot4Neon(std::size_t n, const double* x, const double* y0,
 }
 
 constexpr Kernels kNeonKernels{util::SimdIsa::kNeon, AxpyNeon, DotNeon,
-                               Dot4Neon};
+                               Dot4Neon, internal::RotNeon};
 
 #endif  // M2TD_SIMD_HAVE_NEON
 

@@ -62,7 +62,8 @@ void EnsureFaultCountersRegistered() {
       // src/linalg/eigen.cc).
       "linalg.simd.dispatch_avx2", "linalg.simd.dispatch_neon",
       "linalg.simd.dispatch_scalar",
-      "linalg.eigen.ql_solves",    "linalg.eigen.ql_iterations",
+      "linalg.eigen.jacobi_solves", "linalg.eigen.jacobi_sweeps",
+      "linalg.eigen.ql_solves",     "linalg.eigen.ql_iterations",
       "linalg.eigen.nonconverged",
   };
   for (const char* name : kNames) GetCounter(name);

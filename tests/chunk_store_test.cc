@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,6 +49,11 @@ TEST_F(ChunkStoreTest, CreateValidation) {
   EXPECT_FALSE(ChunkStore::Create(StoreDir(), {4, 0}, {2, 2}).ok());
   auto store = ChunkStore::Create(StoreDir(), {4, 4}, {2, 2});
   ASSERT_TRUE(store.ok());
+  // A never-written store reads back as an empty tensor of its shape.
+  auto empty = store->ReadAll();
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->NumNonZeros(), 0u);
+  EXPECT_EQ(empty->shape(), (std::vector<std::uint64_t>{4, 4}));
   // Creating again over the same directory fails.
   EXPECT_EQ(ChunkStore::Create(StoreDir(), {4, 4}, {2, 2}).status().code(),
             StatusCode::kAlreadyExists);
@@ -57,7 +63,9 @@ TEST_F(ChunkStoreTest, ChunkShapeClampsToTensorShape) {
   auto store = ChunkStore::Create(StoreDir(), {3, 3}, {10, 10});
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store->chunk_shape(), (std::vector<std::uint64_t>{3, 3}));
-  EXPECT_EQ(store->ChunkGrid(), (std::vector<std::uint64_t>{1, 1}));
+  // One chunk then covers the whole tensor.
+  ASSERT_TRUE(store->Write(MakeTensor({3, 3}, 6, 5)).ok());
+  EXPECT_EQ(store->NumChunks(), 1u);
 }
 
 TEST_F(ChunkStoreTest, WriteReadAllRoundTrip) {
@@ -66,6 +74,12 @@ TEST_F(ChunkStoreTest, WriteReadAllRoundTrip) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->Write(x).ok());
   EXPECT_EQ(store->TotalNonZeros(), x.NumNonZeros());
+  // One blob per occupied chunk-grid cell, none for empty cells.
+  std::set<std::vector<std::uint32_t>> occupied;
+  for (std::uint64_t e = 0; e < x.NumNonZeros(); ++e) {
+    occupied.insert({x.Index(0, e) / 3, x.Index(1, e) / 3, x.Index(2, e) / 3});
+  }
+  EXPECT_EQ(store->NumChunks(), occupied.size());
   EXPECT_GT(store->NumChunks(), 1u);
 
   auto loaded = store->ReadAll();
@@ -99,71 +113,6 @@ TEST_F(ChunkStoreTest, OpenReloadsManifest) {
 TEST_F(ChunkStoreTest, OpenMissingStoreFails) {
   EXPECT_EQ(ChunkStore::Open(StoreDir() + "_nope").status().code(),
             StatusCode::kIOError);
-}
-
-TEST_F(ChunkStoreTest, ReadChunkContainsExactlyItsCells) {
-  tensor::SparseTensor x = MakeTensor({8, 8}, 40, 7);
-  auto store = ChunkStore::Create(StoreDir(), x.shape(), {4, 4});
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Write(x).ok());
-
-  std::uint64_t total = 0;
-  for (std::uint64_t ci = 0; ci < 2; ++ci) {
-    for (std::uint64_t cj = 0; cj < 2; ++cj) {
-      auto chunk = store->ReadChunk({ci, cj});
-      ASSERT_TRUE(chunk.ok());
-      total += chunk->NumNonZeros();
-      for (std::uint64_t e = 0; e < chunk->NumNonZeros(); ++e) {
-        EXPECT_EQ(chunk->Index(0, e) / 4, ci);
-        EXPECT_EQ(chunk->Index(1, e) / 4, cj);
-      }
-    }
-  }
-  EXPECT_EQ(total, x.NumNonZeros());
-}
-
-TEST_F(ChunkStoreTest, ReadChunkValidation) {
-  auto store = ChunkStore::Create(StoreDir(), {4, 4}, {2, 2});
-  ASSERT_TRUE(store.ok());
-  EXPECT_FALSE(store->ReadChunk({0}).ok());
-  EXPECT_EQ(store->ReadChunk({5, 0}).status().code(),
-            StatusCode::kOutOfRange);
-  // Empty (never written) chunk returns an empty tensor.
-  auto chunk = store->ReadChunk({0, 0});
-  ASSERT_TRUE(chunk.ok());
-  EXPECT_EQ(chunk->NumNonZeros(), 0u);
-}
-
-TEST_F(ChunkStoreTest, ReadRegionFiltersExactly) {
-  tensor::SparseTensor x = MakeTensor({10, 10}, 70, 11);
-  auto store = ChunkStore::Create(StoreDir(), x.shape(), {3, 3});
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Write(x).ok());
-
-  const std::vector<std::uint64_t> lo = {2, 4};
-  const std::vector<std::uint64_t> hi = {7, 9};
-  auto region = store->ReadRegion(lo, hi);
-  ASSERT_TRUE(region.ok());
-
-  // Oracle: filter the original tensor.
-  std::set<std::pair<std::uint32_t, std::uint32_t>> expected;
-  for (std::uint64_t e = 0; e < x.NumNonZeros(); ++e) {
-    const std::uint32_t i = x.Index(0, e);
-    const std::uint32_t j = x.Index(1, e);
-    if (i >= 2 && i < 7 && j >= 4 && j < 9) expected.insert({i, j});
-  }
-  ASSERT_EQ(region->NumNonZeros(), expected.size());
-  for (std::uint64_t e = 0; e < region->NumNonZeros(); ++e) {
-    EXPECT_TRUE(expected.count({region->Index(0, e), region->Index(1, e)}));
-  }
-}
-
-TEST_F(ChunkStoreTest, ReadRegionValidation) {
-  auto store = ChunkStore::Create(StoreDir(), {4, 4}, {2, 2});
-  ASSERT_TRUE(store.ok());
-  EXPECT_FALSE(store->ReadRegion({0}, {1}).ok());
-  EXPECT_FALSE(store->ReadRegion({2, 2}, {2, 3}).ok());  // empty on mode 0
-  EXPECT_FALSE(store->ReadRegion({0, 0}, {5, 4}).ok());  // out of range
 }
 
 TEST_F(ChunkStoreTest, RewriteReplacesContent) {

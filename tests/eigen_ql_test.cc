@@ -4,6 +4,7 @@
 // process-default method switch, and the nonconvergence surfacing path.
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/matricize.h"
 #include "tensor/sparse_tensor.h"
 #include "util/random.h"
@@ -250,6 +252,60 @@ TEST(EigenQlTest, ProcessDefaultMethodSwitch) {
 
   SetDefaultEigenMethod(EigenMethod::kJacobi);
   EXPECT_EQ(DefaultEigenMethod(), EigenMethod::kJacobi);
+  obs::SetMetricsEnabled(metrics_was_enabled);
+}
+
+TEST(EigenQlTest, SolverCountersAndSpansMatchReportedWork) {
+  const bool metrics_was_enabled = obs::MetricsEnabled();
+  const bool tracing_was_enabled = obs::TracingEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::SetTracingEnabled(true);
+  obs::Counter& jacobi_solves = obs::GetCounter("linalg.eigen.jacobi_solves");
+  obs::Counter& jacobi_sweeps = obs::GetCounter("linalg.eigen.jacobi_sweeps");
+  obs::Counter& ql_solves = obs::GetCounter("linalg.eigen.ql_solves");
+  obs::Counter& ql_iterations = obs::GetCounter("linalg.eigen.ql_iterations");
+  for (std::size_t n : {std::size_t{9}, std::size_t{70}}) {
+    const Matrix a = RandomSymmetric(n, 53 + n);
+    EigenOptions jacobi;
+    jacobi.method = EigenMethod::kJacobi;
+    obs::Tracer::Get().Reset();
+    const std::uint64_t solves_before = jacobi_solves.value();
+    const std::uint64_t sweeps_before = jacobi_sweeps.value();
+    const std::uint64_t ql_before = ql_solves.value();
+    auto jac = SymmetricEigen(a, jacobi);
+    ASSERT_TRUE(jac.ok());
+    EXPECT_GT(jac->sweeps, 0);
+    EXPECT_EQ(jacobi_solves.value(), solves_before + 1);
+    EXPECT_EQ(jacobi_sweeps.value(),
+              sweeps_before + static_cast<std::uint64_t>(jac->sweeps));
+    EXPECT_EQ(ql_solves.value(), ql_before);
+
+    const std::uint64_t iterations_before = ql_iterations.value();
+    auto ql = SymmetricEigen(a, QlOptions());
+    ASSERT_TRUE(ql.ok());
+    EXPECT_GT(ql->sweeps, 0);
+    EXPECT_EQ(ql_solves.value(), ql_before + 1);
+    EXPECT_EQ(ql_iterations.value(),
+              iterations_before + static_cast<std::uint64_t>(ql->sweeps));
+    EXPECT_EQ(jacobi_solves.value(), solves_before + 1);
+
+    // One span per solve, annotated with the method and the size.
+    std::vector<std::string> methods;
+    for (const obs::SpanRecord& span : obs::Tracer::Get().Spans()) {
+      if (span.name != "symmetric_eigen") continue;
+      std::string method, size;
+      for (const obs::TraceArg& arg : span.args) {
+        if (arg.key == "method") method = arg.value;
+        if (arg.key == "n") size = arg.value;
+      }
+      EXPECT_EQ(size, std::to_string(n)) << method;
+      methods.push_back(method);
+    }
+    EXPECT_EQ(methods,
+              (std::vector<std::string>{"jacobi", "tridiagonal_ql"}));
+  }
+  obs::Tracer::Get().Reset();
+  obs::SetTracingEnabled(tracing_was_enabled);
   obs::SetMetricsEnabled(metrics_was_enabled);
 }
 

@@ -80,25 +80,10 @@ TEST_F(TensorIoTest, EmptySparseTensorRoundTrips) {
   EXPECT_EQ(loaded->shape(), x.shape());
 }
 
-TEST_F(TensorIoTest, DenseTextRoundTrip) {
-  tensor::DenseTensor x({3, 4});
-  Rng rng(9);
-  for (std::uint64_t i = 0; i < x.NumElements(); ++i) {
-    x.flat(i) = rng.Gaussian();
-  }
-  ASSERT_TRUE(SaveDenseText(x, Path("d.txt")).ok());
-  auto loaded = LoadDenseText(Path("d.txt"));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->shape(), x.shape());
-  EXPECT_DOUBLE_EQ(tensor::DenseTensor::FrobeniusDistance(x, *loaded), 0.0);
-}
-
 TEST_F(TensorIoTest, MissingFileFails) {
   EXPECT_EQ(LoadSparseText(Path("nope.txt")).status().code(),
             StatusCode::kIOError);
   EXPECT_EQ(LoadSparseBinary(Path("nope.bin")).status().code(),
-            StatusCode::kIOError);
-  EXPECT_EQ(LoadDenseText(Path("nope.txt")).status().code(),
             StatusCode::kIOError);
 }
 

@@ -230,6 +230,47 @@ TEST(EigenTest, RejectsNonSymmetric) {
   EXPECT_FALSE(SymmetricEigen(a).ok());
 }
 
+// NaN drops out of a max() and Inf makes the relative tolerance
+// infinite, so the symmetry check alone lets a non-finite entry through
+// as "converged" identity or NaN factors. Every entry must be checked:
+// on and off the diagonal, in one triangle or both, below and above the
+// size where the scan runs as a parallel reduce.
+TEST(EigenTest, RejectsNonFiniteEntriesWithEitherMethod) {
+  const double kBad[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+  Rng rng(8);
+  for (std::size_t n : {1u, 4u, 70u}) {
+    const Matrix base = RandomSymmetric(n, &rng);
+    struct Placement {
+      const char* name;
+      std::size_t i, j;
+      bool mirrored;
+    };
+    std::vector<Placement> placements = {{"diagonal", n - 1, n - 1, false}};
+    if (n > 1) {
+      placements.push_back({"off_diagonal", 0, n - 1, true});
+      placements.push_back({"lower_only", n - 1, 0, false});
+      placements.push_back({"upper_only", 0, 1, false});
+    }
+    for (double bad : kBad) {
+      for (const Placement& at : placements) {
+        Matrix a = base;
+        a(at.i, at.j) = bad;
+        if (at.mirrored) a(at.j, at.i) = bad;
+        for (EigenMethod method :
+             {EigenMethod::kJacobi, EigenMethod::kTridiagonalQL}) {
+          EigenOptions options;
+          options.method = method;
+          auto eig = SymmetricEigen(a, options);
+          ASSERT_FALSE(eig.ok())
+              << "n=" << n << " " << at.name << " " << bad << " "
+              << EigenMethodName(method);
+          EXPECT_EQ(eig.status().code(), StatusCode::kInvalidArgument);
+        }
+      }
+    }
+  }
+}
+
 TEST(EigenTest, OneByOneAndEmptyBehave) {
   Matrix a(1, 1, {7.0});
   auto eig = SymmetricEigen(a);

@@ -167,6 +167,30 @@ TEST(GramFactorTest, DeterministicDispatchIsBitExactOracle) {
   EXPECT_EQ(Matrix::MaxAbsDiff(*via_dispatch, *direct), 0.0);
 }
 
+TEST(GramFactorTest, NonFiniteGramIsInvalidArgument) {
+  const Matrix base = DecayingPsd(8, 0.7, 29);
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (bool diagonal : {true, false}) {
+      Matrix a = base;
+      if (diagonal) {
+        a(2, 2) = bad;
+      } else {
+        a(1, 5) = a(5, 1) = bad;
+      }
+      for (EigenMethod method :
+           {EigenMethod::kJacobi, EigenMethod::kTridiagonalQL}) {
+        GramFactorOptions options;
+        options.eigen.method = method;
+        auto factor = GramFactor(a, 3, options);
+        ASSERT_FALSE(factor.ok())
+            << bad << (diagonal ? " diagonal " : " off-diagonal ")
+            << EigenMethodName(method);
+        EXPECT_EQ(factor.status().code(), StatusCode::kInvalidArgument);
+      }
+    }
+  }
+}
+
 TEST(GramFactorTest, ForModeDecorrelatesSeedsDeterministically) {
   GramFactorOptions options;
   options.sketch.seed = 42;

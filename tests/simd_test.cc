@@ -1,13 +1,16 @@
 // Runtime SIMD dispatch: the scalar kernel table must be bit-identical
 // to the pre-SIMD inline loops (so a forced-scalar run reproduces them
-// exactly), the vector tables must agree with scalar to rounding, and the
-// M2TD_FORCE_ISA override must only ever downgrade. Kernel-level checks
-// cover Multiply/MultiplyTransA/MultiplyTransB, ModeGram, and
+// exactly), the vector tables must agree with scalar to rounding (rot:
+// bit for bit at every level), and the M2TD_FORCE_ISA override must
+// only ever downgrade. Kernel-level checks cover
+// Multiply/MultiplyTransA/MultiplyTransB, ModeGram, and
 // SparseModeProduct across thread counts.
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "linalg/simd.h"
 #include "obs/metrics.h"
 #include "oracles/mode_gram_coo.h"
+#include "oracles/symmetric_eigen_reference.h"
 #include "parallel/thread_pool.h"
 #include "tensor/dense_tensor.h"
 #include "tensor/matricize.h"
@@ -180,6 +184,44 @@ TEST(SimdKernelTest, UnavailableIsaFallsBackToScalarTable) {
   const Kernels& table = KernelsForIsa(SimdIsa::kAvx2);
 #endif
   EXPECT_EQ(table.isa, SimdIsa::kScalar);
+}
+
+// rot is the one kernel with no rounding latitude: every table must
+// reproduce the plain loop (RotReference) bit for bit, including the vector bodies'
+// tails and unaligned rows, and write nothing outside [0, n).
+TEST(SimdKernelTest, RotIsBitIdenticalAtEveryLevel) {
+  Rng rng(21);
+  constexpr std::size_t kPad = 4;
+  for (std::size_t n = 0; n < 20; ++n) {
+    for (const auto& [x_off, y_off] :
+         {std::pair<std::size_t, std::size_t>{0, 0}, {1, 3}, {3, 1}}) {
+      std::vector<double> x0(n + kPad), y0(n + kPad);
+      for (double& v : x0) v = rng.Gaussian();
+      for (double& v : y0) v = rng.Gaussian();
+      const double t = rng.Gaussian();
+      const double c = 1.0 / std::sqrt(1.0 + t * t);
+      const double s = t * c;
+
+      std::vector<double> x_want = x0, y_want = y0;
+      RotReference(n, c, s, x_want.data() + x_off, y_want.data() + y_off);
+      for (SimdIsa isa :
+           {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kNeon}) {
+        const Kernels& table = KernelsForIsa(isa);
+        std::vector<double> x = x0, y = y0;
+        table.rot(n, c, s, x.data() + x_off, y.data() + y_off);
+        EXPECT_EQ(std::memcmp(x.data(), x_want.data(),
+                              x.size() * sizeof(double)),
+                  0)
+            << util::SimdIsaName(table.isa) << " x, n=" << n
+            << " offset=" << x_off;
+        EXPECT_EQ(std::memcmp(y.data(), y_want.data(),
+                              y.size() * sizeof(double)),
+                  0)
+            << util::SimdIsaName(table.isa) << " y, n=" << n
+            << " offset=" << y_off;
+      }
+    }
+  }
 }
 
 // ------------------------------------------- ISA resolution + override
