@@ -1,5 +1,5 @@
-// Distributed decomposition demo: D-M2TD on the in-process MapReduce
-// engine.
+// Distributed decomposition demo: D-M2TD with its map and reduce tasks on
+// the shared thread pool.
 //
 // Shows the three-phase structure of Section VI-D — parallel sub-tensor
 // decomposition, parallel JE-stitching, parallel core recovery — with

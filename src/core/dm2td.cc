@@ -1,11 +1,19 @@
 #include "core/dm2td.h"
 
+#include <exception>
+#include <functional>
+#include <string>
 #include <utility>
 
 #include "core/dm2td_dist.h"
 #include "core/dm2td_internal.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/logging.h"
+#include "parallel/parallel_for.h"
+#include "robust/cancel.h"
+#include "robust/failpoint.h"
+#include "robust/retry.h"
+#include "util/timer.h"
 
 namespace m2td::core {
 
@@ -16,10 +24,169 @@ using dm2td_internal::JobGeometry;
 using dm2td_internal::PartialCore;
 using dm2td_internal::TensorCell;
 
-/// Thread-backend implementation: the two MapReduce jobs on the
-/// in-process engine, then the driver-side core assembly. The shared group
-/// bodies never depend on the order reducers emit their records (see
-/// dm2td_internal.h), so results are bit-identical at any num_workers —
+/// The Status of the exception being handled: the cancellation's own code
+/// (which the retry layer never replays), Internal for anything else.
+Status CurrentExceptionStatus(const std::string& where) {
+  try {
+    throw;
+  } catch (const robust::CancelledError& e) {
+    return e.ToStatus();
+  } catch (const std::exception& e) {
+    return Status::Internal(where + " threw: " + e.what());
+  } catch (...) {
+    return Status::Internal(where + " threw a non-standard exception");
+  }
+}
+
+/// Runs tasks [0, workers) of one phase, one pool task each (`region`
+/// labels the pool region, `span` each task, annotated with its
+/// `records`). Every attempt checks cancellation and the `failpoint`
+/// before `body(w)`; an attempt that fails or throws is retried under
+/// `retry`. Returns the first failed task's Status.
+Status RunTasks(std::size_t workers, const char* region, const char* span,
+                const char* failpoint, const robust::RetryPolicy& retry,
+                const std::function<std::uint64_t(std::size_t)>& records,
+                const std::function<Status(std::size_t)>& body) {
+  std::vector<Status> status(workers);
+  try {
+    parallel::ParallelFor(
+        0, workers, 1,
+        [&](std::uint64_t wb, std::uint64_t we) {
+          for (std::size_t w = wb; w < we; ++w) {
+            obs::ObsSpan task_span(span);
+            task_span.Annotate("worker", static_cast<std::int64_t>(w));
+            task_span.Annotate("records", records(w));
+            status[w] = robust::RetryStatusCall(
+                retry, failpoint, [&]() -> Status {
+                  try {
+                    M2TD_RETURN_IF_ERROR(robust::CheckCancelled());
+                    M2TD_RETURN_IF_ERROR(robust::CheckFailpoint(failpoint));
+                    return body(w);
+                  } catch (...) {
+                    return CurrentExceptionStatus(std::string(span) + " " +
+                                                  std::to_string(w));
+                  }
+                });
+          }
+        },
+        region);
+  } catch (...) {
+    // The region itself stopped (a fired cancel token skips its tasks).
+    return CurrentExceptionStatus(region);
+  }
+  for (const Status& s : status) {
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+/// One D-M2TD phase on the thread backend. `num_workers` map tasks route
+/// the cells of their contiguous split of `cells` to reduce task
+/// key(cell) % num_workers; the shuffle, a stable counting sort of cell
+/// indices, lays out each reduce task's run in input order; and
+/// `num_workers` reduce tasks hand a copy of their run to `reduce` (a copy,
+/// so a retried attempt starts from the same input). Returns the outputs in
+/// reduce-task order and fills `stats`. Memory beyond the outputs is one
+/// copy of the cells plus O(cells + num_workers) indices.
+template <typename Out>
+Result<std::vector<Out>> RunPhase(
+    const std::vector<TensorCell>& cells, const DM2tdOptions& options,
+    const std::function<std::uint64_t(const TensorCell&)>& key,
+    const std::function<Status(std::vector<TensorCell>, std::vector<Out>*)>&
+        reduce,
+    mapreduce::JobStats* stats) {
+  const std::size_t workers = static_cast<std::size_t>(options.num_workers);
+  obs::ObsSpan job_span("mapreduce_job");
+  job_span.Annotate("num_workers", static_cast<std::int64_t>(workers));
+  job_span.Annotate("input_records",
+                    static_cast<std::uint64_t>(cells.size()));
+  obs::GetCounter("mapreduce.jobs").Add(1);
+  Timer timer;
+
+  obs::ObsSpan map_span("map");
+  auto split = [&](std::size_t w) {
+    return dm2td_internal::SplitRange(cells.size(), options.num_workers,
+                                      static_cast<int>(w));
+  };
+  std::vector<std::uint32_t> reducer_of(cells.size());
+  M2TD_RETURN_IF_ERROR(RunTasks(
+      workers, "map_tasks", "map_task", "mapreduce.map_task", options.retry,
+      [&](std::size_t w) {
+        const auto [begin, end] = split(w);
+        return end - begin;
+      },
+      [&](std::size_t w) -> Status {
+        const auto [begin, end] = split(w);
+        for (std::size_t i = begin; i < end; ++i) {
+          // Cancellation point every 256 records, so long splits stop
+          // promptly.
+          if (((i - begin) & 0xFF) == 0) {
+            M2TD_RETURN_IF_ERROR(robust::CheckCancelled());
+          }
+          reducer_of[i] = static_cast<std::uint32_t>(key(cells[i]) % workers);
+        }
+        return Status::OK();
+      }));
+  map_span.End();
+  obs::GetCounter("mapreduce.map_tasks").Add(workers);
+  stats->map_seconds = timer.ElapsedSeconds();
+  timer.Restart();
+
+  obs::ObsSpan shuffle_span("shuffle");
+  // run_begin[p] .. run_begin[p + 1] is reduce task p's run in `order`.
+  std::vector<std::size_t> run_begin(workers + 1, 0);
+  for (std::uint32_t p : reducer_of) ++run_begin[p + 1];
+  for (std::size_t p = 0; p < workers; ++p) run_begin[p + 1] += run_begin[p];
+  std::vector<std::size_t> order(cells.size());
+  {
+    std::vector<std::size_t> next(run_begin.begin(), run_begin.end() - 1);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      order[next[reducer_of[i]]++] = i;
+    }
+  }
+  std::vector<std::uint32_t>().swap(reducer_of);
+  shuffle_span.Annotate("intermediate_pairs",
+                        static_cast<std::uint64_t>(cells.size()));
+  shuffle_span.End();
+  obs::GetCounter("mapreduce.intermediate_pairs").Add(cells.size());
+  stats->shuffle_seconds = timer.ElapsedSeconds();
+  stats->intermediate_pairs = cells.size();
+  timer.Restart();
+
+  obs::ObsSpan reduce_span("reduce");
+  std::vector<std::vector<Out>> outputs(workers);
+  M2TD_RETURN_IF_ERROR(RunTasks(
+      workers, "reduce_tasks", "reduce_task", "mapreduce.reduce_task",
+      options.retry,
+      [&](std::size_t p) { return run_begin[p + 1] - run_begin[p]; },
+      [&](std::size_t p) -> Status {
+        outputs[p].clear();
+        std::vector<TensorCell> run;
+        run.reserve(run_begin[p + 1] - run_begin[p]);
+        for (std::size_t j = run_begin[p]; j < run_begin[p + 1]; ++j) {
+          run.push_back(cells[order[j]]);
+        }
+        return reduce(std::move(run), &outputs[p]);
+      }));
+  std::vector<Out> merged;
+  for (std::vector<Out>& part : outputs) {
+    for (Out& record : part) merged.push_back(std::move(record));
+  }
+  reduce_span.End();
+  obs::GetCounter("mapreduce.reduce_tasks").Add(workers);
+  obs::GetCounter("mapreduce.output_records").Add(merged.size());
+  job_span.Annotate("output_records",
+                    static_cast<std::uint64_t>(merged.size()));
+  stats->reduce_seconds = timer.ElapsedSeconds();
+  stats->output_records = merged.size();
+  return merged;
+}
+
+/// Thread-backend implementation: the two MapReduce phases as pool tasks,
+/// then the driver-side core assembly. Each reduce task runs the same
+/// group bodies as the process backend's (dm2td_internal), on its records
+/// in input order, and those bodies never depend on the order reduce tasks
+/// emit their records, so results are bit-identical at any num_workers —
 /// and to the process backend.
 Result<DM2tdResult> DecomposeThreadBackend(
     const SubEnsembles& subs, const PfPartition& partition,
@@ -39,24 +206,18 @@ Result<DM2tdResult> DecomposeThreadBackend(
 
   // ---------- Phase 1: parallel sub-tensor decomposition. ----------
   obs::ObsSpan sub_span("sub_decompose");
-  const std::vector<std::uint64_t> shape1 = subs.x1.shape();
-  const std::vector<std::uint64_t> shape2 = subs.x2.shape();
-  mapreduce::JobSpec<TensorCell, int, TensorCell, GramPiece> phase1;
-  phase1.num_workers = options.num_workers;
-  phase1.retry = options.retry;
-  phase1.mapper = [](const TensorCell& cell,
-                     mapreduce::Emitter<int, TensorCell>* emitter) {
-    emitter->Emit(cell.kappa, cell);
-  };
-  phase1.reducer = [&shape1, &shape2](const int& kappa,
-                                      std::vector<TensorCell>& cells,
-                                      std::vector<GramPiece>* out) {
-    const Status built = dm2td_internal::BuildGramsForSub(
-        kappa, kappa == 1 ? shape1 : shape2, cells, out);
-    M2TD_CHECK(built.ok()) << built;
-  };
-  M2TD_ASSIGN_OR_RETURN(std::vector<GramPiece> gram_pieces,
-                        mapreduce::RunJob(phase1, all_cells, &result.phase1));
+  M2TD_ASSIGN_OR_RETURN(
+      std::vector<GramPiece> gram_pieces,
+      RunPhase<GramPiece>(
+          all_cells, options,
+          [](const TensorCell& cell) {
+            return static_cast<std::uint64_t>(cell.kappa);
+          },
+          [&subs](std::vector<TensorCell> cells, std::vector<GramPiece>* out) {
+            return dm2td_internal::ReduceGramGroups(
+                std::move(cells), subs.x1.shape(), subs.x2.shape(), out);
+          },
+          &result.phase1));
 
   // Driver-side factor assembly from the distributed Grams (the per-mode
   // eigenproblems are tiny: mode-length squared).
@@ -78,25 +239,18 @@ Result<DM2tdResult> DecomposeThreadBackend(
       const dm2td_internal::PivotCoreBuilder builder,
       dm2td_internal::PivotCoreBuilder::Create(
           geometry, factors, options.stitch.zero_join, cand1, cand2));
-
-  mapreduce::JobSpec<TensorCell, std::uint64_t, TensorCell, PartialCore>
-      phase2;
-  phase2.num_workers = options.num_workers;
-  phase2.retry = options.retry;
-  phase2.mapper = [&geometry](
-                      const TensorCell& cell,
-                      mapreduce::Emitter<std::uint64_t, TensorCell>* emitter) {
-    emitter->Emit(dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims),
-                  cell);
-  };
-  phase2.reducer = [&builder](const std::uint64_t& pivot_key,
-                              std::vector<TensorCell>& cells,
-                              std::vector<PartialCore>* out) {
-    const Status built = builder.Build(pivot_key, cells, out);
-    M2TD_CHECK(built.ok()) << built;
-  };
-  M2TD_ASSIGN_OR_RETURN(std::vector<PartialCore> parts,
-                        mapreduce::RunJob(phase2, all_cells, &result.phase2));
+  M2TD_ASSIGN_OR_RETURN(
+      std::vector<PartialCore> parts,
+      RunPhase<PartialCore>(
+          all_cells, options,
+          [&geometry](const TensorCell& cell) {
+            return dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims);
+          },
+          [&](std::vector<TensorCell> cells, std::vector<PartialCore>* out) {
+            return dm2td_internal::ReducePivotGroups(builder, geometry,
+                                                     std::move(cells), out);
+          },
+          &result.phase2));
   stitch_span.End();
 
   // ---------- Phase 3: core assembly. ----------

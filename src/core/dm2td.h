@@ -9,15 +9,34 @@
 
 #include "core/m2td.h"
 #include "core/pf_partition.h"
-#include "mapreduce/engine.h"
+#include "robust/retry.h"
 #include "tensor/tucker.h"
 #include "util/result.h"
+
+namespace m2td::mapreduce {
+
+/// Per-phase timing and volume counters of a D-M2TD run, reported back to
+/// the caller; the Table III experiment aggregates these across the three
+/// phases.
+struct JobStats {
+  double map_seconds = 0.0;
+  double shuffle_seconds = 0.0;
+  double reduce_seconds = 0.0;
+  std::uint64_t intermediate_pairs = 0;
+  std::uint64_t output_records = 0;
+
+  double TotalSeconds() const {
+    return map_seconds + shuffle_seconds + reduce_seconds;
+  }
+};
+
+}  // namespace m2td::mapreduce
 
 namespace m2td::core {
 
 /// Execution backend for the D-M2TD MapReduce phases.
 enum class DistBackend {
-  /// In-process thread engine (mapreduce/engine.h): tasks are pool jobs.
+  /// In-process: map and reduce tasks are thread-pool tasks (dm2td.cc).
   kThread,
   /// Real worker processes (tools/m2td_worker) coordinated over pipes,
   /// shuffling through the durable io::ShuffleStore. Survives worker
@@ -119,8 +138,10 @@ struct DM2tdOptions {
   /// Table III. Thread backend: pool tasks; process backend: worker
   /// processes. Never affects results.
   int num_workers = 4;
-  /// Task-level retry policy applied to every MapReduce phase (see
-  /// mapreduce::JobSpec::retry). Defaults to no retries. The process
+  /// Task-level retry policy applied to every MapReduce phase: a failed
+  /// map or reduce task (failpoint fire, thrown exception, returned
+  /// IOError/Internal) is re-run from its input up to
+  /// `retry.max_retries` times. Defaults to no retries. The process
   /// backend additionally always replays tasks of dead workers —
   /// worker death is recovery, not a retry, and does not consume this
   /// budget.

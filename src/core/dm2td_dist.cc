@@ -25,7 +25,7 @@
 
 #include "core/dm2td_internal.h"
 #include "core/dm2td_tasks.h"
-#include "io/chunk_store.h"
+#include "io/shuffle_store.h"
 #include "mapreduce/transport.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -978,25 +978,14 @@ class Coordinator {
 
 // ----------------------------------------------------- input preparation
 
-/// Contiguous split m of [0, size) into `splits` ranges — the same
-/// arithmetic the thread engine uses for its map shards, so segment
-/// concatenation in split order reproduces the global input order.
-std::pair<std::size_t, std::size_t> SplitRange(std::size_t size, int splits,
-                                               int m) {
-  const std::size_t begin =
-      size * static_cast<std::size_t>(m) / static_cast<std::size_t>(splits);
-  const std::size_t end = size * (static_cast<std::size_t>(m) + 1) /
-                          static_cast<std::size_t>(splits);
-  return {begin, end};
-}
-
 Status WriteCellSplits(const io::ShuffleStore& store,
                        const std::vector<TensorCell>& cells, int splits) {
   return store.WriteFile(
       dm2td_tasks::kCellsFile, static_cast<std::size_t>(splits),
       [&](std::size_t m) {
         const auto [begin, end] =
-            SplitRange(cells.size(), splits, static_cast<int>(m));
+            dm2td_internal::SplitRange(cells.size(), splits,
+                                       static_cast<int>(m));
         return dm2td_tasks::EncodeCells(cells.data() + begin, end - begin);
       });
 }

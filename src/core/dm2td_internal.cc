@@ -1,6 +1,7 @@
 #include "core/dm2td_internal.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "linalg/svd.h"
@@ -8,6 +9,9 @@
 
 namespace m2td::core::dm2td_internal {
 
+namespace {
+
+/// Builds one sub-tensor from its cells and appends its per-mode Grams.
 Status BuildGramsForSub(int kappa, const std::vector<std::uint64_t>& shape,
                         const std::vector<TensorCell>& cells,
                         std::vector<GramPiece>* out) {
@@ -20,6 +24,48 @@ Status BuildGramsForSub(int kappa, const std::vector<std::uint64_t>& shape,
   for (std::size_t m = 0; m < sub.num_modes(); ++m) {
     M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram, tensor::ModeGram(sub, m));
     out->push_back(GramPiece{kappa, m, std::move(gram)});
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::uint64_t> CheckedPivotKey(const TensorCell& cell,
+                                      const JobGeometry& geometry) {
+  if (cell.idx.size() < geometry.k) {
+    return Status::IOError("cell of arity " + std::to_string(cell.idx.size()) +
+                           " has no pivot coordinates");
+  }
+  return PivotKey(cell.idx, geometry.pivot_dims);
+}
+
+Status ReduceGramGroups(std::vector<TensorCell> cells,
+                        const std::vector<std::uint64_t>& shape1,
+                        const std::vector<std::uint64_t>& shape2,
+                        std::vector<GramPiece>* out) {
+  std::map<int, std::vector<TensorCell>> by_kappa;
+  for (TensorCell& cell : cells) {
+    by_kappa[cell.kappa].push_back(std::move(cell));
+  }
+  for (const auto& [kappa, group] : by_kappa) {
+    M2TD_RETURN_IF_ERROR(
+        BuildGramsForSub(kappa, kappa == 1 ? shape1 : shape2, group, out));
+  }
+  return Status::OK();
+}
+
+Status ReducePivotGroups(const PivotCoreBuilder& builder,
+                         const JobGeometry& geometry,
+                         std::vector<TensorCell> cells,
+                         std::vector<PartialCore>* out) {
+  std::map<std::uint64_t, std::vector<TensorCell>> groups;
+  for (TensorCell& cell : cells) {
+    M2TD_ASSIGN_OR_RETURN(const std::uint64_t key,
+                          CheckedPivotKey(cell, geometry));
+    groups[key].push_back(std::move(cell));
+  }
+  for (const auto& [key, group] : groups) {
+    M2TD_RETURN_IF_ERROR(builder.Build(key, group, out));
   }
   return Status::OK();
 }

@@ -2,7 +2,7 @@
 #define M2TD_CORE_DM2TD_INTERNAL_H_
 
 // Shared building blocks of the two D-M2TD execution backends. The
-// in-process thread engine (dm2td.cc) and the multi-process task bodies
+// in-process thread backend (dm2td.cc) and the multi-process task bodies
 // (dm2td_tasks.cc) both compute through these functions, so the backends
 // agree bit for bit. Every group body sees its records in the global input
 // order on both backends — Gram sub-tensors are coalesced, and a pivot
@@ -12,6 +12,7 @@
 // reducers emit their outputs.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/dm2td.h"
@@ -107,16 +108,36 @@ inline void DecodeKey(std::uint64_t key,
   }
 }
 
+/// Contiguous split m of [0, size) into `splits` ranges: the map input of
+/// map task m on both backends, so concatenating the splits in task order
+/// reproduces the global input order.
+inline std::pair<std::size_t, std::size_t> SplitRange(std::size_t size,
+                                                      int splits, int m) {
+  const std::size_t begin =
+      size * static_cast<std::size_t>(m) / static_cast<std::size_t>(splits);
+  const std::size_t end = size * (static_cast<std::size_t>(m) + 1) /
+                          static_cast<std::size_t>(splits);
+  return {begin, end};
+}
+
 /// Every stored cell of both sub-tensors, x1's first — the job input of
 /// both phases, whose order every group body sees.
 std::vector<TensorCell> CollectAllCells(const SubEnsembles& subs);
 
-/// Phase-1 reducer body: builds one sub-tensor from its cells and emits
-/// the per-mode Gram pieces. Input cells must have unique indices (they
-/// come from a coalesced sub-tensor), so SortAndCoalesce canonicalizes
-/// the entry order regardless of arrival order.
-Status BuildGramsForSub(int kappa, const std::vector<std::uint64_t>& shape,
-                        const std::vector<TensorCell>& cells,
+/// The pivot key of a cell, IOError when it has fewer indices than there
+/// are pivot modes (a decoded cell of the process backend can).
+Result<std::uint64_t> CheckedPivotKey(const TensorCell& cell,
+                                      const JobGeometry& geometry);
+
+/// Phase-1 reduce body of both backends: groups `cells` by sub-tensor
+/// (kappa), in input order, and appends each sub-tensor's per-mode Gram
+/// pieces, in ascending kappa. Each group is built into a sparse tensor
+/// of shape `shape1` (kappa 1) or `shape2` and coalesced, so the Grams do
+/// not depend on the order the cells arrive in; the cells of one
+/// sub-tensor must have unique indices (they come from a coalesced one).
+Status ReduceGramGroups(std::vector<TensorCell> cells,
+                        const std::vector<std::uint64_t>& shape1,
+                        const std::vector<std::uint64_t>& shape2,
                         std::vector<GramPiece>* out);
 
 /// Phase-2 reducer body: recovers one pivot group's core contribution
@@ -172,6 +193,15 @@ class PivotCoreBuilder {
   std::uint64_t core_size_ = 0;
   ModeGroup pivot_, side1_, side2_;
 };
+
+/// Phase-2 reduce body of both backends: groups `cells` by pivot key,
+/// preserving input order within each group, and appends each group's
+/// partial core (PivotCoreBuilder::Build) in ascending pivot key. IOError
+/// for a malformed cell.
+Status ReducePivotGroups(const PivotCoreBuilder& builder,
+                         const JobGeometry& geometry,
+                         std::vector<TensorCell> cells,
+                         std::vector<PartialCore>* out);
 
 /// Sums the partial cores in ascending pivot key — the one canonical order
 /// on every backend — into the dense core whose mode-n extent is

@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
+#include <iterator>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -134,17 +134,6 @@ void MaybeStragglerSleep(const TaskRequest& task) {
 
 // --------------------------------------------------------------- stages
 
-/// The pivot key of a decoded cell, IOError when it has fewer indices than
-/// there are pivot modes.
-Result<std::uint64_t> CheckedPivotKey(const TensorCell& cell,
-                                      const JobGeometry& geometry) {
-  if (cell.idx.size() < geometry.k) {
-    return Status::IOError("cell of arity " + std::to_string(cell.idx.size()) +
-                           " has no pivot coordinates");
-  }
-  return dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims);
-}
-
 /// Writes the task's output file and commits it, with the chaos window
 /// between the two.
 Status WriteAndCommit(const io::ShuffleStore& store, const TaskRequest& task,
@@ -178,7 +167,8 @@ Status RunMapTask(const io::ShuffleStore& store, const DistJobConfig& config,
     // and any split boundaries.
     std::uint64_t shard = static_cast<std::uint64_t>(cell.kappa - 1);
     if (task.phase == "p2map") {
-      M2TD_ASSIGN_OR_RETURN(shard, CheckedPivotKey(cell, geometry));
+      M2TD_ASSIGN_OR_RETURN(shard,
+                            dm2td_internal::CheckedPivotKey(cell, geometry));
     }
     buckets[shard % shards].push_back(std::move(cell));
   }
@@ -190,23 +180,26 @@ Status RunMapTask(const io::ShuffleStore& store, const DistJobConfig& config,
       cells.size());
 }
 
-/// Calls `fn` on segment `r` of every committed map task file of
-/// `map_phase`, in map-task order — reproducing the global input order
-/// the thread backend's shuffle delivers. Empty segments (a map task
-/// that emitted nothing for this shard) are skipped.
-template <typename Fn>
-Status ForEachShardSegment(const io::ShuffleStore& store,
-                           const std::string& map_phase, int shards, int r,
-                           Fn&& fn) {
+/// Decodes segment `r` of every committed map task file of `map_phase`,
+/// in map-task order, into one run of cells — the global input order the
+/// thread backend's shuffle delivers too. Empty segments (a map task that
+/// emitted nothing for this shard) are skipped.
+Result<std::vector<TensorCell>> ReadShardCells(const io::ShuffleStore& store,
+                                               const std::string& map_phase,
+                                               int shards, int r) {
+  std::vector<TensorCell> cells;
   for (int m = 0; m < shards; ++m) {
     M2TD_ASSIGN_OR_RETURN(
         std::string bytes,
         store.ReadSegment(io::ShuffleStore::TaskFileName(map_phase, m),
                           static_cast<std::size_t>(r),
                           map_phase + ":" + std::to_string(m)));
-    if (!bytes.empty()) M2TD_RETURN_IF_ERROR(fn(bytes));
+    if (bytes.empty()) continue;
+    M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part, DecodeCells(bytes));
+    cells.insert(cells.end(), std::make_move_iterator(part.begin()),
+                 std::make_move_iterator(part.end()));
   }
-  return Status::OK();
+  return cells;
 }
 
 Status RunReduceTask(const io::ShuffleStore& store,
@@ -215,23 +208,12 @@ Status RunReduceTask(const io::ShuffleStore& store,
   const std::string map_phase = MapPhaseOf(task.phase);
 
   if (task.phase == "p1red") {
-    std::map<int, std::vector<TensorCell>> by_kappa;
-    M2TD_RETURN_IF_ERROR(ForEachShardSegment(
-        store, map_phase, config.shards, task.index,
-        [&](const std::string& bytes) -> Status {
-          M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part,
-                                DecodeCells(bytes));
-          for (TensorCell& cell : part) {
-            by_kappa[cell.kappa].push_back(std::move(cell));
-          }
-          return Status::OK();
-        }));
+    M2TD_ASSIGN_OR_RETURN(
+        std::vector<TensorCell> cells,
+        ReadShardCells(store, map_phase, config.shards, task.index));
     std::vector<GramPiece> pieces;
-    for (const auto& [kappa, group] : by_kappa) {
-      M2TD_RETURN_IF_ERROR(dm2td_internal::BuildGramsForSub(
-          kappa, kappa == 1 ? config.shape1 : config.shape2, group,
-          &pieces));
-    }
+    M2TD_RETURN_IF_ERROR(dm2td_internal::ReduceGramGroups(
+        std::move(cells), config.shape1, config.shape2, &pieces));
     return WriteAndCommit(
         store, task, 1, [&](std::size_t) { return EncodeGramPieces(pieces); },
         pieces.size());
@@ -261,25 +243,12 @@ Status RunReduceTask(const io::ShuffleStore& store,
       dm2td_internal::PivotCoreBuilder::Create(geometry, factors,
                                                config.zero_join, cand1,
                                                cand2));
-  // Group by pivot key, preserving global arrival order within each
-  // group; fold groups in ascending key order (canonical).
-  std::map<std::uint64_t, std::vector<TensorCell>> groups;
-  M2TD_RETURN_IF_ERROR(ForEachShardSegment(
-      store, map_phase, config.shards, task.index,
-      [&](const std::string& bytes) -> Status {
-        M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part,
-                              DecodeCells(bytes));
-        for (TensorCell& cell : part) {
-          M2TD_ASSIGN_OR_RETURN(const std::uint64_t key,
-                                CheckedPivotKey(cell, geometry));
-          groups[key].push_back(std::move(cell));
-        }
-        return Status::OK();
-      }));
+  M2TD_ASSIGN_OR_RETURN(
+      std::vector<TensorCell> cells,
+      ReadShardCells(store, map_phase, config.shards, task.index));
   std::vector<PartialCore> parts;
-  for (const auto& [key, group] : groups) {
-    M2TD_RETURN_IF_ERROR(builder.Build(key, group, &parts));
-  }
+  M2TD_RETURN_IF_ERROR(dm2td_internal::ReducePivotGroups(
+      builder, geometry, std::move(cells), &parts));
   return WriteAndCommit(
       store, task, 1, [&](std::size_t) { return EncodePartialCores(parts); },
       parts.size());

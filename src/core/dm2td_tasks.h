@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "core/dm2td_internal.h"
-#include "io/chunk_store.h"
+#include "io/shuffle_store.h"
 #include "linalg/matrix.h"
 #include "util/result.h"
 

@@ -58,11 +58,4 @@ std::uint64_t ParameterSpace::NumCells() const {
   return total;
 }
 
-Result<std::size_t> ParameterSpace::ModeByName(const std::string& name) const {
-  for (std::size_t m = 0; m < defs_.size(); ++m) {
-    if (defs_[m].name == name) return m;
-  }
-  return Status::NotFound("no parameter named '" + name + "'");
-}
-
 }  // namespace m2td::ensemble

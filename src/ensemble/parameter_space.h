@@ -54,9 +54,6 @@ class ParameterSpace {
     return defs_[mode].resolution / 2;
   }
 
-  /// Mode index by parameter name; NotFound if absent.
-  Result<std::size_t> ModeByName(const std::string& name) const;
-
  private:
   explicit ParameterSpace(std::vector<ParameterDef> defs)
       : defs_(std::move(defs)) {}

@@ -239,64 +239,4 @@ Matrix LinearCombination(double alpha, const Matrix& a, double beta,
   return c;
 }
 
-std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x) {
-  M2TD_CHECK(a.cols() == x.size());
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.RowPtr(i);
-    double sum = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) sum += arow[j] * x[j];
-    y[i] = sum;
-  }
-  return y;
-}
-
-Result<std::vector<double>> SolveLinearSystem(Matrix a,
-                                              std::vector<double> b) {
-  const std::size_t n = a.rows();
-  if (a.cols() != n) {
-    return Status::InvalidArgument("SolveLinearSystem requires a square A");
-  }
-  if (b.size() != n) {
-    return Status::InvalidArgument("rhs length must match A dimension");
-  }
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivoting.
-    std::size_t pivot = col;
-    double pivot_abs = std::fabs(a(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double v = std::fabs(a(r, col));
-      if (v > pivot_abs) {
-        pivot_abs = v;
-        pivot = r;
-      }
-    }
-    if (pivot_abs < 1e-300) {
-      return Status::Internal("singular linear system");
-    }
-    if (pivot != col) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(a(col, j), a(pivot, j));
-      std::swap(b[col], b[pivot]);
-    }
-    const double inv = 1.0 / a(col, col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = a(r, col) * inv;
-      if (factor == 0.0) continue;
-      a(r, col) = 0.0;
-      for (std::size_t j = col + 1; j < n; ++j) {
-        a(r, j) -= factor * a(col, j);
-      }
-      b[r] -= factor * b[col];
-    }
-  }
-  // Back substitution.
-  std::vector<double> x(n, 0.0);
-  for (std::size_t ri = n; ri-- > 0;) {
-    double sum = b[ri];
-    for (std::size_t j = ri + 1; j < n; ++j) sum -= a(ri, j) * x[j];
-    x[ri] = sum / a(ri, ri);
-  }
-  return x;
-}
-
 }  // namespace m2td::linalg

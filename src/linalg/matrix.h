@@ -98,15 +98,6 @@ Matrix MultiplyTransB(const Matrix& a, const Matrix& b);
 Matrix LinearCombination(double alpha, const Matrix& a, double beta,
                          const Matrix& b);
 
-/// y = A * x for x of length A.cols().
-std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x);
-
-/// Solves A x = b in-place via Gaussian elimination with partial pivoting.
-/// A is n x n and is destroyed; returns InvalidArgument on shape mismatch
-/// and Internal when the system is numerically singular.
-Result<std::vector<double>> SolveLinearSystem(Matrix a,
-                                              std::vector<double> b);
-
 }  // namespace m2td::linalg
 
 #endif  // M2TD_LINALG_MATRIX_H_

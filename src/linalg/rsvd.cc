@@ -9,48 +9,6 @@
 
 namespace m2td::linalg {
 
-Result<SvdResult> RandomizedSvd(const Matrix& a, std::size_t rank,
-                                const RandomizedSvdOptions& options) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  if (m == 0 || n == 0) {
-    return Status::InvalidArgument("RandomizedSvd on empty matrix");
-  }
-  if (rank == 0) return Status::InvalidArgument("rank must be positive");
-  const std::size_t k = std::min({rank, m, n});
-  obs::ObsSpan span("randomized_svd");
-  span.Annotate("m", static_cast<std::uint64_t>(m));
-  span.Annotate("n", static_cast<std::uint64_t>(n));
-  span.Annotate("rank", static_cast<std::uint64_t>(k));
-  const std::size_t sketch = std::min(m, k + options.oversampling);
-
-  // Gaussian test matrix Omega (n x sketch), Y = A Omega (m x sketch).
-  Rng rng(options.seed);
-  Matrix omega(n, sketch);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < sketch; ++j) omega(i, j) = rng.Gaussian();
-  }
-  Matrix y = Multiply(a, omega);
-
-  // Power iterations with re-orthonormalization for stability.
-  for (int it = 0; it < options.power_iterations; ++it) {
-    M2TD_ASSIGN_OR_RETURN(y, OrthonormalizeColumns(y));
-    Matrix z = MultiplyTransA(a, y);  // n x sketch
-    y = Multiply(a, z);               // m x sketch
-  }
-  M2TD_ASSIGN_OR_RETURN(Matrix q, OrthonormalizeColumns(y));
-
-  // B = Q^T A is small (sketch x n); solve it exactly.
-  Matrix b = MultiplyTransA(q, a);
-  M2TD_ASSIGN_OR_RETURN(SvdResult small, TruncatedSvd(b, k));
-
-  SvdResult out;
-  out.u = Multiply(q, small.u);  // m x k
-  out.singular_values = std::move(small.singular_values);
-  out.v = std::move(small.v);
-  return out;
-}
-
 Result<Matrix> RandomizedRangeFactor(const Matrix& sym, std::size_t rank,
                                      const RandomizedSvdOptions& options) {
   const std::size_t n = sym.rows();

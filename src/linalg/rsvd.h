@@ -16,19 +16,6 @@ struct RandomizedSvdOptions {
   std::uint64_t seed = 3;
 };
 
-/// \brief Randomized truncated SVD (Halko/Martinsson/Tropp sketch-based
-/// range finder).
-///
-/// The MACH-style randomized alternative referenced in the paper's related
-/// work: sketch the range with a Gaussian test matrix, orthonormalize,
-/// project, and solve the small factored problem exactly. For the
-/// mode-length-sized matrices in this library the exact Gram path
-/// (TruncatedSvd) is usually fine; this exists for the wide matricizations
-/// in benches and as an accuracy/runtime tradeoff the micro-benchmarks
-/// quantify.
-Result<SvdResult> RandomizedSvd(const Matrix& a, std::size_t rank,
-                                const RandomizedSvdOptions& options = {});
-
 /// \brief Sketched leading-eigenvector factor of a symmetric PSD matrix —
 /// the randomized replacement for the full Gram + Jacobi factor solve.
 ///

@@ -71,15 +71,4 @@ Result<Matrix> LeftSingularVectorsFromGram(const Matrix& gram,
   return LeadingEigenvectors(gram, rank, eigen);
 }
 
-Result<std::vector<double>> SingularValuesFromGram(const Matrix& gram,
-                                                   std::size_t rank) {
-  M2TD_ASSIGN_OR_RETURN(SymmetricEigenResult eig, SymmetricEigen(gram));
-  const std::size_t k = std::min(rank, gram.rows());
-  std::vector<double> values(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    values[i] = std::sqrt(std::max(0.0, eig.eigenvalues[i]));
-  }
-  return values;
-}
-
 }  // namespace m2td::linalg

@@ -43,11 +43,6 @@ Result<Matrix> LeftSingularVectorsFromGram(const Matrix& gram,
                                            const EigenOptions& eigen =
                                                EigenOptions());
 
-/// Singular values from a Gram matrix (sqrt of clamped eigenvalues),
-/// decreasing, length min(rank, n).
-Result<std::vector<double>> SingularValuesFromGram(const Matrix& gram,
-                                                   std::size_t rank);
-
 }  // namespace m2td::linalg
 
 #endif  // M2TD_LINALG_SVD_H_

@@ -21,7 +21,8 @@ void SetMetricsEnabled(bool enabled);
 ///
 /// Obtain via GetCounter(); instances live for the process lifetime, so
 /// callers may cache the reference (`static obs::Counter& c =
-/// obs::GetCounter("io.bytes_read");`) and pay one atomic add per event.
+/// obs::GetCounter("io.shuffle_bytes_read");`) and pay one atomic add per
+/// event.
 class Counter {
  public:
   explicit Counter(std::string name) : name_(std::move(name)) {}

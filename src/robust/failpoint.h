@@ -34,7 +34,7 @@ namespace m2td::robust {
 ///             pure function of (seed, hit sequence). Default 1.
 ///   seed=S    seeds the per-failpoint PRNG used by prob. Default 0.
 ///
-/// Examples: "chunk_store.read_blob:times=1",
+/// Examples: "shuffle_store.read_blob:times=1",
 /// "mapreduce.map_task:prob=0.2,seed=7", "ensemble.batch:after=5".
 ///
 /// A fired failpoint returns Status::Internal mentioning the failpoint

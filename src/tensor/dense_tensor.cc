@@ -68,41 +68,4 @@ double DenseTensor::FrobeniusDistance(const DenseTensor& a,
   return std::sqrt(sum);
 }
 
-Result<DenseTensor> DenseTensor::PermuteModes(
-    const std::vector<std::size_t>& perm) const {
-  if (perm.size() != shape_.size()) {
-    return Status::InvalidArgument("permutation length != num modes");
-  }
-  std::vector<bool> seen(perm.size(), false);
-  for (std::size_t p : perm) {
-    if (p >= perm.size() || seen[p]) {
-      return Status::InvalidArgument("invalid mode permutation");
-    }
-    seen[p] = true;
-  }
-  std::vector<std::uint64_t> new_shape(perm.size());
-  for (std::size_t m = 0; m < perm.size(); ++m) new_shape[m] = shape_[perm[m]];
-  DenseTensor out(new_shape);
-  std::vector<std::uint32_t> src_idx(perm.size());
-  std::vector<std::uint32_t> dst_idx(perm.size());
-  for (std::uint64_t linear = 0; linear < data_.size(); ++linear) {
-    std::uint64_t rest = linear;
-    for (std::size_t m = 0; m < shape_.size(); ++m) {
-      src_idx[m] = static_cast<std::uint32_t>(rest / strides_[m]);
-      rest %= strides_[m];
-    }
-    for (std::size_t m = 0; m < perm.size(); ++m) dst_idx[m] = src_idx[perm[m]];
-    out.at(dst_idx) = data_[linear];
-  }
-  return out;
-}
-
-std::uint64_t DenseTensor::CountAbove(double tol) const {
-  std::uint64_t count = 0;
-  for (double v : data_) {
-    if (std::fabs(v) > tol) ++count;
-  }
-  return count;
-}
-
 }  // namespace m2td::tensor

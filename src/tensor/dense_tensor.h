@@ -65,13 +65,6 @@ class DenseTensor {
   /// sqrt(sum((a-b)^2)); shapes must match.
   static double FrobeniusDistance(const DenseTensor& a, const DenseTensor& b);
 
-  /// Returns a tensor whose mode m is this tensor's mode `perm[m]`.
-  /// `perm` must be a permutation of [0, num_modes).
-  Result<DenseTensor> PermuteModes(const std::vector<std::size_t>& perm) const;
-
-  /// Number of entries with |value| > tol (diagnostics for tests).
-  std::uint64_t CountAbove(double tol) const;
-
  private:
   std::vector<std::uint64_t> shape_;
   std::vector<std::uint64_t> strides_;

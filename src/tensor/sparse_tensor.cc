@@ -336,40 +336,6 @@ double SparseTensor::FrobeniusNorm() const {
   return std::sqrt(sum);
 }
 
-Result<SparseTensor> SparseTensor::SliceMode(std::size_t mode,
-                                             std::uint32_t index) const {
-  if (mode >= shape_.size()) {
-    return Status::InvalidArgument("SliceMode: mode out of range");
-  }
-  if (shape_.size() < 2) {
-    return Status::InvalidArgument("SliceMode needs at least two modes");
-  }
-  if (index >= shape_[mode]) {
-    return Status::OutOfRange("SliceMode: index outside the mode");
-  }
-  std::vector<std::uint64_t> slice_shape;
-  slice_shape.reserve(shape_.size() - 1);
-  for (std::size_t m = 0; m < shape_.size(); ++m) {
-    if (m != mode) slice_shape.push_back(shape_[m]);
-  }
-  SparseTensor slice(slice_shape);
-  std::vector<std::uint32_t> idx(slice_shape.size());
-  for (std::uint64_t e = 0; e < values_.size(); ++e) {
-    if (indices_[mode][e] != index) continue;
-    std::size_t cursor = 0;
-    for (std::size_t m = 0; m < shape_.size(); ++m) {
-      if (m != mode) idx[cursor++] = indices_[m][e];
-    }
-    slice.AppendEntry(idx, values_[e]);
-  }
-  // Lexicographic order of a sorted parent restricted to one slice stays
-  // lexicographic after dropping the fixed mode... only when `mode` is not
-  // reordered past a differing mode — which holds because all remaining
-  // comparisons are on the same mode sequence. Preserve the flag.
-  slice.sorted_ = sorted_;
-  return slice;
-}
-
 bool SparseTensor::MatricizationColumnsFit(std::size_t mode) const {
   // Columns run over [0, prod); the largest, prod - 1, fits in 64 bits
   // iff prod <= 2^64.

@@ -150,12 +150,6 @@ class SparseTensor {
   /// require it.
   bool MatricizationColumnsFit(std::size_t mode) const;
 
-  /// The (N-1)-mode tensor obtained by fixing `mode` to `index` (entries
-  /// not matching are dropped; the mode disappears from the shape).
-  /// Requires at least two modes. Preserves sortedness.
-  Result<SparseTensor> SliceMode(std::size_t mode,
-                                 std::uint32_t index) const;
-
   /// \brief The compressed-sparse-fiber index for `mode` (see
   /// tensor/csf.h), built lazily on first use and cached for the life of
   /// this tensor's current contents.

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -32,7 +31,6 @@
 #include "core/pf_partition.h"
 #include "ensemble/sampling.h"
 #include "ensemble/simulation_model.h"
-#include "mapreduce/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -302,28 +300,26 @@ TEST_F(ChaosTest, EnsembleBuildCancelMidBatchKeepsJournalAndResumesBitIdentical)
 }
 
 TEST_F(ChaosTest, MapReduceCancelMidMapDrainsWithoutRetrying) {
+  auto model = PendulumModel(4);
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
   robust::SetRetrySleeperForTest([](double) {});
-  robust::CancelSource source;
-  mapreduce::JobSpec<int, int, int, int> spec;
-  std::atomic<int> mapped{0};
-  spec.mapper = [&](const int& value, mapreduce::Emitter<int, int>* emit) {
-    if (mapped.fetch_add(1) + 1 == 200) {
-      source.Cancel();  // in-band: fired from inside a map task
-    }
-    emit->Emit(value % 7, value);
-  };
-  spec.reducer = [](const int& key, std::vector<int>& values,
-                    std::vector<int>* out) {
-    out->push_back(key + static_cast<int>(values.size()));
-  };
-  spec.num_workers = 2;
-  spec.retry.max_retries = 3;
-  std::vector<int> inputs(2000);
-  std::iota(inputs.begin(), inputs.end(), 0);
+  core::DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  options.num_workers = 2;
+  options.retry.max_retries = 3;
 
   obs::GetCounter("robust.retry_attempts").Reset();
-  robust::CancelScope scope(source.token());
-  auto result = mapreduce::RunJob(spec, inputs);
+  robust::CancelSource source;
+  Result<core::DM2tdResult> result = [&] {
+    // In-band: fired as phase 1's second map task starts.
+    SpanTrigger trigger("map_task", 2, &source);
+    robust::CancelScope scope(source.token());
+    return core::DM2tdDecompose(*subs, *partition, model->space().Shape(),
+                                options);
+  }();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   // Cancellation is not a task failure: the retry layer must not replay.

@@ -523,9 +523,32 @@ TEST(DM2tdTest, ReportsPhaseStats) {
   auto result =
       DM2tdDecompose(*subs, *partition, model->space().Shape(), options);
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->phase2.intermediate_pairs, 0u);
+  // Both phases shuffle every cell once; phase 1 emits one Gram per
+  // sub-tensor mode.
+  const std::uint64_t cells = subs->x1.NumNonZeros() + subs->x2.NumNonZeros();
+  EXPECT_EQ(result->phase1.intermediate_pairs, cells);
+  EXPECT_EQ(result->phase1.output_records,
+            subs->x1.num_modes() + subs->x2.num_modes());
+  EXPECT_EQ(result->phase2.intermediate_pairs, cells);
   EXPECT_GT(result->phase3.intermediate_pairs, 0u);
   EXPECT_GE(result->TotalSeconds(), 0.0);
+}
+
+TEST(DM2tdTest, NonPositiveWorkerCountIsInvalidArgument) {
+  auto model = SmallModel();
+  auto partition = MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+  DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  for (int workers : {0, -1}) {
+    options.num_workers = workers;
+    auto result =
+        DM2tdDecompose(*subs, *partition, model->space().Shape(), options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 void ExpectZeroRankRejected(DistBackend backend) {
@@ -551,6 +574,43 @@ TEST(DM2tdTest, ZeroRankIsInvalidArgumentOnThreadBackend) {
 
 TEST(DM2tdTest, ZeroRankIsInvalidArgumentOnProcessBackend) {
   ExpectZeroRankRejected(DistBackend::kProcess);
+}
+
+// x1's mode-0 matricization has 1024^7 > 2^64 columns, so its Gram cannot
+// be built: every path must return InvalidArgument, never abort.
+TEST(DM2tdTest, UnrepresentableGramIsInvalidArgumentOnBothBackends) {
+  PfPartition partition;
+  partition.pivot_modes = {0};
+  partition.side1_modes = {1, 2, 3, 4, 5, 6, 7};
+  partition.side2_modes = {8};
+  const std::vector<std::uint64_t> full_shape(9, 1024);
+  SubEnsembles subs;
+  subs.x1 = tensor::SparseTensor(std::vector<std::uint64_t>(8, 1024));
+  subs.x2 = tensor::SparseTensor({1024, 1024});
+  subs.x1.AppendEntry({0, 1, 2, 3, 4, 5, 6, 7}, 1.0);
+  subs.x1.AppendEntry({1, 7, 6, 5, 4, 3, 2, 1}, 2.0);
+  subs.x2.AppendEntry({0, 3}, 3.0);
+  subs.x2.AppendEntry({1, 9}, 4.0);
+  subs.x1.SortAndCoalesce();
+  subs.x2.SortAndCoalesce();
+
+  M2tdOptions local_options;
+  local_options.ranks = std::vector<std::uint64_t>(9, 1);
+  auto local = M2tdDecompose(subs, partition, full_shape, local_options);
+  ASSERT_FALSE(local.ok());
+  EXPECT_EQ(local.status().code(), StatusCode::kInvalidArgument);
+
+  for (DistBackend backend : {DistBackend::kThread, DistBackend::kProcess}) {
+    DM2tdOptions options;
+    options.ranks = local_options.ranks;
+    options.num_workers = 2;
+    options.backend = backend;
+    options.process.worker_binary = M2TD_WORKER_BIN;
+    auto result = DM2tdDecompose(subs, partition, full_shape, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status();
+  }
 }
 
 // ------------------------------------------------------------- Experiment

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "linalg/kron.h"
-#include "linalg/rsvd.h"
 #include "tensor/cp.h"
 #include "tensor/hooi.h"
 #include "tensor/matricize.h"
@@ -108,44 +107,6 @@ TEST(KronTest, SymmetricPseudoInverse) {
   ASSERT_TRUE(binv.ok());
   EXPECT_NEAR((*binv)(0, 0), 0.5, 1e-12);
   EXPECT_NEAR((*binv)(1, 1), 0.25, 1e-12);
-}
-
-// ------------------------------------------------------------------- RSVD
-
-TEST(RsvdTest, RecoversLowRankMatrixExactly) {
-  Rng rng(5);
-  // A = L R with inner dimension 3: exact rank 3.
-  Matrix l = RandomMatrix(20, 3, &rng);
-  Matrix r = RandomMatrix(3, 30, &rng);
-  Matrix a = linalg::Multiply(l, r);
-  auto svd = linalg::RandomizedSvd(a, 3);
-  ASSERT_TRUE(svd.ok());
-  Matrix us = svd->u;
-  for (std::size_t j = 0; j < 3; ++j) {
-    for (std::size_t i = 0; i < us.rows(); ++i) {
-      us(i, j) *= svd->singular_values[j];
-    }
-  }
-  Matrix approx = linalg::MultiplyTransB(us, svd->v);
-  EXPECT_LT(Matrix::MaxAbsDiff(a, approx), 1e-8);
-}
-
-TEST(RsvdTest, SingularValuesMatchExactSvd) {
-  Rng rng(9);
-  Matrix a = RandomMatrix(15, 40, &rng);
-  auto exact = linalg::TruncatedSvd(a, 5);
-  auto randomized = linalg::RandomizedSvd(a, 5);
-  ASSERT_TRUE(exact.ok() && randomized.ok());
-  for (std::size_t j = 0; j < 5; ++j) {
-    EXPECT_NEAR(randomized->singular_values[j], exact->singular_values[j],
-                0.05 * exact->singular_values[0])
-        << "sigma_" << j;
-  }
-}
-
-TEST(RsvdTest, Validation) {
-  EXPECT_FALSE(linalg::RandomizedSvd(Matrix(), 2).ok());
-  EXPECT_FALSE(linalg::RandomizedSvd(Matrix(3, 3), 0).ok());
 }
 
 // ------------------------------------------------------------------- HOOI

@@ -35,10 +35,9 @@
 #include "core/m2td.h"
 #include "core/pf_partition.h"
 #include "ensemble/simulation_model.h"
-#include "io/chunk_store.h"
+#include "io/shuffle_store.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
-#include "mapreduce/engine.h"
 #include "mapreduce/wire.h"
 #include "obs/metrics.h"
 #include "robust/crc32.h"
@@ -494,7 +493,8 @@ TEST_F(DistTest, HostileLengthPrefixesAreIOError) {
 // The per-pivot body runs once per pivot group wherever the group lands,
 // and partial cores are summed in ascending pivot key, so neither the
 // shard a pivot hashes to, nor the order shards are gathered in, nor the
-// worker count moves a bit of the core or its join-cell count.
+// thread backend's worker count moves a bit of the core or its join-cell
+// count.
 TEST_F(DistTest, PivotBodyIsShardAndWorkerInvariant) {
   namespace internal = core::dm2td_internal;
   // Pivot mode 1 sits between the side modes, so partial cores scatter
@@ -533,6 +533,15 @@ TEST_F(DistTest, PivotBodyIsShardAndWorkerInvariant) {
   auto pivot_of = [&](const internal::TensorCell& cell) {
     return internal::PivotKey(cell.idx, geometry.pivot_dims);
   };
+  // The same cells as sub-tensors, for the thread backend.
+  core::SubEnsembles subs;
+  subs.x1 = tensor::SparseTensor({6, 5});
+  subs.x2 = tensor::SparseTensor({6, 3, 4});
+  for (const internal::TensorCell& cell : cells) {
+    (cell.kappa == 1 ? subs.x1 : subs.x2).AppendEntry(cell.idx, cell.value);
+  }
+  subs.x1.SortAndCoalesce();
+  subs.x2.SortAndCoalesce();
 
   for (bool zero_join : {false, true}) {
     SCOPED_TRACE(zero_join ? "zero-join" : "join");
@@ -582,27 +591,30 @@ TEST_F(DistTest, PivotBodyIsShardAndWorkerInvariant) {
         EXPECT_EQ(nnz, expected_nnz);
       }
     }
-    for (int workers : {1, 2, 4}) {
-      mapreduce::JobSpec<internal::TensorCell, std::uint64_t,
-                         internal::TensorCell, internal::PartialCore>
-          job;
-      job.num_workers = workers;
-      job.mapper = [&](const internal::TensorCell& cell,
-                       mapreduce::Emitter<std::uint64_t,
-                                          internal::TensorCell>* emitter) {
-        emitter->Emit(pivot_of(cell), cell);
-      };
-      job.reducer = [&](const std::uint64_t& key,
-                        std::vector<internal::TensorCell>& group,
-                        std::vector<internal::PartialCore>* out) {
-        EXPECT_TRUE(builder->Build(key, group, out).ok());
-      };
-      auto parts = mapreduce::RunJob(job, cells);
-      ASSERT_TRUE(parts.ok()) << parts.status();
+    // The thread backend recovers the same bits at every worker count,
+    // including more workers than cells: its core equals the one-shard
+    // body's under the factors it computed.
+    core::DM2tdOptions options;
+    options.ranks.assign(ranks.begin(), ranks.end());
+    options.stitch.zero_join = zero_join;
+    ASSERT_LT(cells.size(), 64u);
+    for (int workers : {1, 2, 4, 64}) {
+      options.num_workers = workers;
+      auto result = core::DM2tdDecompose(subs, partition, full_shape, options);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(result->join_nnz, expected_nnz) << workers << " workers";
+      auto own = internal::PivotCoreBuilder::Create(
+          geometry, result->tucker.factors, zero_join, cand1, cand2);
+      ASSERT_TRUE(own.ok()) << own.status();
+      std::vector<internal::PartialCore> parts;
+      ASSERT_TRUE(
+          internal::ReducePivotGroups(*own, geometry, cells, &parts).ok());
       std::uint64_t nnz = 0;
-      EXPECT_EQ(sum(std::move(*parts), &nnz), expected)
+      auto core = internal::SumPartialCores(&parts, result->tucker.factors,
+                                            &nnz);
+      ASSERT_TRUE(core.ok()) << core.status();
+      EXPECT_EQ(result->tucker.core.data(), core->data())
           << workers << " workers";
-      EXPECT_EQ(nnz, expected_nnz);
     }
   }
 }

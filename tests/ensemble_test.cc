@@ -57,8 +57,6 @@ TEST(ParameterSpaceTest, ShapeCellsDefaultsAndLookup) {
   EXPECT_EQ(space->Shape(), (std::vector<std::uint64_t>{3, 4, 5}));
   EXPECT_EQ(space->NumCells(), 60u);
   EXPECT_EQ(space->DefaultIndex(1), 2u);
-  EXPECT_EQ(*space->ModeByName("y"), 2u);
-  EXPECT_FALSE(space->ModeByName("zzz").ok());
 }
 
 TEST(ParameterSpaceTest, ValuesVector) {

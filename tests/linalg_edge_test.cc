@@ -10,7 +10,6 @@
 #include "linalg/kron.h"
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
-#include "linalg/rsvd.h"
 #include "linalg/svd.h"
 #include "obs/metrics.h"
 #include "util/random.h"
@@ -158,17 +157,6 @@ TEST(SvdEdgeTest, VectorShapedInputs) {
   auto svd_col = TruncatedSvd(col, 1);
   ASSERT_TRUE(svd_col.ok());
   EXPECT_NEAR(svd_col->singular_values[0], 5.0, 1e-12);
-}
-
-TEST(RsvdEdgeTest, RankExceedingMinDimensionClamps) {
-  Rng rng(6);
-  Matrix a(4, 10);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 10; ++j) a(i, j) = rng.Gaussian();
-  }
-  auto svd = RandomizedSvd(a, 100);
-  ASSERT_TRUE(svd.ok());
-  EXPECT_EQ(svd->singular_values.size(), 4u);
 }
 
 TEST(KronEdgeTest, IdentityKroneckerIdentity) {

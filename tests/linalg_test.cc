@@ -120,59 +120,6 @@ TEST(MatrixTest, LinearCombination) {
   EXPECT_EQ(c(0, 1), 14.0);
 }
 
-TEST(MatrixTest, MatVec) {
-  Matrix a(2, 3, {1, 0, 2, 0, 1, 3});
-  std::vector<double> y = MatVec(a, {1.0, 2.0, 3.0});
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_EQ(y[0], 7.0);
-  EXPECT_EQ(y[1], 11.0);
-}
-
-// ------------------------------------------------------------------ Solve
-
-TEST(SolveTest, SolvesDiagonal) {
-  Matrix a(2, 2, {2, 0, 0, 4});
-  auto x = SolveLinearSystem(a, {2.0, 8.0});
-  ASSERT_TRUE(x.ok());
-  EXPECT_DOUBLE_EQ((*x)[0], 1.0);
-  EXPECT_DOUBLE_EQ((*x)[1], 2.0);
-}
-
-TEST(SolveTest, SolvesWithPivoting) {
-  // Zero on the initial pivot position forces a row swap.
-  Matrix a(2, 2, {0, 1, 1, 0});
-  auto x = SolveLinearSystem(a, {3.0, 5.0});
-  ASSERT_TRUE(x.ok());
-  EXPECT_DOUBLE_EQ((*x)[0], 5.0);
-  EXPECT_DOUBLE_EQ((*x)[1], 3.0);
-}
-
-TEST(SolveTest, RandomSystemResidual) {
-  Rng rng(11);
-  const std::size_t n = 12;
-  Matrix a = RandomMatrix(n, n, &rng);
-  std::vector<double> b(n);
-  for (double& v : b) v = rng.Gaussian();
-  auto x = SolveLinearSystem(a, b);
-  ASSERT_TRUE(x.ok());
-  std::vector<double> ax = MatVec(a, *x);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-9);
-}
-
-TEST(SolveTest, SingularSystemFails) {
-  Matrix a(2, 2, {1, 1, 1, 1});
-  auto x = SolveLinearSystem(a, {1.0, 2.0});
-  EXPECT_FALSE(x.ok());
-  EXPECT_EQ(x.status().code(), StatusCode::kInternal);
-}
-
-TEST(SolveTest, ShapeMismatchFails) {
-  Matrix a(2, 3);
-  EXPECT_FALSE(SolveLinearSystem(a, {1.0, 2.0}).ok());
-  Matrix b(2, 2);
-  EXPECT_FALSE(SolveLinearSystem(b, {1.0}).ok());
-}
-
 // ------------------------------------------------------------------ Eigen
 
 TEST(EigenTest, DiagonalMatrix) {
@@ -397,15 +344,6 @@ TEST(SvdTest, LeftSingularVectorsFromGramMatchDirect) {
     }
     EXPECT_NEAR(std::fabs(dot), 1.0, 1e-8) << "column " << j;
   }
-}
-
-TEST(SvdTest, SingularValuesFromGram) {
-  Matrix a(2, 2, {3, 0, 0, 4});
-  Matrix gram = MultiplyTransB(a, a);
-  auto sv = SingularValuesFromGram(gram, 2);
-  ASSERT_TRUE(sv.ok());
-  EXPECT_NEAR((*sv)[0], 4.0, 1e-12);
-  EXPECT_NEAR((*sv)[1], 3.0, 1e-12);
 }
 
 TEST(SvdTest, EmptyMatrixRejected) {

@@ -5,14 +5,13 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
-#include <set>
+#include <string>
 #include <unistd.h>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "io/chunk_store.h"
+#include "io/shuffle_store.h"
 #include "io/tensor_io.h"
 #include "tensor/sparse_tensor.h"
 #include "util/random.h"
@@ -54,45 +53,46 @@ TEST(RandomizedConsistencyTest, SparseTensorVsMapOracle) {
   }
 }
 
-TEST(RandomizedConsistencyTest, ChunkStoreRoundTripsRandomTensors) {
+TEST(RandomizedConsistencyTest, ShuffleStoreRoundTripsRandomSegments) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("m2td_fuzz_store_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
+  auto store = io::ShuffleStore::Create(dir.string());
+  ASSERT_TRUE(store.ok()) << store.status();
 
   Rng rng(31337);
-  for (int episode = 0; episode < 5; ++episode) {
-    std::filesystem::remove_all(dir);
-    const std::vector<std::uint64_t> shape = {4 + rng.UniformInt(8),
-                                              4 + rng.UniformInt(8)};
-    tensor::SparseTensor x(shape);
-    std::vector<std::uint32_t> idx(2);
-    const int nnz = 60;
-    for (int e = 0; e < nnz; ++e) {
-      idx[0] = static_cast<std::uint32_t>(rng.UniformInt(shape[0]));
-      idx[1] = static_cast<std::uint32_t>(rng.UniformInt(shape[1]));
-      x.AppendEntry(idx, rng.Gaussian());
+  for (int episode = 0; episode < 8; ++episode) {
+    // Random segment counts and lengths, empty segments and files included.
+    std::vector<std::string> segments(rng.UniformInt(10));
+    for (std::string& segment : segments) {
+      segment.resize(rng.UniformInt(3) == 0 ? 0 : rng.UniformInt(300));
+      for (char& c : segment) c = static_cast<char>(rng.UniformInt(256));
     }
-    x.SortAndCoalesce();
+    const auto source = [&](std::size_t i) { return segments[i]; };
+    const std::uint64_t records = rng.UniformInt(1000);
+    ASSERT_TRUE(store->WriteAttempt("p", episode, 0, segments.size(), source,
+                                    records)
+                    .ok());
+    ASSERT_TRUE(store->CommitAttempt("p", episode, 0).ok());
+    const std::string name = io::ShuffleStore::TaskFileName("p", episode);
 
-    const std::uint64_t chunk = 1 + rng.UniformInt(5);
-    auto store = io::ChunkStore::Create(dir.string(), shape, {chunk, chunk});
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store->Write(x).ok());
-
-    // Every entry comes back exactly, whatever the chunk grid, and only
-    // occupied grid cells hold a blob.
-    auto loaded = store->ReadAll();
-    ASSERT_TRUE(loaded.ok());
-    ASSERT_EQ(loaded->NumNonZeros(), x.NumNonZeros()) << "episode " << episode;
-    std::set<std::pair<std::uint64_t, std::uint64_t>> occupied;
-    for (std::uint64_t e = 0; e < x.NumNonZeros(); ++e) {
-      EXPECT_EQ(loaded->Index(0, e), x.Index(0, e));
-      EXPECT_EQ(loaded->Index(1, e), x.Index(1, e));
-      EXPECT_EQ(loaded->Value(e), x.Value(e));
-      occupied.insert({x.Index(0, e) / chunk, x.Index(1, e) / chunk});
+    // Every segment comes back exactly, and the file is exactly its header
+    // plus its segments.
+    auto header = store->ReadHeader(name, "p");
+    ASSERT_TRUE(header.ok()) << header.status();
+    EXPECT_EQ(header->records, records) << "episode " << episode;
+    ASSERT_EQ(header->segments.size(), segments.size());
+    std::uint64_t bytes = io::ShuffleStore::HeaderBytes(segments.size());
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      auto read = store->ReadSegment(name, i, "p");
+      ASSERT_TRUE(read.ok()) << read.status();
+      EXPECT_EQ(*read, segments[i]) << "episode " << episode << " segment "
+                                    << i;
+      bytes += segments[i].size();
     }
-    EXPECT_EQ(store->NumChunks(), occupied.size()) << "episode " << episode;
+    EXPECT_EQ(std::filesystem::file_size(dir / name), bytes);
+    EXPECT_FALSE(store->ReadSegment(name, segments.size(), "p").ok());
   }
   std::filesystem::remove_all(dir);
 }

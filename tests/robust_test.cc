@@ -1,6 +1,6 @@
 // Tests for the fault-tolerance subsystem (src/robust/) and its wiring
-// through the pipeline: deterministic failpoints, retry/backoff, CRC'd
-// durable chunk IO, checkpoint journals, MapReduce task retry, and
+// through the pipeline: deterministic failpoints, retry/backoff, the CRC'd
+// durable shuffle store, checkpoint journals, MapReduce task retry, and
 // budget-preserving, checkpoint-resumable ensemble builds.
 //
 // Everything here is deterministic: backoff delays are collected through
@@ -26,8 +26,7 @@
 #include "core/pf_partition.h"
 #include "ensemble/sampling.h"
 #include "ensemble/simulation_model.h"
-#include "io/chunk_store.h"
-#include "mapreduce/engine.h"
+#include "io/shuffle_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "robust/cancel.h"
@@ -71,19 +70,6 @@ class RobustTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
-
-tensor::SparseTensor SmallTensor() {
-  tensor::SparseTensor x({4, 4});
-  Rng rng(1);
-  std::vector<std::uint32_t> idx(2);
-  for (int e = 0; e < 10; ++e) {
-    idx[0] = static_cast<std::uint32_t>(rng.UniformInt(4));
-    idx[1] = static_cast<std::uint32_t>(rng.UniformInt(4));
-    x.AppendEntry(idx, rng.Gaussian());
-  }
-  x.SortAndCoalesce();
-  return x;
-}
 
 // ------------------------------------------------------------- failpoints
 
@@ -316,74 +302,123 @@ TEST_F(RobustTest, AtomicWriteFileCleansUpOnWriterFailure) {
   EXPECT_FALSE(std::filesystem::exists(robust::TempPathFor(path)));
 }
 
-TEST_F(RobustTest, ChunkStoreLeavesNoTemporaries) {
-  auto store = io::ChunkStore::Create(Path("store"), {4, 4}, {2, 2});
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Write(SmallTensor()).ok());
+// ----------------------------------------------------------- shuffle store
+
+/// Segment `i` of the three-segment file the shuffle-store tests write.
+std::string TestSegment(std::size_t i) {
+  return "segment " + std::to_string(i) + ":" +
+         std::string(24, static_cast<char>('a' + i));
+}
+
+/// The `.tmp` files anywhere under `dir`.
+std::vector<std::string> Temporaries(const std::string& dir) {
+  std::vector<std::string> found;
   for (const auto& entry :
-       std::filesystem::directory_iterator(Path("store"))) {
-    EXPECT_EQ(entry.path().string().find(".tmp"), std::string::npos)
-        << "stray temporary " << entry.path();
+       std::filesystem::recursive_directory_iterator(dir)) {
+    const std::string path = entry.path().string();
+    if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".tmp") == 0) {
+      found.push_back(path);
+    }
+  }
+  return found;
+}
+
+TEST_F(RobustTest, ShuffleStoreWriteAndCommitFailuresHealWithoutTemporaries) {
+  auto store = io::ShuffleStore::Create(Path("job"));
+  ASSERT_TRUE(store.ok()) << store.status();
+  // Without retries an injected write failure surfaces, leaving nothing.
+  ASSERT_TRUE(
+      robust::ArmFailpointsFromString("shuffle_store.write_blob:times=1").ok());
+  EXPECT_FALSE(store->WriteAttempt("p1map", 0, 0, 3, TestSegment).ok());
+  EXPECT_EQ(Temporaries(Path("job")), std::vector<std::string>());
+
+  // With retries, injected write and commit failures heal.
+  ASSERT_TRUE(robust::ArmFailpointsFromString(
+                  "shuffle_store.write_blob:times=2;shuffle_store.commit:"
+                  "times=1")
+                  .ok());
+  robust::RetryPolicy policy;
+  policy.max_retries = 2;
+  robust::SetGlobalRetryPolicy(policy);
+  robust::SetRetrySleeperForTest([](double) {});
+  ASSERT_TRUE(store->WriteFile("input/cells", 3, TestSegment).ok());
+  ASSERT_TRUE(
+      store->WriteAttempt("p1map", 0, 1, 3, TestSegment, /*records=*/7).ok());
+  ASSERT_TRUE(store->CommitAttempt("p1map", 0, 1).ok());
+  EXPECT_EQ(robust::FailpointFires("shuffle_store.write_blob"), 2u);
+  EXPECT_EQ(robust::FailpointFires("shuffle_store.commit"), 1u);
+  EXPECT_EQ(Temporaries(Path("job")), std::vector<std::string>());
+
+  auto header = store->ReadHeader(io::ShuffleStore::TaskFileName("p1map", 0),
+                                  "p1map:0");
+  ASSERT_TRUE(header.ok()) << header.status();
+  EXPECT_EQ(header->attempt, 1);
+  EXPECT_EQ(header->records, 7u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    auto segment = store->ReadSegment("input/cells", i, "input");
+    ASSERT_TRUE(segment.ok()) << segment.status();
+    EXPECT_EQ(*segment, TestSegment(i));
   }
 }
 
-TEST_F(RobustTest, CorruptedChunkBlobSurfacesDataLoss) {
-  auto store = io::ChunkStore::Create(Path("store"), {4, 4}, {2, 2});
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Write(SmallTensor()).ok());
-  // Flip one payload byte in one blob behind the store's back.
-  bool corrupted = false;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(Path("store"))) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("chunk_", 0) != 0) continue;
-    std::fstream blob(entry.path(),
+TEST_F(RobustTest, CorruptedShuffleSegmentSurfacesDataLoss) {
+  auto store = io::ShuffleStore::Create(Path("job"));
+  ASSERT_TRUE(store.ok()) << store.status();
+  ASSERT_TRUE(store->WriteFile("input/cells", 3, TestSegment).ok());
+  {
+    // Flip one payload byte of segment 1 behind the store's back.
+    std::fstream file(Path("job/input/cells"),
                       std::ios::in | std::ios::out | std::ios::binary);
-    blob.seekg(24);
+    const std::streamoff offset = static_cast<std::streamoff>(
+        io::ShuffleStore::HeaderBytes(3) + TestSegment(0).size() + 3);
+    file.seekg(offset);
     char byte = 0;
-    blob.read(&byte, 1);
+    file.read(&byte, 1);
     byte = static_cast<char>(byte ^ 0x40);
-    blob.seekp(24);
-    blob.write(&byte, 1);
-    corrupted = true;
-    break;
+    file.seekp(offset);
+    file.write(&byte, 1);
+    ASSERT_TRUE(file.good());
   }
-  ASSERT_TRUE(corrupted);
   obs::GetCounter("io.crc_failures").Reset();
-  auto all = store->ReadAll();
-  ASSERT_FALSE(all.ok());
-  EXPECT_EQ(all.status().code(), StatusCode::kDataLoss);
+  auto corrupt = store->ReadSegment("input/cells", 1, "input");
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_EQ(corrupt.status().code(), StatusCode::kDataLoss);
   EXPECT_GE(obs::GetCounter("io.crc_failures").value(), 1u);
+  // The other segments keep their own CRCs and stay readable.
+  auto intact = store->ReadSegment("input/cells", 0, "input");
+  ASSERT_TRUE(intact.ok()) << intact.status();
+  EXPECT_EQ(*intact, TestSegment(0));
   // DataLoss is not retryable: a raised retry policy must not mask it.
   robust::RetryPolicy policy;
   policy.max_retries = 3;
   robust::SetGlobalRetryPolicy(policy);
   robust::SetRetrySleeperForTest([](double) {});
-  EXPECT_EQ(store->ReadAll().status().code(), StatusCode::kDataLoss);
+  obs::GetCounter("robust.retry_attempts").Reset();
+  EXPECT_EQ(store->ReadSegment("input/cells", 1, "input").status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(obs::GetCounter("robust.retry_attempts").value(), 0u);
 }
 
 TEST_F(RobustTest, TransientReadFailureHealedByGlobalRetry) {
-  auto store = io::ChunkStore::Create(Path("store"), {4, 4}, {2, 2});
-  ASSERT_TRUE(store.ok());
-  const tensor::SparseTensor written = SmallTensor();
-  ASSERT_TRUE(store->Write(written).ok());
+  auto store = io::ShuffleStore::Create(Path("job"));
+  ASSERT_TRUE(store.ok()) << store.status();
+  ASSERT_TRUE(store->WriteFile("input/cells", 3, TestSegment).ok());
 
   ASSERT_TRUE(
-      robust::ArmFailpointsFromString("chunk_store.read_blob:times=1").ok());
+      robust::ArmFailpointsFromString("shuffle_store.read_blob:times=1").ok());
   // Without retries the injected failure surfaces...
-  auto failed = store->ReadAll();
-  EXPECT_FALSE(failed.ok());
+  EXPECT_FALSE(store->ReadSegment("input/cells", 1, "input").ok());
   // ...with retries the same injection self-heals.
   ASSERT_TRUE(
-      robust::ArmFailpointsFromString("chunk_store.read_blob:times=1").ok());
+      robust::ArmFailpointsFromString("shuffle_store.read_blob:times=1").ok());
   robust::RetryPolicy policy;
   policy.max_retries = 2;
   robust::SetGlobalRetryPolicy(policy);
   robust::SetRetrySleeperForTest([](double) {});
-  auto healed = store->ReadAll();
+  auto healed = store->ReadSegment("input/cells", 1, "input");
   ASSERT_TRUE(healed.ok()) << healed.status();
-  EXPECT_EQ(healed->NumNonZeros(), written.NumNonZeros());
-  EXPECT_EQ(robust::FailpointFires("chunk_store.read_blob"), 1u);
+  EXPECT_EQ(*healed, TestSegment(1));
+  EXPECT_EQ(robust::FailpointFires("shuffle_store.read_blob"), 1u);
 }
 
 // ------------------------------------------------------ checkpoint journal

@@ -11,7 +11,7 @@
 #include <optional>
 #include <string>
 
-#include "io/chunk_store.h"
+#include "io/shuffle_store.h"
 
 namespace m2td {
 

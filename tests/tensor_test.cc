@@ -65,8 +65,6 @@ TEST(DenseTensorTest, FillAndNorm) {
   DenseTensor x({2, 2});
   x.Fill(3.0);
   EXPECT_DOUBLE_EQ(x.FrobeniusNorm(), 6.0);
-  EXPECT_EQ(x.CountAbove(2.9), 4u);
-  EXPECT_EQ(x.CountAbove(3.1), 0u);
 }
 
 TEST(DenseTensorTest, FrobeniusDistance) {
@@ -74,36 +72,6 @@ TEST(DenseTensorTest, FrobeniusDistance) {
   a.Fill(1.0);
   b.Fill(4.0);
   EXPECT_DOUBLE_EQ(DenseTensor::FrobeniusDistance(a, b), 6.0);
-}
-
-TEST(DenseTensorTest, PermuteModes) {
-  Rng rng(9);
-  DenseTensor x = RandomDense({2, 3, 4}, &rng);
-  auto permuted = x.PermuteModes({2, 0, 1});
-  ASSERT_TRUE(permuted.ok());
-  EXPECT_EQ(permuted->shape(), (std::vector<std::uint64_t>{4, 2, 3}));
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    for (std::uint32_t j = 0; j < 3; ++j) {
-      for (std::uint32_t l = 0; l < 4; ++l) {
-        EXPECT_EQ(permuted->at({l, i, j}), x.at({i, j, l}));
-      }
-    }
-  }
-}
-
-TEST(DenseTensorTest, PermuteModesValidation) {
-  DenseTensor x({2, 3});
-  EXPECT_FALSE(x.PermuteModes({0}).ok());
-  EXPECT_FALSE(x.PermuteModes({0, 0}).ok());
-  EXPECT_FALSE(x.PermuteModes({0, 5}).ok());
-}
-
-TEST(DenseTensorTest, PermuteIdentityIsNoop) {
-  Rng rng(2);
-  DenseTensor x = RandomDense({3, 2, 2}, &rng);
-  auto same = x.PermuteModes({0, 1, 2});
-  ASSERT_TRUE(same.ok());
-  EXPECT_DOUBLE_EQ(DenseTensor::FrobeniusDistance(x, *same), 0.0);
 }
 
 // ----------------------------------------------------------- SparseTensor

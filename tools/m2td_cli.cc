@@ -7,7 +7,6 @@
 //   decompose    load a tensor file, decompose (hosvd | hooi | cp), report
 //                the fit of the decomposition against the stored tensor
 //   info         print a tensor file summary
-//   store        write a tensor file into a chunked store / read it back
 //
 // Examples:
 //   m2td_cli experiment --system=double_pendulum --resolution=10
@@ -15,8 +14,6 @@
 //   m2td_cli simulate --system=lorenz --resolution=8 --scheme=random
 //       --budget=100 --output=/tmp/lorenz.txt
 //   m2td_cli decompose --input=/tmp/lorenz.txt --algorithm=hooi --rank=4
-//   m2td_cli store --input=/tmp/lorenz.txt --dir=/tmp/lorenz_store
-//       --chunk=4
 
 #include <iostream>
 #include <string>
@@ -30,7 +27,6 @@
 #include "core/pf_partition.h"
 #include "ensemble/sampling.h"
 #include "ensemble/simulation_model.h"
-#include "io/chunk_store.h"
 #include "io/tensor_io.h"
 #include "io/tucker_io.h"
 #include "obs/metrics.h"
@@ -660,42 +656,6 @@ int RunInfo(int argc, const char* const* argv) {
   return 0;
 }
 
-int RunStore(int argc, const char* const* argv) {
-  std::string input;
-  std::string dir;
-  std::int64_t chunk = 4;
-  FlagParser parser(
-      "m2td_cli store: write a tensor into a chunked store and verify");
-  parser.AddString("input", "tensor file", &input);
-  parser.AddString("dir", "store directory", &dir);
-  parser.AddInt64("chunk", "chunk extent per mode", &chunk);
-  auto positional = parser.Parse(argc, argv);
-  if (!positional.ok()) return Fail(positional.status());
-  if (input.empty() || dir.empty()) {
-    return Fail(Status::InvalidArgument("--input and --dir are required"));
-  }
-  if (chunk <= 0) return Fail(Status::InvalidArgument("--chunk must be > 0"));
-
-  auto x = LoadTensorAuto(input);
-  if (!x.ok()) return Fail(x.status());
-  auto store = m2td::io::ChunkStore::Create(
-      dir, x->shape(),
-      std::vector<std::uint64_t>(x->num_modes(),
-                                 static_cast<std::uint64_t>(chunk)));
-  if (!store.ok()) return Fail(store.status());
-  const Status written = store->Write(*x);
-  if (!written.ok()) return Fail(written);
-
-  auto reread = store->ReadAll();
-  if (!reread.ok()) return Fail(reread.status());
-  std::cout << "stored " << store->TotalNonZeros() << " entries in "
-            << store->NumChunks() << " chunks under " << dir << "\n"
-            << "round-trip check: "
-            << (reread->NumNonZeros() == x->NumNonZeros() ? "OK" : "MISMATCH")
-            << "\n";
-  return 0;
-}
-
 int RunQuery(int argc, const char* const* argv) {
   std::string input;
   std::string cell;
@@ -832,7 +792,6 @@ void PrintTopLevelUsage() {
       "  analyze     M2TD patterns / interactions / outliers report\n"
       "  query       evaluate cells of a saved Tucker decomposition\n"
       "  info        summarize a tensor file\n"
-      "  store       chunked-store round trip\n"
       "global flags (any command):\n"
       "  --trace_out=<file>    write a Chrome trace (chrome://tracing,\n"
       "                        Perfetto) of the run\n"
@@ -853,7 +812,7 @@ void PrintTopLevelUsage() {
       "  --max_retries=<n>     retry transient IO/task failures up to n\n"
       "                        times (capped exponential backoff)\n"
       "  --fail_point=<spec>   arm a fault-injection point, e.g.\n"
-      "                        chunk_store.read_blob:times=1 or\n"
+      "                        shuffle_store.read_blob:times=1 or\n"
       "                        mapreduce.map_task:prob=0.2,seed=7;\n"
       "                        repeatable, ';'-separated; the\n"
       "                        M2TD_FAILPOINTS env var is also honored\n"
@@ -1161,8 +1120,6 @@ int main(int argc, char** argv) {
         code = RunQuery(sub_argc, sub_argv);
       } else if (command == "info") {
         code = RunInfo(sub_argc, sub_argv);
-      } else if (command == "store") {
-        code = RunStore(sub_argc, sub_argv);
       } else if (command == "--help" || command == "-h" ||
                  command == "help") {
         PrintTopLevelUsage();

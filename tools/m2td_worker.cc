@@ -48,7 +48,7 @@
 #include <vector>
 
 #include "core/dm2td_tasks.h"
-#include "io/chunk_store.h"
+#include "io/shuffle_store.h"
 #include "mapreduce/transport.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
