@@ -377,6 +377,9 @@ class Coordinator {
     }
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    // A worker exits a millisecond or two after its quit frame: poll with
+    // a backoff that starts short and is capped, not a fixed long sleep.
+    useconds_t backoff_us = 50;
     while (std::chrono::steady_clock::now() < deadline) {
       bool any = false;
       for (WorkerProc& w : workers_) {
@@ -392,7 +395,8 @@ class Coordinator {
         }
       }
       if (!any) return;
-      ::usleep(10 * 1000);
+      ::usleep(backoff_us);
+      backoff_us = std::min<useconds_t>(2 * backoff_us, 1000);
     }
     KillAll();
   }
@@ -1144,7 +1148,7 @@ Result<std::string> DefaultWorkerBinary(const std::string& configured) {
   std::error_code ec;
   const fs::path self = fs::read_symlink("/proc/self/exe", ec);
   if (!ec) {
-    for (const fs::path candidate :
+    for (const fs::path& candidate :
          {self.parent_path() / "m2td_worker",
           self.parent_path() / ".." / "tools" / "m2td_worker"}) {
       if (fs::exists(candidate)) return candidate.string();

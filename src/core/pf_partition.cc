@@ -161,20 +161,36 @@ tensor::SparseTensor BuildSide(
     cells = rng->SampleWithoutReplacement(cross, keep);
   }
 
+  // Cells go to the model a block at a time, so it can simulate each
+  // block's new configurations in lockstep before they are read.
+  constexpr std::size_t kBlock = 256;
+  std::vector<std::vector<std::uint32_t>> block;
   std::vector<std::uint32_t> sub_index(shape.size());
-  for (std::uint64_t cell : cells) {
-    const auto& pivot = pivot_configs[cell / side_configs.size()];
-    const auto& free_cfg = side_configs[cell % side_configs.size()];
-    for (std::size_t i = 0; i < partition.pivot_modes.size(); ++i) {
-      full_index[partition.pivot_modes[i]] = pivot[i];
-      sub_index[i] = pivot[i];
+  for (std::size_t first = 0; first < cells.size(); first += kBlock) {
+    const std::size_t count = std::min(kBlock, cells.size() - first);
+    block.assign(count, full_index);
+    for (std::size_t c = 0; c < count; ++c) {
+      const std::uint64_t cell = cells[first + c];
+      const auto& pivot = pivot_configs[cell / side_configs.size()];
+      const auto& free_cfg = side_configs[cell % side_configs.size()];
+      for (std::size_t i = 0; i < partition.pivot_modes.size(); ++i) {
+        block[c][partition.pivot_modes[i]] = pivot[i];
+      }
+      for (std::size_t i = 0; i < free_modes.size(); ++i) {
+        block[c][free_modes[i]] = free_cfg[i];
+      }
     }
-    for (std::size_t i = 0; i < free_modes.size(); ++i) {
-      full_index[free_modes[i]] = free_cfg[i];
-      sub_index[partition.pivot_modes.size() + i] = free_cfg[i];
+    model->SimulateCells(block);
+    for (const std::vector<std::uint32_t>& index : block) {
+      for (std::size_t i = 0; i < partition.pivot_modes.size(); ++i) {
+        sub_index[i] = index[partition.pivot_modes[i]];
+      }
+      for (std::size_t i = 0; i < free_modes.size(); ++i) {
+        sub_index[partition.pivot_modes.size() + i] = index[free_modes[i]];
+      }
+      sub.AppendEntry(sub_index, model->Cell(index));
+      ++(*cells_evaluated);
     }
-    sub.AppendEntry(sub_index, model->Cell(full_index));
-    ++(*cells_evaluated);
   }
   sub.SortAndCoalesce();
   return sub;

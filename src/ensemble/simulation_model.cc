@@ -1,5 +1,6 @@
 #include "ensemble/simulation_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -24,8 +25,12 @@ Result<std::unique_ptr<DynamicalSystemModel>> DynamicalSystemModel::Create(
     return Status::InvalidArgument(
         "reference parameter count must match the non-time modes");
   }
-  M2TD_ASSIGN_OR_RETURN(sim::Trajectory reference,
-                        factory(reference_params));
+  std::vector<Result<sim::Trajectory>> simulated = factory({reference_params});
+  if (simulated.size() != 1) {
+    return Status::InvalidArgument(
+        "trajectory factory must return one result per configuration");
+  }
+  M2TD_ASSIGN_OR_RETURN(sim::Trajectory reference, std::move(simulated[0]));
   if (reference.NumSamples() != space.Resolution(0)) {
     return Status::InvalidArgument(
         "trajectory sample count does not match the time mode resolution");
@@ -44,17 +49,60 @@ std::uint64_t DynamicalSystemModel::ParamLinearIndex(
   return linear;
 }
 
+std::vector<double> DynamicalSystemModel::ParamValues(
+    const std::vector<std::uint32_t>& indices) const {
+  std::vector<double> params(space_.num_modes() - 1);
+  for (std::size_t m = 1; m < space_.num_modes(); ++m) {
+    params[m - 1] = space_.Value(m, indices[m]);
+  }
+  return params;
+}
+
 const sim::Trajectory* DynamicalSystemModel::GetTrajectory(
     const std::vector<std::uint32_t>& indices) {
   const std::uint64_t key = ParamLinearIndex(indices);
   auto it = cache_.find(key);
   if (it != cache_.end()) return &it->second;
+  std::vector<Result<sim::Trajectory>> simulated =
+      factory_({ParamValues(indices)});
+  M2TD_CHECK(simulated.size() == 1)
+      << "trajectory factory must return one result per configuration";
+  return Record(key, std::move(simulated[0]));
+}
 
-  std::vector<double> params(space_.num_modes() - 1);
-  for (std::size_t m = 1; m < space_.num_modes(); ++m) {
-    params[m - 1] = space_.Value(m, indices[m]);
+void DynamicalSystemModel::SimulateCells(
+    const std::vector<std::vector<std::uint32_t>>& cells) {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::vector<double>> configs;
+  // Simulates the pending batch; false when it was cancelled.
+  auto run_batch = [&]() {
+    std::vector<Result<sim::Trajectory>> simulated = factory_(configs);
+    M2TD_CHECK(simulated.size() == configs.size())
+        << "trajectory factory must return one result per configuration";
+    bool cancelled = false;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      cancelled |= Record(keys[k], std::move(simulated[k])) == nullptr;
+    }
+    keys.clear();
+    configs.clear();
+    return !cancelled;
+  };
+  for (const std::vector<std::uint32_t>& cell : cells) {
+    M2TD_CHECK(cell.size() == space_.num_modes());
+    const std::uint64_t key = ParamLinearIndex(cell);
+    if (cache_.count(key) != 0 ||
+        std::find(keys.begin(), keys.end(), key) != keys.end()) {
+      continue;
+    }
+    keys.push_back(key);
+    configs.push_back(ParamValues(cell));
+    if (keys.size() == sim::kBatchLanes && !run_batch()) return;
   }
-  Result<sim::Trajectory> trajectory = factory_(params);
+  if (!keys.empty()) run_batch();
+}
+
+const sim::Trajectory* DynamicalSystemModel::Record(
+    std::uint64_t key, Result<sim::Trajectory> trajectory) {
   if (!trajectory.ok() && robust::IsCancellation(trajectory.status())) {
     // Cancelled, not failed: nothing is cached or counted, so a later run
     // simulates these parameters again. This call's fiber still reads NaN.
@@ -112,6 +160,44 @@ sim::Rk4Options IntegratorOptions(const ModelOptions& options) {
   return rk4;
 }
 
+/// One member of a lockstep batch: its system and initial state.
+template <typename System>
+struct Member {
+  System system;
+  std::vector<double> initial_state;
+};
+
+/// Integrates the members `make` builds from `configs` as one lockstep
+/// batch; a configuration whose member cannot be built gets that error.
+template <typename System, typename MakeMember>
+std::vector<Result<sim::Trajectory>> IntegrateConfigs(
+    const std::vector<std::vector<double>>& configs,
+    const sim::Rk4Options& rk4, MakeMember make) {
+  std::vector<Result<sim::Trajectory>> results(
+      configs.size(), Status::Internal("member not integrated"));
+  std::vector<System> systems;
+  std::vector<std::vector<double>> initial_states;
+  std::vector<std::size_t> built;
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    Result<Member<System>> member = make(configs[k]);
+    if (!member.ok()) {
+      results[k] = member.status();
+      continue;
+    }
+    systems.push_back(std::move(member->system));
+    initial_states.push_back(std::move(member->initial_state));
+    built.push_back(k);
+  }
+  std::vector<const sim::OdeSystem*> lanes;
+  for (const System& system : systems) lanes.push_back(&system);
+  std::vector<Result<sim::Trajectory>> integrated =
+      sim::IntegrateRk4Batch(lanes, std::move(initial_states), rk4);
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    results[built[i]] = std::move(integrated[i]);
+  }
+  return results;
+}
+
 std::vector<double> MidpointReference(const ParameterSpace& space) {
   std::vector<double> reference(space.num_modes() - 1);
   for (std::size_t m = 1; m < space.num_modes(); ++m) {
@@ -135,13 +221,18 @@ Result<std::unique_ptr<DynamicalSystemModel>> MakeDoublePendulumModel(
   M2TD_ASSIGN_OR_RETURN(ParameterSpace space,
                         ParameterSpace::Create(std::move(defs)));
   const sim::Rk4Options rk4 = IntegratorOptions(options);
-  auto factory = [rk4](const std::vector<double>& p)
-      -> Result<sim::Trajectory> {
-    // p = (phi1, phi2, m1, m2).
-    M2TD_ASSIGN_OR_RETURN(sim::ChainPendulum pendulum,
-                          sim::ChainPendulum::Create({p[2], p[3]}));
-    return sim::IntegrateRk4(pendulum, pendulum.InitialState({p[0], p[1]}),
-                             rk4);
+  auto factory = [rk4](const std::vector<std::vector<double>>& configs) {
+    return IntegrateConfigs<sim::ChainPendulum>(
+        configs, rk4,
+        [](const std::vector<double>& p)
+            -> Result<Member<sim::ChainPendulum>> {
+          // p = (phi1, phi2, m1, m2).
+          M2TD_ASSIGN_OR_RETURN(sim::ChainPendulum pendulum,
+                                sim::ChainPendulum::Create({p[2], p[3]}));
+          std::vector<double> initial = pendulum.InitialState({p[0], p[1]});
+          return Member<sim::ChainPendulum>{std::move(pendulum),
+                                            std::move(initial)};
+        });
   };
   std::vector<double> reference = MidpointReference(space);
   return DynamicalSystemModel::Create("double pendulum", std::move(space),
@@ -162,14 +253,20 @@ Result<std::unique_ptr<DynamicalSystemModel>> MakeTriplePendulumModel(
   M2TD_ASSIGN_OR_RETURN(ParameterSpace space,
                         ParameterSpace::Create(std::move(defs)));
   const sim::Rk4Options rk4 = IntegratorOptions(options);
-  auto factory = [rk4](const std::vector<double>& p)
-      -> Result<sim::Trajectory> {
-    // p = (phi1, phi2, phi3, f); unit masses, friction f.
-    M2TD_ASSIGN_OR_RETURN(
-        sim::ChainPendulum pendulum,
-        sim::ChainPendulum::Create({1.0, 1.0, 1.0}, 9.81, p[3]));
-    return sim::IntegrateRk4(pendulum,
-                             pendulum.InitialState({p[0], p[1], p[2]}), rk4);
+  auto factory = [rk4](const std::vector<std::vector<double>>& configs) {
+    return IntegrateConfigs<sim::ChainPendulum>(
+        configs, rk4,
+        [](const std::vector<double>& p)
+            -> Result<Member<sim::ChainPendulum>> {
+          // p = (phi1, phi2, phi3, f); unit masses, friction f.
+          M2TD_ASSIGN_OR_RETURN(
+              sim::ChainPendulum pendulum,
+              sim::ChainPendulum::Create({1.0, 1.0, 1.0}, 9.81, p[3]));
+          std::vector<double> initial =
+              pendulum.InitialState({p[0], p[1], p[2]});
+          return Member<sim::ChainPendulum>{std::move(pendulum),
+                                            std::move(initial)};
+        });
   };
   std::vector<double> reference = MidpointReference(space);
   return DynamicalSystemModel::Create("triple pendulum", std::move(space),
@@ -190,13 +287,16 @@ Result<std::unique_ptr<DynamicalSystemModel>> MakeLorenzModel(
   M2TD_ASSIGN_OR_RETURN(ParameterSpace space,
                         ParameterSpace::Create(std::move(defs)));
   const sim::Rk4Options rk4 = IntegratorOptions(options);
-  auto factory = [rk4](const std::vector<double>& p)
-      -> Result<sim::Trajectory> {
-    // p = (z0, sigma, beta, rho); fixed x0 = y0 = 1.
-    sim::LorenzSystem lorenz(p[1], p[3], p[2]);
-    return sim::IntegrateRk4(lorenz,
-                             sim::LorenzSystem::InitialState(1.0, 1.0, p[0]),
-                             rk4);
+  auto factory = [rk4](const std::vector<std::vector<double>>& configs) {
+    return IntegrateConfigs<sim::LorenzSystem>(
+        configs, rk4,
+        [](const std::vector<double>& p)
+            -> Result<Member<sim::LorenzSystem>> {
+          // p = (z0, sigma, beta, rho); fixed x0 = y0 = 1.
+          return Member<sim::LorenzSystem>{
+              sim::LorenzSystem(p[1], p[3], p[2]),
+              sim::LorenzSystem::InitialState(1.0, 1.0, p[0])};
+        });
   };
   std::vector<double> reference = MidpointReference(space);
   return DynamicalSystemModel::Create("lorenz", std::move(space),
@@ -219,14 +319,17 @@ Result<std::unique_ptr<DynamicalSystemModel>> MakeSeirModel(
   M2TD_ASSIGN_OR_RETURN(ParameterSpace space,
                         ParameterSpace::Create(std::move(defs)));
   const sim::Rk4Options rk4 = IntegratorOptions(epidemic);
-  auto factory = [rk4](const std::vector<double>& p)
-      -> Result<sim::Trajectory> {
-    // p = (beta, sigma, gamma, i0).
-    M2TD_ASSIGN_OR_RETURN(sim::SeirSystem seir,
-                          sim::SeirSystem::Create(p[0], p[1], p[2]));
-    M2TD_ASSIGN_OR_RETURN(std::vector<double> initial,
-                          sim::SeirSystem::InitialState(p[3]));
-    return sim::IntegrateRk4(seir, std::move(initial), rk4);
+  auto factory = [rk4](const std::vector<std::vector<double>>& configs) {
+    return IntegrateConfigs<sim::SeirSystem>(
+        configs, rk4,
+        [](const std::vector<double>& p) -> Result<Member<sim::SeirSystem>> {
+          // p = (beta, sigma, gamma, i0).
+          M2TD_ASSIGN_OR_RETURN(sim::SeirSystem seir,
+                                sim::SeirSystem::Create(p[0], p[1], p[2]));
+          M2TD_ASSIGN_OR_RETURN(std::vector<double> initial,
+                                sim::SeirSystem::InitialState(p[3]));
+          return Member<sim::SeirSystem>{std::move(seir), std::move(initial)};
+        });
   };
   std::vector<double> reference = MidpointReference(space);
   return DynamicalSystemModel::Create("seir epidemic", std::move(space),
@@ -241,14 +344,24 @@ Result<tensor::DenseTensor> BuildFullTensor(SimulationModel* model) {
   const ParameterSpace& space = model->space();
   tensor::DenseTensor full(space.Shape());
   const std::size_t modes = space.num_modes();
-  std::vector<std::uint32_t> idx(modes, 0);
-  for (std::uint64_t linear = 0; linear < full.NumElements(); ++linear) {
-    std::uint64_t rest = linear;
-    for (std::size_t m = 0; m < modes; ++m) {
-      idx[m] = static_cast<std::uint32_t>(rest / full.Stride(m));
-      rest %= full.Stride(m);
+  // Cells go to the model a block at a time, so it can simulate each
+  // block's new configurations in lockstep before they are read.
+  constexpr std::uint64_t kBlock = 256;
+  std::vector<std::vector<std::uint32_t>> block;
+  for (std::uint64_t first = 0; first < full.NumElements(); first += kBlock) {
+    const std::uint64_t count = std::min(kBlock, full.NumElements() - first);
+    block.resize(count, std::vector<std::uint32_t>(modes));
+    for (std::uint64_t c = 0; c < count; ++c) {
+      std::uint64_t rest = first + c;
+      for (std::size_t m = 0; m < modes; ++m) {
+        block[c][m] = static_cast<std::uint32_t>(rest / full.Stride(m));
+        rest %= full.Stride(m);
+      }
     }
-    full.flat(linear) = model->Cell(idx);
+    model->SimulateCells(block);
+    for (std::uint64_t c = 0; c < count; ++c) {
+      full.flat(first + c) = model->Cell(block[c]);
+    }
   }
   return full;
 }

@@ -33,6 +33,13 @@ class SimulationModel {
   /// Cell value for a full multi-index over space().
   virtual double Cell(const std::vector<std::uint32_t>& indices) = 0;
 
+  /// Runs ahead of time the simulations that Cell() on each of `cells`
+  /// would need, so a model can advance them in lockstep batches. A hint:
+  /// the values Cell() returns afterwards do not depend on it, and the
+  /// default does nothing (Cell() then simulates on demand).
+  virtual void SimulateCells(
+      const std::vector<std::vector<std::uint32_t>>& /*cells*/) {}
+
   /// Number of simulations (trajectories) actually executed so far; the
   /// experiment harness uses this to account for simulation budgets.
   virtual std::uint64_t SimulationsRun() const = 0;
@@ -43,16 +50,19 @@ class SimulationModel {
 
 /// \brief SimulationModel over an ODE trajectory factory with caching.
 ///
-/// The factory receives the values of the *parameter* modes (all modes
-/// except time, in mode order) and produces a trajectory whose recorded
-/// sample count must equal the time mode's resolution. Trajectories are
-/// memoized per parameter multi-index, so evaluating a whole time fiber
-/// costs one simulation — mirroring the fact that one simulation run yields
-/// all timestamps.
+/// The factory receives parameter configurations — each the values of the
+/// *parameter* modes (all modes except time, in mode order) — and returns
+/// one trajectory per configuration, in order, whose recorded sample count
+/// must equal the time mode's resolution. The model passes it at most
+/// sim::kBatchLanes configurations at a time, so the built-in factories
+/// integrate them as one lockstep batch. Trajectories are memoized per
+/// parameter multi-index, so evaluating a whole time fiber costs one
+/// simulation — mirroring the fact that one simulation run yields all
+/// timestamps.
 class DynamicalSystemModel : public SimulationModel {
  public:
-  using TrajectoryFactory =
-      std::function<Result<sim::Trajectory>(const std::vector<double>&)>;
+  using TrajectoryFactory = std::function<std::vector<Result<sim::Trajectory>>(
+      const std::vector<std::vector<double>>&)>;
 
   /// `space` must have the time axis at mode 0; `reference_params` are the
   /// parameter values of the observed system the ensemble compares against.
@@ -63,6 +73,13 @@ class DynamicalSystemModel : public SimulationModel {
 
   const ParameterSpace& space() const override { return space_; }
   double Cell(const std::vector<std::uint32_t>& indices) override;
+  /// Simulates the cells' parameter configurations that are not cached
+  /// yet, in first-appearance order and in batches of sim::kBatchLanes.
+  /// Counting, the `sim.trajectory` failpoint and NaN poisoning apply per
+  /// configuration in that order, as if Cell() had met them one by one. A
+  /// cancelled batch caches nothing and ends the call.
+  void SimulateCells(
+      const std::vector<std::vector<std::uint32_t>>& cells) override;
   std::uint64_t SimulationsRun() const override { return simulations_run_; }
   const std::string& name() const override { return name_; }
 
@@ -87,10 +104,19 @@ class DynamicalSystemModel : public SimulationModel {
   std::uint64_t ParamLinearIndex(
       const std::vector<std::uint32_t>& indices) const;
 
+  /// Parameter values of `indices` (modes 1..N-1).
+  std::vector<double> ParamValues(
+      const std::vector<std::uint32_t>& indices) const;
+
   /// The memoized trajectory for `indices`' parameters; null when its
   /// simulation was cancelled (not cached, so a later call simulates again).
   const sim::Trajectory* GetTrajectory(
       const std::vector<std::uint32_t>& indices);
+
+  /// Caches the outcome of simulating configuration `key` and returns the
+  /// cached trajectory; null (nothing cached or counted) when cancelled.
+  const sim::Trajectory* Record(std::uint64_t key,
+                                Result<sim::Trajectory> trajectory);
 
   std::string name_;
   ParameterSpace space_;

@@ -2,14 +2,20 @@
 
 namespace m2td::sim {
 
-void LorenzSystem::Derivative(double /*t*/, const std::vector<double>& state,
-                              std::vector<double>* derivative) const {
-  const double x = state[0];
-  const double y = state[1];
-  const double z = state[2];
-  (*derivative)[0] = sigma_ * (y - x);
-  (*derivative)[1] = x * (rho_ - z) - y;
-  (*derivative)[2] = x * y - beta_ * z;
+void LorenzSystem::BatchDerivative(double /*t*/,
+                                   std::span<const OdeSystem* const> lanes,
+                                   const double* state,
+                                   double* derivative) const {
+  constexpr std::size_t B = kBatchLanes;
+  for (std::size_t b = 0; b < lanes.size(); ++b) {
+    const auto& lane = static_cast<const LorenzSystem&>(*lanes[b]);
+    const double x = state[b];
+    const double y = state[B + b];
+    const double z = state[2 * B + b];
+    derivative[b] = lane.sigma_ * (y - x);
+    derivative[B + b] = x * (lane.rho_ - z) - y;
+    derivative[2 * B + b] = x * y - lane.beta_ * z;
+  }
 }
 
 }  // namespace m2td::sim

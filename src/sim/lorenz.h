@@ -24,8 +24,10 @@ class LorenzSystem : public OdeSystem {
   double beta() const { return beta_; }
 
   std::size_t StateSize() const override { return 3; }
-  void Derivative(double t, const std::vector<double>& state,
-                  std::vector<double>* derivative) const override;
+  /// Lanes may differ in sigma, rho and beta.
+  void BatchDerivative(double t, std::span<const OdeSystem* const> lanes,
+                       const double* state,
+                       double* derivative) const override;
 
   /// State from the paper's parameterization: fixed (x0, y0), variable z0.
   static std::vector<double> InitialState(double x0, double y0, double z0) {

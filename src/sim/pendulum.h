@@ -37,8 +37,11 @@ class ChainPendulum : public OdeSystem {
   const std::vector<double>& masses() const { return masses_; }
 
   std::size_t StateSize() const override { return 2 * masses_.size(); }
-  void Derivative(double t, const std::vector<double>& state,
-                  std::vector<double>* derivative) const override;
+  /// Every lane is a ChainPendulum with this one's link count; lanes may
+  /// differ in masses, gravity and friction.
+  void BatchDerivative(double t, std::span<const OdeSystem* const> lanes,
+                       const double* state,
+                       double* derivative) const override;
   /// Angles only.
   std::vector<double> Observable(
       const std::vector<double>& state) const override;
@@ -47,41 +50,23 @@ class ChainPendulum : public OdeSystem {
   std::vector<double> InitialState(
       const std::vector<double>& initial_angles) const;
 
-  /// Total mechanical energy (for conservation tests, friction = 0):
-  /// kinetic + potential of the point masses, potential zero at the pivot.
-  double TotalEnergy(const std::vector<double>& state) const;
-
  private:
   ChainPendulum(std::vector<double> masses, double gravity, double friction);
+
+  /// BatchDerivative for n links.
+  template <std::size_t n>
+  static void BatchKernel(std::span<const OdeSystem* const> lanes,
+                          const double* state, double* derivative);
+  /// BatchDerivative for n links and `count` lanes.
+  template <std::size_t n, std::size_t count>
+  static void BatchKernel(const OdeSystem* const* lanes, const double* state,
+                          double* derivative);
 
   std::vector<double> masses_;
   /// a_matrix_[i][j] = sum_{k >= max(i,j)} masses_[k].
   std::vector<std::vector<double>> a_matrix_;
   double gravity_;
   double friction_;
-};
-
-/// \brief Closed-form double pendulum accelerations (the textbook
-/// formulas), used as an independent oracle for ChainPendulum in tests.
-///
-/// Unit rod lengths. State layout matches ChainPendulum with n=2.
-class DoublePendulumReference : public OdeSystem {
- public:
-  DoublePendulumReference(double m1, double m2, double gravity = 9.81)
-      : m1_(m1), m2_(m2), gravity_(gravity) {}
-
-  std::size_t StateSize() const override { return 4; }
-  void Derivative(double t, const std::vector<double>& state,
-                  std::vector<double>* derivative) const override;
-  std::vector<double> Observable(
-      const std::vector<double>& state) const override {
-    return {state[0], state[1]};
-  }
-
- private:
-  double m1_;
-  double m2_;
-  double gravity_;
 };
 
 }  // namespace m2td::sim

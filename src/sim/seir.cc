@@ -10,16 +10,22 @@ Result<SeirSystem> SeirSystem::Create(double beta, double sigma,
   return SeirSystem(beta, sigma, gamma);
 }
 
-void SeirSystem::Derivative(double /*t*/, const std::vector<double>& state,
-                            std::vector<double>* derivative) const {
-  const double s = state[0];
-  const double e = state[1];
-  const double i = state[2];
-  const double infection = beta_ * s * i;
-  (*derivative)[0] = -infection;
-  (*derivative)[1] = infection - sigma_ * e;
-  (*derivative)[2] = sigma_ * e - gamma_ * i;
-  (*derivative)[3] = gamma_ * i;
+void SeirSystem::BatchDerivative(double /*t*/,
+                                 std::span<const OdeSystem* const> lanes,
+                                 const double* state,
+                                 double* derivative) const {
+  constexpr std::size_t B = kBatchLanes;
+  for (std::size_t b = 0; b < lanes.size(); ++b) {
+    const auto& lane = static_cast<const SeirSystem&>(*lanes[b]);
+    const double s = state[b];
+    const double e = state[B + b];
+    const double i = state[2 * B + b];
+    const double infection = lane.beta_ * s * i;
+    derivative[b] = -infection;
+    derivative[B + b] = infection - lane.sigma_ * e;
+    derivative[2 * B + b] = lane.sigma_ * e - lane.gamma_ * i;
+    derivative[3 * B + b] = lane.gamma_ * i;
+  }
 }
 
 Result<std::vector<double>> SeirSystem::InitialState(double i0) {

@@ -32,8 +32,10 @@ class SeirSystem : public OdeSystem {
   double R0() const { return beta_ / gamma_; }
 
   std::size_t StateSize() const override { return 4; }
-  void Derivative(double t, const std::vector<double>& state,
-                  std::vector<double>* derivative) const override;
+  /// Lanes may differ in every rate.
+  void BatchDerivative(double t, std::span<const OdeSystem* const> lanes,
+                       const double* state,
+                       double* derivative) const override;
   std::vector<double> Observable(
       const std::vector<double>& state) const override {
     return {state[1], state[2]};

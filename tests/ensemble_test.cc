@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -7,6 +8,9 @@
 #include "ensemble/parameter_space.h"
 #include "ensemble/sampling.h"
 #include "ensemble/simulation_model.h"
+#include "robust/cancel.h"
+#include "robust/failpoint.h"
+#include "sim/pendulum.h"
 #include "util/random.h"
 
 namespace m2td::ensemble {
@@ -150,6 +154,135 @@ TEST(SimulationModelTest, BuildFullTensorMatchesCells) {
     EXPECT_DOUBLE_EQ(full->at(idx), (*model)->Cell(idx));
   }
   EXPECT_FALSE(BuildFullTensor(nullptr).ok());
+}
+
+// ------------------------------------------------ lockstep SimulateCells
+
+/// Cells of the first `count` parameter configurations of `space` in
+/// linear order (time index 0), each listed twice.
+std::vector<std::vector<std::uint32_t>> DistinctCells(
+    const ParameterSpace& space, std::size_t count) {
+  std::vector<std::vector<std::uint32_t>> cells;
+  for (std::size_t k = 0; k < count; ++k) {
+    std::vector<std::uint32_t> cell(space.num_modes(), 0);
+    std::size_t rest = k;
+    for (std::size_t m = space.num_modes(); m-- > 1;) {
+      cell[m] = static_cast<std::uint32_t>(rest % space.Resolution(m));
+      rest /= space.Resolution(m);
+    }
+    cells.push_back(cell);
+    cells.push_back(cell);
+  }
+  return cells;
+}
+
+/// memcmp equality of two cell values (NaN included).
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(SimulateCellsTest, EveryBatchCountMatchesCellByCellBitForBit) {
+  for (auto maker : {MakeDoublePendulumModel, MakeTriplePendulumModel,
+                     MakeLorenzModel, MakeSeirModel}) {
+    for (std::size_t count = 1; count <= 2 * sim::kBatchLanes + 1; ++count) {
+      auto batched = maker(SmallOptions());
+      auto alone = maker(SmallOptions());
+      ASSERT_TRUE(batched.ok() && alone.ok());
+      const auto cells = DistinctCells((*batched)->space(), count);
+      (*batched)->SimulateCells(cells);
+      EXPECT_EQ((*batched)->SimulationsRun(), count) << (*batched)->name();
+      for (std::vector<std::uint32_t> cell : cells) {
+        for (cell[0] = 0; cell[0] < (*batched)->space().Resolution(0);
+             ++cell[0]) {
+          ASSERT_TRUE(SameBits((*batched)->Cell(cell), (*alone)->Cell(cell)))
+              << (*batched)->name() << ", " << count << " configurations";
+        }
+      }
+      EXPECT_EQ((*batched)->SimulationsRun(), count);
+      EXPECT_EQ((*alone)->SimulationsRun(), count);
+    }
+  }
+}
+
+TEST(SimulateCellsTest, FailingMemberPoisonsItsFiberInFirstAppearanceOrder) {
+  const std::size_t count = 2 * sim::kBatchLanes + 1;
+  auto batched = MakeDoublePendulumModel(SmallOptions());
+  auto alone = MakeDoublePendulumModel(SmallOptions());
+  ASSERT_TRUE(batched.ok() && alone.ok());
+  const auto cells = DistinctCells((*batched)->space(), count);
+
+  // The third configuration simulated fails, whether a lockstep batch or
+  // Cell() meets it.
+  ASSERT_TRUE(robust::ArmFailpointsFromString("sim.trajectory:after=2,times=1")
+                  .ok());
+  (*batched)->SimulateCells(cells);
+  EXPECT_EQ(robust::FailpointFires("sim.trajectory"), 1u);
+  ASSERT_TRUE(robust::ArmFailpointsFromString("sim.trajectory:after=2,times=1")
+                  .ok());
+  for (const auto& cell : cells) (*alone)->Cell(cell);
+  EXPECT_EQ(robust::FailpointFires("sim.trajectory"), 1u);
+  robust::DisarmAllFailpoints();
+
+  EXPECT_EQ((*batched)->SimulationsRun(), count);
+  EXPECT_EQ((*alone)->SimulationsRun(), count);
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    std::vector<std::uint32_t> cell = cells[k];
+    for (cell[0] = 0; cell[0] < (*batched)->space().Resolution(0); ++cell[0]) {
+      const double value = (*batched)->Cell(cell);
+      EXPECT_EQ(std::isnan(value), k / 2 == 2) << "configuration " << k / 2;
+      EXPECT_TRUE(SameBits(value, (*alone)->Cell(cell)));
+    }
+  }
+}
+
+TEST(SimulateCellsTest, CancelledBatchCachesNothingAndEndsTheCall) {
+  // Double pendulums whose 80-step trajectories pass the integrator's
+  // cancellation check at step 64; the factory cancels the ambient token
+  // as the second lockstep batch starts.
+  ModelOptions options = SmallOptions();
+  options.time_resolution = 5;
+  options.record_every = 20;
+  auto shape = MakeDoublePendulumModel(options);
+  ASSERT_TRUE(shape.ok());
+  const ParameterSpace& space = (*shape)->space();
+  sim::Rk4Options rk4;
+  rk4.dt = options.dt;
+  rk4.record_every = options.record_every;
+  rk4.num_steps = 80;
+  robust::CancelSource source;
+  int calls = 0;
+  auto factory = [&](const std::vector<std::vector<double>>& configs) {
+    if (++calls == 3) source.Cancel();  // call 1 is Create's reference run
+    std::vector<sim::ChainPendulum> pendulums;
+    std::vector<std::vector<double>> initial;
+    for (const std::vector<double>& p : configs) {
+      pendulums.push_back(*sim::ChainPendulum::Create({p[2], p[3]}));
+      initial.push_back(pendulums.back().InitialState({p[0], p[1]}));
+    }
+    std::vector<const sim::OdeSystem*> systems;
+    for (const auto& pendulum : pendulums) systems.push_back(&pendulum);
+    return sim::IntegrateRk4Batch(systems, initial, rk4);
+  };
+  std::vector<double> reference;
+  for (std::size_t m = 1; m < space.num_modes(); ++m) {
+    reference.push_back(space.Value(m, space.DefaultIndex(m)));
+  }
+  auto model = DynamicalSystemModel::Create("cancel", space, factory,
+                                            reference);
+  ASSERT_TRUE(model.ok());
+  const auto cells = DistinctCells(space, 3 * sim::kBatchLanes);
+  const std::vector<std::uint32_t>& second_batch = cells[2 * sim::kBatchLanes];
+  {
+    robust::CancelScope scope(source.token());
+    (*model)->SimulateCells(cells);
+    EXPECT_EQ(calls, 3) << "the cancelled batch must end the call";
+    EXPECT_EQ((*model)->SimulationsRun(), sim::kBatchLanes);
+    // Still cancelled: Cell() simulates again, reads NaN, caches nothing.
+    EXPECT_TRUE(std::isnan((*model)->Cell(second_batch)));
+    EXPECT_EQ((*model)->SimulationsRun(), sim::kBatchLanes);
+  }
+  EXPECT_TRUE(std::isfinite((*model)->Cell(second_batch)));
+  EXPECT_EQ((*model)->SimulationsRun(), sim::kBatchLanes + 1);
 }
 
 // --------------------------------------------------------------- Sampling

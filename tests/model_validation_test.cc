@@ -20,14 +20,26 @@ sim::Trajectory FakeTrajectory(std::size_t samples) {
   return trajectory;
 }
 
+/// Adapts a one-configuration factory to the model's batch signature.
+template <typename Simulate>
+DynamicalSystemModel::TrajectoryFactory PerConfig(Simulate simulate) {
+  return [simulate](const std::vector<std::vector<double>>& configs) {
+    std::vector<Result<sim::Trajectory>> trajectories;
+    for (const std::vector<double>& p : configs) {
+      trajectories.push_back(simulate(p));
+    }
+    return trajectories;
+  };
+}
+
 TEST(ModelValidationTest, RequiresTimeModePlusParameters) {
   auto space = ParameterSpace::Create({ParameterDef{"t", 0, 1, 3}});
   ASSERT_TRUE(space.ok());
   auto model = DynamicalSystemModel::Create(
       "x", *space,
-      [](const std::vector<double>&) -> Result<sim::Trajectory> {
+      PerConfig([](const std::vector<double>&) -> Result<sim::Trajectory> {
         return FakeTrajectory(3);
-      },
+      }),
       {});
   EXPECT_FALSE(model.ok());
 }
@@ -40,9 +52,9 @@ TEST(ModelValidationTest, ReferenceParamArityChecked) {
   ASSERT_TRUE(space.ok());
   auto model = DynamicalSystemModel::Create(
       "x", *space,
-      [](const std::vector<double>&) -> Result<sim::Trajectory> {
+      PerConfig([](const std::vector<double>&) -> Result<sim::Trajectory> {
         return FakeTrajectory(3);
-      },
+      }),
       {0.5, 0.5});  // two reference params for one parameter mode
   EXPECT_FALSE(model.ok());
 }
@@ -55,9 +67,9 @@ TEST(ModelValidationTest, TrajectoryLengthMustMatchTimeResolution) {
   ASSERT_TRUE(space.ok());
   auto model = DynamicalSystemModel::Create(
       "x", *space,
-      [](const std::vector<double>&) -> Result<sim::Trajectory> {
+      PerConfig([](const std::vector<double>&) -> Result<sim::Trajectory> {
         return FakeTrajectory(3);  // 3 != 5
-      },
+      }),
       {0.5});
   EXPECT_FALSE(model.ok());
 }
@@ -70,9 +82,9 @@ TEST(ModelValidationTest, FactoryErrorSurfacesAtCreate) {
   ASSERT_TRUE(space.ok());
   auto model = DynamicalSystemModel::Create(
       "x", *space,
-      [](const std::vector<double>&) -> Result<sim::Trajectory> {
+      PerConfig([](const std::vector<double>&) -> Result<sim::Trajectory> {
         return Status::Internal("boom");
-      },
+      }),
       {0.5});
   EXPECT_FALSE(model.ok());
   EXPECT_EQ(model.status().code(), StatusCode::kInternal);
@@ -94,7 +106,7 @@ TEST(ModelValidationTest, ValidCustomModelEvaluates) {
     }
     return trajectory;
   };
-  auto model = DynamicalSystemModel::Create("toy", *space, factory,
+  auto model = DynamicalSystemModel::Create("toy", *space, PerConfig(factory),
                                             {space->Value(1, 2)});
   ASSERT_TRUE(model.ok());
   // Cell distance = |a*t - a_ref*t|.

@@ -1,12 +1,19 @@
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <numbers>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "oracles/rk4_reference.h"
 #include "sim/lorenz.h"
 #include "sim/ode.h"
+#include "robust/cancel.h"
 #include "sim/pendulum.h"
+#include "sim/seir.h"
+#include "util/random.h"
 
 namespace m2td::sim {
 namespace {
@@ -77,6 +84,173 @@ TEST(Rk4Test, ObservableDistanceIsEuclidean) {
   EXPECT_DOUBLE_EQ(ObservableDistance(a, a, 0), 0.0);
 }
 
+// ------------------------------------------------------- lockstep batches
+
+/// memcmp equality of two trajectories, sample by sample.
+::testing::AssertionResult SameBits(const Trajectory& a, const Trajectory& b) {
+  if (a.NumSamples() != b.NumSamples()) {
+    return ::testing::AssertionFailure() << "sample counts differ";
+  }
+  if (std::memcmp(a.times.data(), b.times.data(),
+                  a.times.size() * sizeof(double)) != 0) {
+    return ::testing::AssertionFailure() << "times differ";
+  }
+  for (std::size_t s = 0; s < a.NumSamples(); ++s) {
+    if (a.observables[s].size() != b.observables[s].size() ||
+        std::memcmp(a.observables[s].data(), b.observables[s].data(),
+                    a.observables[s].size() * sizeof(double)) != 0) {
+      return ::testing::AssertionFailure() << "sample " << s << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One ensemble member of a model kind with random parameters: the system
+/// the batch integrates, its scalar oracle, and its initial state.
+struct RandomMember {
+  std::unique_ptr<OdeSystem> system;
+  std::unique_ptr<OdeSystem> oracle;
+  std::vector<double> initial;
+};
+
+/// The four models of the ensemble layer, over their parameter ranges.
+std::vector<std::pair<const char*, std::function<RandomMember(Rng*)>>>
+ModelKinds() {
+  return {
+      {"double pendulum",
+       [](Rng* rng) {
+         auto p = ChainPendulum::Create(
+             {rng->UniformDouble(0.5, 2.5), rng->UniformDouble(0.5, 2.5)});
+         RandomMember m{std::make_unique<ChainPendulum>(*p),
+                        std::make_unique<ChainPendulumReference>(*p),
+                        p->InitialState({rng->UniformDouble(0.3, 1.8),
+                                         rng->UniformDouble(0.3, 1.8)})};
+         return m;
+       }},
+      {"triple pendulum",
+       [](Rng* rng) {
+         auto p = ChainPendulum::Create({1.0, 1.0, 1.0}, 9.81,
+                                        rng->UniformDouble(0.0, 0.5));
+         RandomMember m{std::make_unique<ChainPendulum>(*p),
+                        std::make_unique<ChainPendulumReference>(*p),
+                        p->InitialState({rng->UniformDouble(0.3, 1.8),
+                                         rng->UniformDouble(0.3, 1.8),
+                                         rng->UniformDouble(0.3, 1.8)})};
+         return m;
+       }},
+      {"lorenz",
+       [](Rng* rng) {
+         const double sigma = rng->UniformDouble(8.0, 12.0);
+         const double beta = rng->UniformDouble(2.0, 3.3);
+         const double rho = rng->UniformDouble(24.0, 32.0);
+         RandomMember m{
+             std::make_unique<LorenzSystem>(sigma, rho, beta),
+             std::make_unique<LorenzReference>(sigma, rho, beta),
+             LorenzSystem::InitialState(1.0, 1.0,
+                                        rng->UniformDouble(20.0, 30.0))};
+         return m;
+       }},
+      {"seir",
+       [](Rng* rng) {
+         const double beta = rng->UniformDouble(0.15, 0.6);
+         const double sigma = rng->UniformDouble(0.1, 0.5);
+         const double gamma = rng->UniformDouble(0.05, 0.3);
+         RandomMember m{
+             std::make_unique<SeirSystem>(
+                 *SeirSystem::Create(beta, sigma, gamma)),
+             std::make_unique<SeirReference>(beta, sigma, gamma),
+             *SeirSystem::InitialState(rng->UniformDouble(0.001, 0.05))};
+         return m;
+       }},
+  };
+}
+
+TEST(Rk4BatchTest, EveryBatchCountMatchesScalarOracleBitForBit) {
+  Rk4Options options;
+  options.dt = 0.01;
+  options.num_steps = 150;
+  options.record_every = 10;
+  Rng rng(23);
+  for (const auto& [name, make] : ModelKinds()) {
+    for (std::size_t count = 1; count <= 2 * kBatchLanes + 1; ++count) {
+      std::vector<RandomMember> members;
+      std::vector<const OdeSystem*> systems;
+      std::vector<std::vector<double>> initial;
+      for (std::size_t k = 0; k < count; ++k) {
+        members.push_back(make(&rng));
+        systems.push_back(members.back().system.get());
+        initial.push_back(members.back().initial);
+      }
+      const std::vector<Result<Trajectory>> batch =
+          IntegrateRk4Batch(systems, initial, options);
+      ASSERT_EQ(batch.size(), count);
+      for (std::size_t k = 0; k < count; ++k) {
+        auto oracle = IntegrateRk4Reference(*members[k].oracle,
+                                            members[k].initial, options);
+        auto alone =
+            IntegrateRk4(*members[k].system, members[k].initial, options);
+        ASSERT_TRUE(oracle.ok() && alone.ok() && batch[k].ok()) << name;
+        EXPECT_TRUE(SameBits(*batch[k], *oracle))
+            << name << ", member " << k << " of " << count;
+        EXPECT_TRUE(SameBits(*alone, *oracle)) << name << ", member " << k;
+      }
+    }
+  }
+}
+
+TEST(Rk4BatchTest, OneLaneDerivativeMatchesScalarOracleBitForBit) {
+  // Derivative on a built-in system is BatchDerivative on a batch of one.
+  Rng rng(5);
+  for (const auto& [name, make] : ModelKinds()) {
+    RandomMember member = make(&rng);
+    const std::size_t n = member.system->StateSize();
+    std::vector<double> state(n), got(n), want(n);
+    for (double& x : state) x = rng.UniformDouble(-2.0, 2.0);
+    member.system->Derivative(0.0, state, &got);
+    member.oracle->Derivative(0.0, state, &want);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(double)), 0)
+        << name;
+  }
+}
+
+TEST(Rk4BatchTest, WrongLengthMemberFailsAlone) {
+  LorenzSystem a(10.0, 28.0, 8.0 / 3.0), b(9.0, 27.0, 2.5);
+  Rk4Options options;
+  const std::vector<const OdeSystem*> systems = {&a, &b, &a};
+  auto results = IntegrateRk4Batch(
+      systems, {{1.0, 1.0, 25.0}, {1.0, 1.0}, {1.0, 1.0, 21.0}}, options);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
+  auto first = IntegrateRk4Reference(LorenzReference(10.0, 28.0, 8.0 / 3.0),
+                                     {1.0, 1.0, 25.0}, options);
+  auto third = IntegrateRk4Reference(LorenzReference(10.0, 28.0, 8.0 / 3.0),
+                                     {1.0, 1.0, 21.0}, options);
+  ASSERT_TRUE(results[0].ok() && results[2].ok());
+  EXPECT_TRUE(SameBits(*results[0], *first));
+  EXPECT_TRUE(SameBits(*results[2], *third));
+
+  options.dt = 0.0;
+  for (const auto& r : IntegrateRk4Batch(
+           systems, {{1.0, 1.0, 25.0}, {1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}},
+           options)) {
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(Rk4BatchTest, CancellationFailsEveryMember) {
+  LorenzSystem lorenz(10.0, 28.0, 8.0 / 3.0);
+  std::vector<const OdeSystem*> systems(kBatchLanes + 3, &lorenz);
+  std::vector<std::vector<double>> initial(systems.size(), {1.0, 1.0, 25.0});
+  Rk4Options options;
+  options.num_steps = 100;  // past the check at step 64
+  robust::CancelSource source;
+  robust::CancelScope scope(source.token());
+  source.Cancel();
+  for (const auto& r : IntegrateRk4Batch(systems, initial, options)) {
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  }
+}
+
 // ---------------------------------------------------------- ChainPendulum
 
 TEST(ChainPendulumTest, CreateValidation) {
@@ -134,14 +308,14 @@ TEST(ChainPendulumTest, EnergyConservedWithoutFriction) {
   ASSERT_TRUE(pendulum.ok());
   const std::vector<double> initial =
       pendulum->InitialState({1.0, 0.5, -0.3});
-  const double e0 = pendulum->TotalEnergy(initial);
+  const double e0 = PendulumEnergy(*pendulum, initial);
 
   Rk4Options options;
   options.dt = 0.0005;
   options.num_steps = 4000;
   options.record_every = 4000;
   // Integrate with a wrapper whose observable is the full state, so the
-  // recorded samples can be fed back into TotalEnergy.
+  // recorded samples can be fed back into PendulumEnergy.
   class Reporting : public OdeSystem {
    public:
     explicit Reporting(const ChainPendulum* p) : p_(p) {}
@@ -156,7 +330,7 @@ TEST(ChainPendulumTest, EnergyConservedWithoutFriction) {
   Reporting reporting(&*pendulum);
   auto trajectory = IntegrateRk4(reporting, initial, options);
   ASSERT_TRUE(trajectory.ok());
-  const double e1 = pendulum->TotalEnergy(trajectory->observables.back());
+  const double e1 = PendulumEnergy(*pendulum, trajectory->observables.back());
   EXPECT_NEAR(e1, e0, 1e-6 * std::fabs(e0) + 1e-8);
 }
 
@@ -182,9 +356,9 @@ TEST(ChainPendulumTest, FrictionDissipatesEnergy) {
   options.record_every = 1000;
   auto trajectory = IntegrateRk4(reporting, initial, options);
   ASSERT_TRUE(trajectory.ok());
-  double last_energy = pendulum->TotalEnergy(trajectory->observables[0]);
+  double last_energy = PendulumEnergy(*pendulum, trajectory->observables[0]);
   for (std::size_t s = 1; s < trajectory->NumSamples(); ++s) {
-    const double energy = pendulum->TotalEnergy(trajectory->observables[s]);
+    const double energy = PendulumEnergy(*pendulum, trajectory->observables[s]);
     EXPECT_LT(energy, last_energy) << "sample " << s;
     last_energy = energy;
   }

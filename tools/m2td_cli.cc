@@ -15,6 +15,7 @@
 //       --budget=100 --output=/tmp/lorenz.txt
 //   m2td_cli decompose --input=/tmp/lorenz.txt --algorithm=hooi --rank=4
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -1027,6 +1028,15 @@ int main(int argc, char** argv) {
     const Status armed =
         m2td::robust::ArmFailpointsFromString(g_robust_flags.fail_point);
     if (!armed.ok()) return Fail(armed);
+    // Spawned D-M2TD workers arm only M2TD_FAILPOINTS, so hand them the
+    // flag's specs through the environment they inherit. Later specs
+    // re-arm earlier ones of the same name, as in this process.
+    std::string inherited = g_robust_flags.fail_point;
+    if (const char* env = std::getenv("M2TD_FAILPOINTS");
+        env != nullptr && *env != '\0') {
+      inherited = std::string(env) + ";" + inherited;
+    }
+    ::setenv("M2TD_FAILPOINTS", inherited.c_str(), 1);
   }
   if (g_robust_flags.max_retries < 0) {
     return Fail(Status::InvalidArgument("--max_retries must be >= 0"));
