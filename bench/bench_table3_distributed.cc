@@ -89,15 +89,15 @@ int main() {
   table.Print(std::cout);
 
   // Same sweep against the true multi-process backend: real worker
-  // processes, durable shuffle, control frames over pipes. Rows carry the
-  // IPC + serialization overhead the thread rows don't; the accuracy
-  // column and the bit-compare flag prove pool size and backend never
-  // change results.
+  // processes that dial the coordinator over loopback TCP, durable
+  // shuffle. Rows carry the spawn, IPC and serialization overhead the
+  // thread rows don't; the accuracy column and the bit-compare flag prove
+  // pool size and backend never change results.
   m2td::bench::PrintBanner("Table III (process backend)",
                            "worker processes + durable shuffle");
   m2td::io::TablePrinter process_table(
       {"Workers", "Phase1 (ms)", "Phase2 (ms)", "Core asm (ms)", "Total (ms)",
-       "Accuracy", "Heartbeats"});
+       "Accuracy", "Heartbeats", "Connects"});
   m2td::parallel::SetGlobalThreads(4);
   bool matches_thread = true;
   double process_base_seconds = 0.0;
@@ -140,7 +140,8 @@ int main() {
          m2td::io::TablePrinter::Cell(result->phase3.TotalSeconds() * 1e3, 1),
          m2td::io::TablePrinter::Cell(result->TotalSeconds() * 1e3, 1),
          m2td::io::TablePrinter::Cell(accuracy, 3),
-         std::to_string(result->dist.heartbeats)});
+         std::to_string(result->dist.heartbeats),
+         std::to_string(result->dist.net_connects)});
     if (workers == 1) process_base_seconds = result->TotalSeconds();
     json.Add("process_total_seconds_workers" + std::to_string(workers),
              result->TotalSeconds());
@@ -154,72 +155,6 @@ int main() {
   process_table.Print(std::cout);
   M2TD_CHECK(matches_thread)
       << "process backend diverged from the thread backend";
-
-  // Third sweep: the same worker processes, but attached over loopback
-  // TCP instead of inherited pipes. Rows carry the socket dial/accept
-  // overhead; the bit-compare flag proves the transport never touches
-  // the math.
-  m2td::bench::PrintBanner("Table III (socket transport)",
-                           "worker processes over loopback TCP");
-  m2td::io::TablePrinter socket_table(
-      {"Workers", "Phase1 (ms)", "Phase2 (ms)", "Core asm (ms)", "Total (ms)",
-       "Accuracy", "Connects"});
-  bool matches_socket = true;
-  double socket_base_seconds = 0.0;
-  for (int workers : {1, 2, 4}) {
-    m2td::core::DM2tdOptions options;
-    options.method = m2td::core::M2tdMethod::kSelect;
-    options.ranks = m2td::core::UniformRanks(**model, rank);
-    options.backend = m2td::core::DistBackend::kProcess;
-    options.num_workers = workers;
-    options.process.worker_binary = M2TD_WORKER_BIN;
-    options.process.transport = "socket";
-    auto result = m2td::core::DM2tdDecompose(*subs, *partition,
-                                             (*model)->space().Shape(),
-                                             options);
-    M2TD_CHECK(result.ok()) << result.status();
-    auto reconstructed = m2td::tensor::Reconstruct(result->tucker);
-    M2TD_CHECK(reconstructed.ok()) << reconstructed.status();
-    const double accuracy =
-        m2td::tensor::ReconstructionAccuracy(*reconstructed, ground_truth);
-
-    matches_socket =
-        matches_socket &&
-        result->tucker.core.data() == thread_reference.core.data();
-    for (std::size_t n = 0; n < result->tucker.factors.size(); ++n) {
-      const auto& fa = result->tucker.factors[n];
-      const auto& fb = thread_reference.factors[n];
-      for (std::size_t r = 0; r < fa.rows() && matches_socket; ++r) {
-        for (std::size_t c = 0; c < fa.cols(); ++c) {
-          if (fa(r, c) != fb(r, c)) {
-            matches_socket = false;
-            break;
-          }
-        }
-      }
-    }
-
-    socket_table.AddRow(
-        {std::to_string(workers),
-         m2td::io::TablePrinter::Cell(result->phase1.TotalSeconds() * 1e3, 1),
-         m2td::io::TablePrinter::Cell(result->phase2.TotalSeconds() * 1e3, 1),
-         m2td::io::TablePrinter::Cell(result->phase3.TotalSeconds() * 1e3, 1),
-         m2td::io::TablePrinter::Cell(result->TotalSeconds() * 1e3, 1),
-         m2td::io::TablePrinter::Cell(accuracy, 3),
-         std::to_string(result->dist.net_connects)});
-    if (workers == 1) socket_base_seconds = result->TotalSeconds();
-    json.Add("socket_total_seconds_workers" + std::to_string(workers),
-             result->TotalSeconds());
-    json.Add("socket_speedup_workers" + std::to_string(workers),
-             result->TotalSeconds() > 0.0
-                 ? socket_base_seconds / result->TotalSeconds()
-                 : 0.0);
-    json.Add("socket_accuracy_workers" + std::to_string(workers), accuracy);
-  }
-  json.Add("process_matches_socket", matches_socket ? 1.0 : 0.0);
-  socket_table.Print(std::cout);
-  M2TD_CHECK(matches_socket)
-      << "socket transport diverged from the thread backend";
 
   std::cout << "\nHardware concurrency on this machine: "
             << std::thread::hardware_concurrency() << "\n";

@@ -38,9 +38,10 @@ namespace m2td::core {
 enum class DistBackend {
   /// In-process: map and reduce tasks are thread-pool tasks (dm2td.cc).
   kThread,
-  /// Real worker processes (tools/m2td_worker) coordinated over pipes,
-  /// shuffling through the durable io::ShuffleStore. Survives worker
-  /// SIGKILL at any point and produces bit-identical results to kThread.
+  /// Real worker processes (tools/m2td_worker) that dial the coordinator
+  /// over TCP and shuffle through the durable io::ShuffleStore. Survives
+  /// worker SIGKILL at any point and produces bit-identical results to
+  /// kThread.
   kProcess,
 };
 
@@ -86,19 +87,15 @@ struct DistProcessOptions {
   /// coordinator loop. Null in production.
   std::function<void(const DistEvent&)> event_hook;
 
-  /// Control-channel transport: "pipe" (default — workers are forked
-  /// with their stdin/stdout on inherited pipes) or "socket" (the
-  /// coordinator listens on `listen` and workers attach over TCP with
-  /// m2td_worker --connect). Results are bit-identical either way.
-  std::string transport = "pipe";
-  /// Socket transport: the address the coordinator listens on. Port 0
-  /// binds an ephemeral port (its actual value is what spawned workers
-  /// are told to dial).
+  /// The address the coordinator listens on; every worker attaches over
+  /// TCP with m2td_worker --connect and says hello. Port 0 binds an
+  /// ephemeral port (its actual value is what spawned workers are told
+  /// to dial).
   std::string listen = "127.0.0.1:0";
-  /// Socket transport: when false the coordinator forks nothing and
-  /// waits for `num_workers` external workers to dial in — the remote-
-  /// worker deployment. When true (default) it forks local workers that
-  /// connect back over loopback.
+  /// When false the coordinator forks nothing and waits for `num_workers`
+  /// external workers to dial in — the remote-worker deployment. When
+  /// true (default) it forks local workers that connect back over
+  /// loopback and die with the coordinator.
   bool spawn_workers = true;
   /// Per-connection frame IO deadline: a read or write blocked this long
   /// surfaces kDeadlineExceeded instead of hanging on a half-open peer.
@@ -109,10 +106,10 @@ struct DistProcessOptions {
   /// Net fault specs passed to spawned workers (--net_faults) so the
   /// worker-side transport misbehaves deterministically too.
   std::string worker_net_faults;
-  /// Socket transport: how long a disconnected worker keeps redialing
-  /// (capped seeded exponential backoff) before giving up, and how long
-  /// the coordinator tolerates a dropped connection before the worker's
-  /// heartbeat lease declares it dead anyway.
+  /// How long a disconnected worker keeps redialing (capped seeded
+  /// exponential backoff) before giving up, and how long the coordinator
+  /// tolerates a dropped connection before the worker's heartbeat lease
+  /// declares it dead anyway.
   double redial_ms = 10000.0;
   /// Speculative execution of stragglers (see DistSpeculationOptions).
   struct Speculation {
@@ -170,8 +167,8 @@ struct DistStats {
   /// DistEvent naming the producer.
   std::uint64_t map_reexecutions = 0;
   std::uint64_t task_retries = 0;
-  /// Socket transport: connections accepted / identities resumed within
-  /// their lease after a redial / connections lost mid-run.
+  /// Connections accepted / identities resumed within their lease after
+  /// a redial / connections lost mid-run.
   std::uint64_t net_connects = 0;
   std::uint64_t net_reconnects = 0;
   std::uint64_t net_disconnects = 0;

@@ -1,8 +1,8 @@
 #include "core/dm2td_dist.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -46,26 +46,14 @@ using dm2td_internal::TensorCell;
 using dm2td_tasks::DistJobConfig;
 using dm2td_tasks::TaskRequest;
 
-/// Writes to a dead worker's pipe must surface as EPIPE, not kill the
-/// coordinator; scoped so library callers keep their own disposition.
-class SigpipeGuard {
- public:
-  SigpipeGuard() { previous_ = ::signal(SIGPIPE, SIG_IGN); }
-  ~SigpipeGuard() { ::signal(SIGPIPE, previous_); }
-
- private:
-  using Handler = void (*)(int);
-  Handler previous_;
-};
-
 struct WorkerProc {
   int id = -1;
-  /// -1 for external workers (socket transport with spawn_workers off).
+  /// -1 for external workers (spawn_workers off).
   pid_t pid = -1;
   mapreduce::transport::Connection conn;
   /// The identity is live: its process (if spawned) has not been reaped
-  /// and its heartbeat lease has not lapsed. Socket workers stay alive
-  /// across connection drops — disconnect is not death.
+  /// and its heartbeat lease has not lapsed. Workers stay alive across
+  /// connection drops — disconnect is not death.
   bool alive = false;
   /// Ever declared dead; a dead identity is never resurrected by a late
   /// hello.
@@ -155,23 +143,23 @@ class Coordinator {
 
   DistStats& stats() { return stats_; }
 
+  /// Listens, forks the local workers (unless they are external), and
+  /// waits until every worker has dialled in and said hello.
   Status SpawnWorkers() {
+    obs::ObsSpan spawn_span("dist_spawn");
     const int count = options_.num_workers;
     workers_.resize(static_cast<std::size_t>(count));
     for (int k = 0; k < count; ++k) workers_[static_cast<std::size_t>(k)].id = k;
-    if (UseSocket()) {
-      M2TD_ASSIGN_OR_RETURN(
-          listener_,
-          mapreduce::transport::Listener::Listen(options_.process.listen));
-    }
-    if (!UseSocket() || options_.process.spawn_workers) {
+    M2TD_ASSIGN_OR_RETURN(
+        listener_,
+        mapreduce::transport::Listener::Listen(options_.process.listen));
+    if (options_.process.spawn_workers) {
       for (int k = 0; k < count; ++k) {
         M2TD_RETURN_IF_ERROR(SpawnWorker(k));
       }
       stats_.workers_spawned = count;
     }
-    if (UseSocket()) return WaitForAttach();
-    return Status::OK();
+    return WaitForAttach();
   }
 
   Status RunStage(const StagePlan& plan) {
@@ -257,17 +245,15 @@ class Coordinator {
       // worker.
       std::vector<pollfd> fds;
       std::vector<int> fd_worker;  // worker id, or -1 for listener/pending
-      if (listener_.listening()) {
-        fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-        fd_worker.push_back(-1);
-      }
+      fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+      fd_worker.push_back(-1);
       for (const mapreduce::transport::Connection& p : pending_) {
-        fds.push_back(pollfd{p.read_fd(), POLLIN, 0});
+        fds.push_back(pollfd{p.fd(), POLLIN, 0});
         fd_worker.push_back(-1);
       }
       for (const WorkerProc& w : workers_) {
         if (!w.alive || !w.connected) continue;
-        fds.push_back(pollfd{w.conn.read_fd(), POLLIN, 0});
+        fds.push_back(pollfd{w.conn.fd(), POLLIN, 0});
         fd_worker.push_back(w.id);
       }
       const int ready = ::poll(fds.data(),
@@ -293,7 +279,7 @@ class Coordinator {
 
       // Lease policy: a silent heartbeat or an overrunning task both mean
       // the worker is gone or wedged — SIGKILL, reap, reassign. A
-      // disconnected socket worker that redials in time never reaches
+      // disconnected worker that redials in time never reaches
       // this point: its lease clock was resumed by the rebind.
       for (int id : hb_.Expired(lease_ms)) {
         WorkerProc& w = workers_[static_cast<std::size_t>(id)];
@@ -366,6 +352,7 @@ class Coordinator {
   /// Graceful shutdown: quit frames, closed channels, bounded wait,
   /// SIGKILL stragglers.
   void Drain() {
+    obs::ObsSpan drain_span("dist_drain");
     for (WorkerProc& w : workers_) {
       if (!w.alive) continue;
       if (w.connected) {
@@ -404,8 +391,6 @@ class Coordinator {
  private:
   static constexpr int kMaxReassignments = 16;
 
-  bool UseSocket() const { return options_.process.transport == "socket"; }
-
   int CountAlive() const {
     int alive = 0;
     for (const WorkerProc& w : workers_) alive += w.alive ? 1 : 0;
@@ -435,43 +420,31 @@ class Coordinator {
                    std::to_string(options_.process.heartbeat_ms));
     args.push_back("--trace_epoch_us=" +
                    std::to_string(obs::Tracer::NowMicros()));
-    if (UseSocket()) {
-      args.push_back("--connect=" + listener_.bound_address());
-      args.push_back("--redial_ms=" +
-                     std::to_string(options_.process.redial_ms));
-    }
+    args.push_back("--connect=" + listener_.bound_address());
+    args.push_back("--redial_ms=" +
+                   std::to_string(options_.process.redial_ms));
     if (!options_.process.worker_net_faults.empty()) {
       args.push_back("--net_faults=" + options_.process.worker_net_faults);
-    }
-
-    int to_pipe[2] = {-1, -1}, from_pipe[2] = {-1, -1};
-    if (!UseSocket()) {
-      if (::pipe(to_pipe) != 0 || ::pipe(from_pipe) != 0) {
-        return Status::IOError(std::string("pipe failed: ") +
-                               std::strerror(errno));
-      }
-      // Pipe ends must not leak into sibling workers; the child's dup2
-      // onto fds 0/1 clears CLOEXEC on the two ends it keeps.
-      for (int fd : {to_pipe[0], to_pipe[1], from_pipe[0], from_pipe[1]}) {
-        ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-      }
     }
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (std::string& a : args) argv.push_back(a.data());
     argv.push_back(nullptr);
 
+    const pid_t coordinator = ::getpid();
     const pid_t pid = ::fork();
     if (pid < 0) {
       return Status::IOError(std::string("fork failed: ") +
                              std::strerror(errno));
     }
     if (pid == 0) {
-      // Child: only async-signal-safe calls until exec.
-      if (!UseSocket()) {
-        ::dup2(to_pipe[0], 0);
-        ::dup2(from_pipe[1], 1);
-      }
+      // Child: only async-signal-safe calls until exec. A spawned worker
+      // must not outlive its coordinator (an external one keeps its redial
+      // budget): the kernel SIGKILLs it when the forking thread dies, and
+      // a coordinator that died before prctl took effect is caught by the
+      // getppid check. The signal survives execv.
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (::getppid() != coordinator) _exit(127);
       ::execv(worker_binary_.c_str(), argv.data());
       _exit(127);
     }
@@ -481,22 +454,14 @@ class Coordinator {
     w.pid = pid;
     w.alive = true;
     w.busy = false;
-    if (!UseSocket()) {
-      ::close(to_pipe[0]);
-      ::close(from_pipe[1]);
-      w.conn = mapreduce::transport::Connection::FromFds(
-          from_pipe[0], to_pipe[1], "worker" + std::to_string(k));
-      M2TD_RETURN_IF_ERROR(w.conn.SetNonBlockingRead());
-      w.connected = true;
-      w.ever_connected = true;
-    }
     hb_.Arm(k);
     Emit("spawn", "", -1, k, pid);
     return Status::OK();
   }
 
-  /// Socket transport: wait until every worker slot has attached (said
-  /// hello) before the pipeline starts assigning.
+  /// Waits until every worker slot has attached (said hello) or, if
+  /// spawned, died trying, before the pipeline starts assigning; a stage
+  /// then fails at once if no worker is left.
   Status WaitForAttach() {
     const double budget_ms =
         std::max(options_.process.task_lease_ms, 1000.0);
@@ -504,7 +469,7 @@ class Coordinator {
     while (true) {
       M2TD_RETURN_IF_ERROR(robust::CheckCancelled());
       bool all = true;
-      for (const WorkerProc& w : workers_) all &= w.ever_connected;
+      for (const WorkerProc& w : workers_) all &= w.ever_connected || w.dead;
       if (all) return Status::OK();
       if ((NowUs() - start_us) / 1000.0 > budget_ms) {
         int missing = 0;
@@ -517,7 +482,7 @@ class Coordinator {
       std::vector<pollfd> fds;
       fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
       for (const mapreduce::transport::Connection& p : pending_) {
-        fds.push_back(pollfd{p.read_fd(), POLLIN, 0});
+        fds.push_back(pollfd{p.fd(), POLLIN, 0});
       }
       const int ready =
           ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 20);
@@ -534,7 +499,6 @@ class Coordinator {
 
   /// Accepts pending sockets and binds the ones that have said hello.
   Status PumpNetwork(StageCtx* ctx) {
-    if (!listener_.listening()) return Status::OK();
     while (true) {
       Result<mapreduce::transport::Connection> accepted = listener_.Accept();
       if (!accepted.ok()) {
@@ -625,7 +589,7 @@ class Coordinator {
   }
 
   /// Drains every frame the worker's channel has buffered; channel loss
-  /// is a disconnect (socket) or a death (pipe).
+  /// is a disconnect.
   Status DrainWorker(WorkerProc& w, StageCtx* ctx) {
     std::vector<std::string> frames;
     const Result<bool> open = w.conn.PollFrames(&frames);
@@ -638,14 +602,10 @@ class Coordinator {
     return Status::OK();
   }
 
-  /// The control channel to `w` broke. Pipes cannot come back, so this is
-  /// death; a socket worker stays alive under its heartbeat lease and may
-  /// redial (its in-flight task stays leased to it, not reassigned).
+  /// The control channel to `w` broke. The worker stays alive under its
+  /// heartbeat lease and may redial (its in-flight task stays leased to
+  /// it, not reassigned).
   void HandleChannelLoss(WorkerProc& w, StageCtx* ctx) {
-    if (!UseSocket()) {
-      DeclareDead(w, "death", ctx);
-      return;
-    }
     if (!w.connected) return;
     w.conn.Close();
     w.connected = false;
@@ -1211,7 +1171,6 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
   const std::uint64_t num_cells = all_cells.size();
   std::vector<TensorCell>().swap(all_cells);
 
-  SigpipeGuard sigpipe_guard;
   // Coordinator-side net faults are armed for the run's duration only.
   struct NetFaultScope {
     ~NetFaultScope() { if (armed) robust::DisarmAllNetFaults(); }

@@ -2,8 +2,9 @@
 #define M2TD_CORE_DM2TD_DIST_H_
 
 // The multi-process D-M2TD coordinator (DistBackend::kProcess): spawns
-// `num_workers` m2td_worker processes, assigns (phase, task, attempt)
-// triples over the length-prefixed pipe protocol (mapreduce/wire.h),
+// `num_workers` m2td_worker processes that dial back over loopback TCP
+// (or waits for external ones to dial in), assigns (phase, task,
+// attempt) triples as length-prefixed frames (mapreduce/transport.h),
 // shuffles all intermediate data through the CRC-footered durable
 // io::ShuffleStore, and recovers from worker death at any point by
 // reassigning the dead worker's task to a survivor — tasks replay from

@@ -541,8 +541,6 @@ const char* WorkerExitCodeName(int code) {
   switch (code) {
     case kWorkerExitOk:
       return "ok";
-    case kWorkerExitTornPipe:
-      return "torn control channel";
     case kWorkerExitBadInvocation:
       return "bad invocation";
     case kWorkerExitBadJob:

@@ -47,16 +47,14 @@ inline constexpr char kStragglerEnv[] = "M2TD_DIST_STRAGGLER";
 /// waitpid into DistStats::worker_exit_details and the run report.
 enum WorkerExitCode {
   kWorkerExitOk = 0,
-  /// Torn control channel (unexpected error reading the coordinator).
-  kWorkerExitTornPipe = 1,
-  /// Bad command line / failed arming of chaos specs.
+  /// Bad command line (no --connect) / failed arming of chaos specs.
   kWorkerExitBadInvocation = 2,
   /// Could not open the shuffle store or load the job config.
   kWorkerExitBadJob = 3,
   /// A received frame failed to decode; the worker logs the offending
   /// frame header (first bytes, hex) before exiting with this code.
   kWorkerExitMalformedFrame = 5,
-  /// Socket transport: the redial budget ran out without reattaching.
+  /// The first dial or a redial ran out of budget without attaching.
   kWorkerExitLostCoordinator = 6,
 };
 

@@ -344,21 +344,26 @@ Result<tensor::DenseTensor> BuildFullTensor(SimulationModel* model) {
   const ParameterSpace& space = model->space();
   tensor::DenseTensor full(space.Shape());
   const std::size_t modes = space.num_modes();
+  const std::size_t time = model->time_mode();
   // Cells go to the model a block at a time, so it can simulate each
-  // block's new configurations in lockstep before they are read.
+  // block's new configurations in lockstep before they are read. Only the
+  // time-index-0 cells are offered: every configuration has one, it comes
+  // first in linear order, and the later time slices are cached by then.
   constexpr std::uint64_t kBlock = 256;
-  std::vector<std::vector<std::uint32_t>> block;
+  std::vector<std::vector<std::uint32_t>> block, first_slice;
   for (std::uint64_t first = 0; first < full.NumElements(); first += kBlock) {
     const std::uint64_t count = std::min(kBlock, full.NumElements() - first);
     block.resize(count, std::vector<std::uint32_t>(modes));
+    first_slice.clear();
     for (std::uint64_t c = 0; c < count; ++c) {
       std::uint64_t rest = first + c;
       for (std::size_t m = 0; m < modes; ++m) {
         block[c][m] = static_cast<std::uint32_t>(rest / full.Stride(m));
         rest %= full.Stride(m);
       }
+      if (block[c][time] == 0) first_slice.push_back(block[c]);
     }
-    model->SimulateCells(block);
+    if (!first_slice.empty()) model->SimulateCells(first_slice);
     for (std::uint64_t c = 0; c < count; ++c) {
       full.flat(first + c) = model->Cell(block[c]);
     }

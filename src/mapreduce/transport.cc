@@ -15,7 +15,6 @@
 #include <thread>
 #include <utility>
 
-#include "mapreduce/wire.h"
 #include "obs/metrics.h"
 #include "robust/netfault.h"
 
@@ -80,9 +79,7 @@ std::string SockaddrToString(const sockaddr_storage& addr) {
 Connection::~Connection() { Close(); }
 
 Connection::Connection(Connection&& other) noexcept
-    : read_fd_(std::exchange(other.read_fd_, -1)),
-      write_fd_(std::exchange(other.write_fd_, -1)),
-      is_socket_(other.is_socket_),
+    : fd_(std::exchange(other.fd_, -1)),
       peer_(std::move(other.peer_)),
       buffer_(std::move(other.buffer_)),
       last_frame_us_(other.last_frame_us_) {}
@@ -90,9 +87,7 @@ Connection::Connection(Connection&& other) noexcept
 Connection& Connection::operator=(Connection&& other) noexcept {
   if (this != &other) {
     Close();
-    read_fd_ = std::exchange(other.read_fd_, -1);
-    write_fd_ = std::exchange(other.write_fd_, -1);
-    is_socket_ = other.is_socket_;
+    fd_ = std::exchange(other.fd_, -1);
     peer_ = std::move(other.peer_);
     buffer_ = std::move(other.buffer_);
     last_frame_us_ = other.last_frame_us_;
@@ -100,37 +95,26 @@ Connection& Connection::operator=(Connection&& other) noexcept {
   return *this;
 }
 
-Connection Connection::FromFds(int read_fd, int write_fd, std::string peer) {
+Connection Connection::FromSocket(int socket_fd, std::string peer) {
   Connection conn;
-  conn.read_fd_ = read_fd;
-  conn.write_fd_ = write_fd;
-  conn.is_socket_ = read_fd == write_fd;
+  conn.fd_ = socket_fd;
   conn.peer_ = std::move(peer);
   conn.last_frame_us_ = NowUs();
   return conn;
 }
 
-Connection Connection::FromSocket(int socket_fd, std::string peer) {
-  return FromFds(socket_fd, socket_fd, std::move(peer));
-}
-
 void Connection::Close() {
-  if (read_fd_ < 0) return;
-  if (is_socket_) {
-    ::shutdown(read_fd_, SHUT_RDWR);
-    ::close(read_fd_);
-  } else {
-    ::close(read_fd_);
-    if (write_fd_ >= 0 && write_fd_ != read_fd_) ::close(write_fd_);
-  }
-  read_fd_ = write_fd_ = -1;
+  if (fd_ < 0) return;
+  ::shutdown(fd_, SHUT_RDWR);
+  ::close(fd_);
+  fd_ = -1;
   buffer_.clear();
 }
 
 Status Connection::SetNonBlockingRead() {
-  if (read_fd_ < 0) return Status::IOError("connection not open");
-  const int flags = ::fcntl(read_fd_, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(read_fd_, F_SETFL, flags | O_NONBLOCK) < 0) {
+  if (fd_ < 0) return Status::IOError("connection not open");
+  const int flags = ::fcntl(fd_, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) < 0) {
     return Status::IOError(std::string("O_NONBLOCK failed: ") +
                            std::strerror(errno));
   }
@@ -147,7 +131,10 @@ Status Connection::WriteAllDeadline(const char* data, std::size_t size,
   const double start_us = NowUs();
   std::size_t written = 0;
   while (written < size) {
-    const ssize_t n = ::write(write_fd_, data + written, size - written);
+    // MSG_NOSIGNAL: a closed peer is EPIPE here, not a process-killing
+    // SIGPIPE.
+    const ssize_t n =
+        ::send(fd_, data + written, size - written, MSG_NOSIGNAL);
     if (n > 0) {
       written += static_cast<std::size_t>(n);
       continue;
@@ -166,7 +153,7 @@ Status Connection::WriteAllDeadline(const char* data, std::size_t size,
       return Status::DeadlineExceeded("frame write to " + peer_ +
                                       " exceeded its deadline");
     }
-    pollfd pfd{write_fd_, POLLOUT, 0};
+    pollfd pfd{fd_, POLLOUT, 0};
     const int ready = ::poll(&pfd, 1, SliceTimeoutMs(deadline_ms, elapsed_ms));
     if (ready < 0 && errno != EINTR) {
       return Status::IOError(std::string("write poll failed: ") +
@@ -178,8 +165,8 @@ Status Connection::WriteAllDeadline(const char* data, std::size_t size,
 
 Status Connection::WriteFrame(const std::string& payload,
                               double deadline_ms) {
-  if (write_fd_ < 0) return Status::IOError("connection not open");
-  if (payload.size() > wire::kMaxFrameBytes) {
+  if (fd_ < 0) return Status::IOError("connection not open");
+  if (payload.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
   }
   std::uint32_t len = static_cast<std::uint32_t>(payload.size());
@@ -205,7 +192,7 @@ Status Connection::WriteFrame(const std::string& payload,
     case robust::NetFaultAction::kCorrupt:
       // An impossible length prefix: detectable on the far side as
       // DataLoss without any change to the frame format.
-      len = wire::kMaxFrameBytes + 1 + len;
+      len = kMaxFrameBytes + 1 + len;
       break;
     case robust::NetFaultAction::kTruncate: {
       // Write a prefix of the frame, then tear the connection down like
@@ -237,7 +224,7 @@ Status Connection::ExtractOne(std::string* frame, bool* got) {
   if (buffer_.size() < 4) return Status::OK();
   std::uint32_t len = 0;
   std::memcpy(&len, buffer_.data(), sizeof(len));
-  if (len > wire::kMaxFrameBytes) {
+  if (len > kMaxFrameBytes) {
     return Status::DataLoss("corrupt frame length " + std::to_string(len) +
                             " [conn " + peer_ + "]");
   }
@@ -261,7 +248,7 @@ Status Connection::DrainBuffer(std::vector<std::string>* frames) {
 }
 
 Result<std::string> Connection::ReadFrame(double deadline_ms) {
-  if (read_fd_ < 0) return Status::IOError("connection not open");
+  if (fd_ < 0) return Status::IOError("connection not open");
   const robust::CancelToken token = robust::CurrentCancelToken();
   const double start_us = NowUs();
   while (true) {
@@ -278,7 +265,7 @@ Result<std::string> Connection::ReadFrame(double deadline_ms) {
       return Status::DeadlineExceeded("frame read from " + peer_ +
                                       " exceeded its deadline");
     }
-    pollfd pfd{read_fd_, POLLIN, 0};
+    pollfd pfd{fd_, POLLIN, 0};
     const int ready =
         ::poll(&pfd, 1, SliceTimeoutMs(deadline_ms, elapsed_ms));
     if (ready < 0 && errno != EINTR) {
@@ -287,7 +274,7 @@ Result<std::string> Connection::ReadFrame(double deadline_ms) {
     }
     if (ready <= 0) continue;
     char chunk[4096];
-    const ssize_t n = ::read(read_fd_, chunk, sizeof(chunk));
+    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
         continue;
@@ -306,11 +293,11 @@ Result<std::string> Connection::ReadFrame(double deadline_ms) {
 }
 
 Result<bool> Connection::PollFrames(std::vector<std::string>* frames) {
-  if (read_fd_ < 0) return Status::IOError("connection not open");
+  if (fd_ < 0) return Status::IOError("connection not open");
   bool open = true;
   char chunk[4096];
   while (true) {
-    const ssize_t n = ::read(read_fd_, chunk, sizeof(chunk));
+    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;

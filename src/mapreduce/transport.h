@@ -1,7 +1,7 @@
 #ifndef M2TD_MAPREDUCE_TRANSPORT_H_
 #define M2TD_MAPREDUCE_TRANSPORT_H_
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -12,19 +12,24 @@
 
 namespace m2td::mapreduce::transport {
 
-/// \brief Frame transport abstraction over pipes and TCP sockets — the
-/// coordinator <-> worker control channel of the multi-process D-M2TD
-/// backend, promoted from the raw fd framing in mapreduce/wire.h.
+/// Hard upper bound on a single frame payload; a length prefix beyond
+/// this is treated as stream corruption, not an allocation request.
+constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
+
+/// \brief Frame connection over one stream socket — the coordinator <->
+/// worker control channel of the multi-process D-M2TD backend. Every
+/// worker, spawned on loopback or remote, attaches over TCP with
+/// m2td_worker --connect.
 ///
-/// The frame format is unchanged (4-byte little-endian length + payload,
-/// wire::kMaxFrameBytes cap); what a Connection adds on top of the codec:
+/// A frame is a 4-byte little-endian payload length followed by the
+/// payload (at most kMaxFrameBytes). What a Connection adds on top:
 ///
-///  - one object per peer covering both directions, whether the fds are a
-///    pipe pair (forked workers), a socketpair, or one TCP socket
-///    (workers attached over m2td_worker --connect);
+///  - one object per peer covering both directions of one socket (a TCP
+///    connection, or one end of a socketpair);
 ///  - read/write deadlines: every blocking call polls in short slices
 ///    against both its deadline and the ambient robust::CancelToken, so a
 ///    half-open peer surfaces as kDeadlineExceeded instead of a hang;
+///  - a write to a closed peer is kIOError, never a SIGPIPE;
 ///  - corruption classification: a torn frame or an impossible length
 ///    prefix is kDataLoss tagged "[conn <peer>]" — the transport-seam
 ///    analogue of the shuffle store's "[task <phase>:<m>]" culprit tags;
@@ -32,12 +37,13 @@ namespace m2td::mapreduce::transport {
 ///    robust::ConsultNetFault(peer) and honours drop/delay/truncate/
 ///    corrupt verdicts (see robust/netfault.h for the spec grammar).
 ///
-/// Bulk intermediate data still never rides the connection — it goes
-/// through the durable io::ShuffleStore.
+/// Frames carry small control messages (task assignments, heartbeats,
+/// completion reports); bulk intermediate data never rides the
+/// connection — it goes through the durable io::ShuffleStore.
 class Connection {
  public:
   /// An unconnected placeholder; every operation fails until a factory
-  /// assigns real descriptors.
+  /// assigns a real socket.
   Connection() = default;
   ~Connection();
 
@@ -46,14 +52,11 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Adopts a unidirectional fd pair (pipe ends, or a socketpair given
-  /// twice). Both fds are owned and closed by the Connection.
-  static Connection FromFds(int read_fd, int write_fd, std::string peer);
-
-  /// Adopts one bidirectional socket.
+  /// Adopts one bidirectional stream socket, which the Connection owns
+  /// and closes.
   static Connection FromSocket(int socket_fd, std::string peer);
 
-  bool connected() const { return read_fd_ >= 0; }
+  bool connected() const { return fd_ >= 0; }
 
   /// Human-readable peer label ("worker3", "coordinator",
   /// "127.0.0.1:40213") — the handle culprit tags and the fault
@@ -62,7 +65,7 @@ class Connection {
   void set_peer(std::string peer) { peer_ = std::move(peer); }
 
   /// The descriptor to watch for readability in a poll loop.
-  int read_fd() const { return read_fd_; }
+  int fd() const { return fd_; }
 
   /// Writes one frame, honouring an armed net fault first. Blocks at most
   /// `deadline_ms` (<= 0 = no deadline) against a full kernel buffer;
@@ -77,11 +80,12 @@ class Connection {
 
   /// Non-blocking drain for poll loops: appends every completed frame,
   /// returns false once the peer has closed cleanly, kDataLoss (tagged)
-  /// on a torn tail or corrupt length. The read fd must be O_NONBLOCK
-  /// (the socket factories and SetNonBlockingRead take care of this).
+  /// on a torn tail or corrupt length. The socket must be O_NONBLOCK
+  /// (Listener::Accept and SetNonBlockingRead take care of this).
   Result<bool> PollFrames(std::vector<std::string>* frames);
 
-  /// Marks the read side non-blocking (pipe-backed coordinator ends).
+  /// Marks the socket O_NONBLOCK, for PollFrames. Writes stay bounded by
+  /// their deadline either way.
   Status SetNonBlockingRead();
 
   /// Milliseconds since the last successfully received frame (or since
@@ -98,9 +102,7 @@ class Connection {
   /// Decodes completed frames out of buffer_; kDataLoss on corruption.
   Status DrainBuffer(std::vector<std::string>* frames);
 
-  int read_fd_ = -1;
-  int write_fd_ = -1;
-  bool is_socket_ = false;
+  int fd_ = -1;
   std::string peer_;
   std::string buffer_;
   /// Steady-clock micros of the last received frame (see IdleMillis).

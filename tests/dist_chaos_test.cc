@@ -223,7 +223,7 @@ TEST_F(DistChaosTest, RepeatedKillsAcrossPhasesStayBitIdentical) {
   EXPECT_GE(result->dist.worker_deaths, 3u);
 }
 
-// ---------------------------------------------- socket transport chaos
+// -------------------------------------- network chaos and stragglers
 
 /// Points the spawned workers' deterministic straggler at one task for
 /// the lifetime of the scope (workers inherit the test environment).
@@ -236,43 +236,47 @@ class StragglerScope {
 };
 
 TEST_F(DistChaosTest, SocketBackendNoChaosMatchesThread) {
-  core::DM2tdOptions options = BaseOptions();
-  options.backend = core::DistBackend::kProcess;
-  options.num_workers = 3;
-  options.process.worker_binary = M2TD_WORKER_BIN;
-  options.process.transport = "socket";
-  options.process.job_dir = (root_ / "socket_clean").string();
-  auto result = core::DM2tdDecompose(subs_, partition_,
-                                     model_->space().Shape(), options);
+  auto result = RunProcess(3, "", 0);
   ASSERT_TRUE(result.ok()) << result.status();
-  ExpectBitIdentical(*result, baseline_, "socket workers=3");
+  ExpectBitIdentical(*result, baseline_, "workers=3");
+  // Each worker dialled in once and kept its connection to the drain.
   EXPECT_EQ(result->dist.net_connects, 3u);
+  EXPECT_EQ(result->dist.net_reconnects, 0u);
+  EXPECT_EQ(result->dist.net_disconnects, 0u);
   EXPECT_EQ(result->dist.worker_deaths, 0u);
 }
 
 TEST_F(DistChaosTest, SocketBackendKillMidPhaseIsRecoveredBitIdentical) {
-  // A real SIGKILL on the socket backend: the disconnect is observed
-  // first, then TryReap turns it into a death immediately (no 30 s lease
-  // wait), and the in-flight task is reassigned.
+  // A SIGKILLed worker's socket hangs up first; the coordinator sees the
+  // disconnect, reaps the process at once and reassigns its task, with
+  // no wait for the 30 s lease.
   ChaosSleepScope sleep(100);
   core::DM2tdOptions options = BaseOptions();
   options.backend = core::DistBackend::kProcess;
   options.num_workers = 4;
   options.process.worker_binary = M2TD_WORKER_BIN;
-  options.process.transport = "socket";
   options.process.job_dir = (root_ / "socket_kill").string();
-  bool killed = false;
+  int victim = -1;
+  std::vector<std::string> victim_events;
   options.process.event_hook = [&](const core::DistEvent& event) {
-    if (killed || event.kind != "assign" || event.phase != "p1map") return;
-    ::kill(event.pid, SIGKILL);
-    killed = true;
+    if (victim < 0 && event.kind == "assign" && event.phase == "p1map") {
+      victim = event.worker;
+      ::kill(event.pid, SIGKILL);
+      return;
+    }
+    if (victim >= 0 && event.worker == victim) {
+      victim_events.push_back(event.kind);
+    }
   };
   auto result = core::DM2tdDecompose(subs_, partition_,
                                      model_->space().Shape(), options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(killed);
+  ASSERT_GE(victim, 0);
   ExpectBitIdentical(*result, baseline_, "socket SIGKILL p1map");
-  EXPECT_GE(result->dist.worker_deaths, 1u);
+  const std::vector<std::string> expected = {"disconnect", "death"};
+  EXPECT_EQ(victim_events, expected);
+  EXPECT_EQ(result->dist.worker_deaths, 1u);
+  EXPECT_EQ(result->dist.lease_expirations, 0u);
   EXPECT_GE(result->dist.net_disconnects, 1u);
   EXPECT_GE(result->dist.tasks_reassigned, 1u);
 }
@@ -289,7 +293,6 @@ TEST_F(DistChaosTest, SocketBackendSurvivesInjectedFrameChaos) {
   options.backend = core::DistBackend::kProcess;
   options.num_workers = 2;
   options.process.worker_binary = M2TD_WORKER_BIN;
-  options.process.transport = "socket";
   options.process.job_dir = (root_ / "socket_chaos").string();
   options.process.task_lease_ms = 1500.0;
   options.process.net_faults =
@@ -315,7 +318,6 @@ TEST_F(DistChaosTest, SpeculativeExecutionRacesStragglerBitIdentical) {
   options.backend = core::DistBackend::kProcess;
   options.num_workers = 2;
   options.process.worker_binary = M2TD_WORKER_BIN;
-  options.process.transport = "socket";
   options.process.job_dir = (root_ / "speculate").string();
   options.process.speculation.enabled = true;
   options.process.speculation.quantile = 0.75;

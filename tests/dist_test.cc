@@ -8,11 +8,13 @@
 // M2TD_WORKER_BIN definition (see tests/CMakeLists.txt), so the test
 // works from any CWD ctest chooses.
 
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -38,7 +40,7 @@
 #include "io/shuffle_store.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
-#include "mapreduce/wire.h"
+#include "mapreduce/transport.h"
 #include "obs/metrics.h"
 #include "robust/crc32.h"
 #include "robust/heartbeat.h"
@@ -746,6 +748,9 @@ TEST_F(DistTest, ProcessBackendMatchesThreadBitIdentical) {
   ExpectBitIdentical(*process_result, *thread_result);
   EXPECT_EQ(process_result->dist.workers_spawned, 2);
   EXPECT_EQ(process_result->dist.worker_deaths, 0u);
+  // Each spawned worker dialled the coordinator's loopback listener once.
+  EXPECT_EQ(process_result->dist.net_connects, 2u);
+  EXPECT_EQ(process_result->dist.net_disconnects, 0u);
   EXPECT_GT(process_result->dist.heartbeats, 0u);
 }
 
@@ -831,37 +836,6 @@ TEST_F(DistTest, ProcessBackendFollowsEigenMethod) {
   ExpectBitIdentical(*process_result, *thread_result);
   EXPECT_GT(thread_ql_solves, 0u);
   EXPECT_EQ(process_ql_solves, thread_ql_solves);
-}
-
-TEST_F(DistTest, SocketTransportMatchesThreadBitIdentical) {
-  auto model = SmallModel();
-  auto partition = core::MakePartition(5, {0});
-  ASSERT_TRUE(partition.ok());
-  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
-  ASSERT_TRUE(subs.ok());
-
-  core::DM2tdOptions options;
-  options.ranks = std::vector<std::uint64_t>(5, 2);
-  options.num_workers = 3;
-  auto thread_result = core::DM2tdDecompose(
-      *subs, *partition, model->space().Shape(), options);
-  ASSERT_TRUE(thread_result.ok()) << thread_result.status();
-
-  options.backend = core::DistBackend::kProcess;
-  options.process.worker_binary = M2TD_WORKER_BIN;
-  options.process.transport = "socket";
-  options.num_workers = 2;
-  options.process.job_dir = Path("job");
-  auto socket_result = core::DM2tdDecompose(
-      *subs, *partition, model->space().Shape(), options);
-  ASSERT_TRUE(socket_result.ok()) << socket_result.status();
-
-  ExpectBitIdentical(*socket_result, *thread_result);
-  EXPECT_EQ(socket_result->dist.workers_spawned, 2);
-  EXPECT_EQ(socket_result->dist.worker_deaths, 0u);
-  EXPECT_EQ(socket_result->dist.net_connects, 2u);
-  EXPECT_EQ(socket_result->dist.net_disconnects, 0u);
-  EXPECT_GT(socket_result->dist.heartbeats, 0u);
 }
 
 TEST_F(DistTest, ShardCountNeverAffectsResults) {
@@ -1042,6 +1016,28 @@ TEST_F(DistTest, ZeroJoinProcessMatchesThread) {
   ExpectBitIdentical(*process_result, *thread_result);
 }
 
+/// Forks and execs m2td_worker with `args` (argv[0] is added).
+pid_t StartWorker(const std::vector<std::string>& args) {
+  std::vector<std::string> owned = {M2TD_WORKER_BIN};
+  owned.insert(owned.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& a : owned) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execv(M2TD_WORKER_BIN, argv.data());
+    _exit(127);
+  }
+  return pid;
+}
+
+/// Waits for `pid` and returns its exit code (-1 unless it exited).
+int ExitCodeOf(pid_t pid) {
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
 TEST_F(DistTest, MalformedFrameExitsWorkerWithDistinctCode) {
   // A worker that receives an undecodable frame must log the offending
   // header and exit with kWorkerExitMalformedFrame — the code the
@@ -1058,38 +1054,126 @@ TEST_F(DistTest, MalformedFrameExitsWorkerWithDistinctCode) {
   config.shards = 2;
   ASSERT_TRUE(tasks::SaveJobConfig(Path("job.m2td"), config).ok());
 
-  int to_pipe[2], from_pipe[2];
-  ASSERT_EQ(::pipe(to_pipe), 0);
-  ASSERT_EQ(::pipe(from_pipe), 0);
-  const std::string job_dir_flag = "--job_dir=" + root_.string();
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::dup2(to_pipe[0], 0);
-    ::dup2(from_pipe[1], 1);
-    ::close(to_pipe[1]);
-    ::close(from_pipe[0]);
-    ::execl(M2TD_WORKER_BIN, M2TD_WORKER_BIN, job_dir_flag.c_str(),
-            "--worker_id=0", nullptr);
-    _exit(127);
-  }
-  ::close(to_pipe[0]);
-  ::close(from_pipe[1]);
+  auto listener = mapreduce::transport::Listener::Listen("127.0.0.1:0");
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  const pid_t pid =
+      StartWorker({"--job_dir=" + root_.string(), "--worker_id=0",
+                   "--connect=" + listener->bound_address()});
+  ASSERT_GT(pid, 0);
 
-  auto hello = mapreduce::wire::ReadFrame(from_pipe[0]);
+  pollfd pfd{listener->fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 10000), 1) << "the worker never dialled in";
+  auto conn = listener->Accept();
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  auto hello = conn->ReadFrame(10000.0);
   ASSERT_TRUE(hello.ok()) << hello.status();
   EXPECT_EQ(*hello, "hello 0");
-  ASSERT_TRUE(
-      mapreduce::wire::WriteFrame(to_pipe[1], "gibberish \x01\x02").ok());
+  ASSERT_TRUE(conn->WriteFrame("gibberish \x01\x02", 10000.0).ok());
 
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ::close(to_pipe[1]);
-  ::close(from_pipe[0]);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), tasks::kWorkerExitMalformedFrame);
+  EXPECT_EQ(ExitCodeOf(pid), tasks::kWorkerExitMalformedFrame);
   EXPECT_STREQ(tasks::WorkerExitCodeName(tasks::kWorkerExitMalformedFrame),
                "malformed frame");
+}
+
+TEST_F(DistTest, WorkerWithoutConnectIsBadInvocation) {
+  // Every worker attaches by dialling the coordinator; there is no other
+  // control channel to fall back to.
+  const pid_t pid = StartWorker({"--job_dir=" + root_.string()});
+  ASSERT_GT(pid, 0);
+  EXPECT_EQ(ExitCodeOf(pid), tasks::kWorkerExitBadInvocation);
+}
+
+TEST_F(DistTest, WorkersThatDieBeforeAttachingFailTheRunAtOnce) {
+  // A worker binary that exits at once never dials in. The coordinator
+  // reaps it while it waits for hellos and fails the run, instead of
+  // waiting out the attach budget (the 30 s task lease).
+  auto model = SmallModel();
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+
+  core::DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  options.backend = core::DistBackend::kProcess;
+  options.process.worker_binary = "/bin/false";
+  options.num_workers = 2;
+  options.process.job_dir = Path("job");
+  const auto start = std::chrono::steady_clock::now();
+  auto result = core::DM2tdDecompose(*subs, *partition,
+                                     model->space().Shape(), options);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("workers died"),
+            std::string::npos)
+      << result.status();
+  EXPECT_LT(seconds, 5.0);
+}
+
+TEST_F(DistTest, SocketTransportMatchesThreadBitIdentical) {
+  // The remote deployment on one box: the coordinator forks nothing and
+  // two externally started workers dial its listen address.
+  auto model = SmallModel();
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+
+  core::DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  options.num_workers = 3;
+  auto thread_result = core::DM2tdDecompose(
+      *subs, *partition, model->space().Shape(), options);
+  ASSERT_TRUE(thread_result.ok()) << thread_result.status();
+
+  // A free loopback port for the coordinator to listen on.
+  std::string address;
+  {
+    auto probe = mapreduce::transport::Listener::Listen("127.0.0.1:0");
+    ASSERT_TRUE(probe.ok()) << probe.status();
+    address = probe->bound_address();
+  }
+  options.backend = core::DistBackend::kProcess;
+  options.num_workers = 2;
+  options.process.spawn_workers = false;
+  options.process.listen = address;
+  options.process.job_dir = Path("job");
+
+  // The workers load the job config at startup, so they start once the
+  // coordinator has written it.
+  std::vector<pid_t> workers;
+  std::thread launcher([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!std::filesystem::exists(Path("job/job.m2td"))) {
+      if (std::chrono::steady_clock::now() > deadline) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    for (int k = 0; k < 2; ++k) {
+      workers.push_back(StartWorker({"--job_dir=" + Path("job"),
+                                     "--worker_id=" + std::to_string(k),
+                                     "--connect=" + address}));
+    }
+  });
+  auto socket_result = core::DM2tdDecompose(
+      *subs, *partition, model->space().Shape(), options);
+  launcher.join();
+  if (!socket_result.ok()) {
+    for (pid_t pid : workers) ::kill(pid, SIGKILL);
+  }
+  std::vector<int> exit_codes;
+  for (pid_t pid : workers) exit_codes.push_back(ExitCodeOf(pid));
+  ASSERT_TRUE(socket_result.ok()) << socket_result.status();
+
+  ExpectBitIdentical(*socket_result, *thread_result);
+  EXPECT_EQ(exit_codes, std::vector<int>({0, 0}));
+  EXPECT_EQ(socket_result->dist.workers_spawned, 0);
+  EXPECT_EQ(socket_result->dist.worker_deaths, 0u);
+  EXPECT_EQ(socket_result->dist.net_connects, 2u);
+  EXPECT_EQ(socket_result->dist.net_disconnects, 0u);
+  EXPECT_GT(socket_result->dist.heartbeats, 0u);
 }
 
 TEST_F(DistTest, MissingWorkerBinaryIsNotFound) {

@@ -1,6 +1,9 @@
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,6 +157,59 @@ TEST(SimulationModelTest, BuildFullTensorMatchesCells) {
     EXPECT_DOUBLE_EQ(full->at(idx), (*model)->Cell(idx));
   }
   EXPECT_FALSE(BuildFullTensor(nullptr).ok());
+}
+
+/// Forwards to a model and counts how often SimulateCells is offered each
+/// parameter configuration (a cell with its time index dropped).
+class OfferCountingModel : public SimulationModel {
+ public:
+  explicit OfferCountingModel(SimulationModel* inner) : inner_(inner) {}
+
+  const ParameterSpace& space() const override { return inner_->space(); }
+  std::size_t time_mode() const override { return inner_->time_mode(); }
+  double Cell(const std::vector<std::uint32_t>& indices) override {
+    return inner_->Cell(indices);
+  }
+  void SimulateCells(
+      const std::vector<std::vector<std::uint32_t>>& cells) override {
+    for (std::vector<std::uint32_t> cell : cells) {
+      cell.erase(cell.begin() + static_cast<std::ptrdiff_t>(time_mode()));
+      ++offers_[cell];
+    }
+    inner_->SimulateCells(cells);
+  }
+  std::uint64_t SimulationsRun() const override {
+    return inner_->SimulationsRun();
+  }
+  const std::string& name() const override { return inner_->name(); }
+
+  const std::map<std::vector<std::uint32_t>, int>& offers() const {
+    return offers_;
+  }
+
+ private:
+  SimulationModel* inner_;
+  std::map<std::vector<std::uint32_t>, int> offers_;
+};
+
+TEST(SimulationModelTest, BuildFullTensorOffersEachConfigurationOnce) {
+  ModelOptions options = SmallOptions();
+  options.time_resolution = 6;
+  auto model = MakeDoublePendulumModel(options);
+  ASSERT_TRUE(model.ok());
+  OfferCountingModel counting(model->get());
+  auto full = BuildFullTensor(&counting);
+  ASSERT_TRUE(full.ok());
+
+  std::uint64_t configurations = 1;
+  for (std::size_t m = 1; m < counting.space().num_modes(); ++m) {
+    configurations *= counting.space().Resolution(m);
+  }
+  EXPECT_EQ(counting.offers().size(), configurations);
+  for (const auto& [configuration, offers] : counting.offers()) {
+    EXPECT_EQ(offers, 1) << "configuration offered " << offers << " times";
+  }
+  EXPECT_EQ(counting.SimulationsRun(), configurations);
 }
 
 // ------------------------------------------------ lockstep SimulateCells

@@ -1,7 +1,8 @@
 // Transport-layer tests (ctest -L distributed) of the frame connection
 // abstraction in mapreduce/transport.h: frame roundtrips over a
 // socketpair, deadline expiry surfacing as kDeadlineExceeded instead of
-// a hang, injected truncation/corruption surfacing as kDataLoss with a
+// a hang, writes to a closed peer surfacing as kIOError instead of
+// SIGPIPE, injected truncation/corruption surfacing as kDataLoss with a
 // "[conn <peer>]" culprit tag, drop-then-redial bit-identity through a
 // real TCP listener, and the netfault spec grammar.
 
@@ -17,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "mapreduce/transport.h"
-#include "mapreduce/wire.h"
 #include "robust/cancel.h"
 #include "robust/netfault.h"
 #include "robust/retry.h"
@@ -103,6 +103,20 @@ TEST_F(TransportTest, CancelTokenCutsBlockedReadShort) {
   canceller.join();
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kCancelled) << frame.status();
+}
+
+TEST_F(TransportTest, WriteToClosedPeerIsIOErrorNotSigpipe) {
+  // No SIGPIPE disposition is touched: a write to a socket whose peer has
+  // gone must come back as an error on every attempt, with the process
+  // (a coordinator, or a worker whose heartbeat races a dead connection)
+  // still running.
+  auto [a, b] = MakeSocketPair();
+  b.Close();
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const Status sent = a.WriteFrame("hb 0", 1000.0);
+    ASSERT_FALSE(sent.ok()) << "attempt " << attempt;
+    EXPECT_EQ(sent.code(), StatusCode::kIOError) << sent;
+  }
 }
 
 TEST_F(TransportTest, InjectedTruncationIsDataLossNamingTheConnection) {

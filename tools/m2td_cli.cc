@@ -274,7 +274,6 @@ int RunDm2td(int argc, const char* const* argv) {
   double task_lease_ms = 30000.0;
   bool keep_job_dir = false;
   bool zero_join = false;
-  std::string transport = "pipe";
   std::string listen = "127.0.0.1:0";
   bool spawn_workers = true;
   double io_deadline_ms = 5000.0;
@@ -321,17 +320,12 @@ int RunDm2td(int argc, const char* const* argv) {
                  "exports) even on success",
                  &keep_job_dir);
   parser.AddBool("zero_join", "use zero-join stitching", &zero_join);
-  parser.AddString("transport",
-                   "process backend control channel: pipe (forked workers "
-                   "on inherited pipes) | socket (workers attach over TCP; "
-                   "results bit-identical either way)",
-                   &transport);
   parser.AddString("listen",
-                   "socket transport: coordinator listen address "
-                   "(host:port, port 0 = ephemeral)",
+                   "process backend: coordinator listen address every "
+                   "worker dials (host:port, port 0 = ephemeral)",
                    &listen);
   parser.AddBool("spawn_workers",
-                 "socket transport: fork local workers that dial back "
+                 "process backend: fork local workers that dial back "
                  "(--nospawn_workers waits for --workers external "
                  "`m2td_worker --connect` processes instead)",
                  &spawn_workers);
@@ -340,7 +334,7 @@ int RunDm2td(int argc, const char* const* argv) {
                    "surface kDeadlineExceeded instead of hanging)",
                    &io_deadline_ms);
   parser.AddDouble("redial_ms",
-                   "socket transport: how long a disconnected worker "
+                   "process backend: how long a disconnected worker "
                    "redials (capped seeded exponential backoff) before "
                    "giving up",
                    &redial_ms);
@@ -390,11 +384,6 @@ int RunDm2td(int argc, const char* const* argv) {
   options.process.keep_job_dir = keep_job_dir;
   options.process.heartbeat_ms = worker_heartbeat_ms;
   options.process.task_lease_ms = task_lease_ms;
-  if (transport != "pipe" && transport != "socket") {
-    return Fail(
-        Status::InvalidArgument("--transport must be pipe | socket"));
-  }
-  options.process.transport = transport;
   options.process.listen = listen;
   options.process.spawn_workers = spawn_workers;
   options.process.io_deadline_ms = io_deadline_ms;
@@ -443,12 +432,10 @@ int RunDm2td(int argc, const char* const* argv) {
               << " (tasks reassigned: " << result->dist.tasks_reassigned
               << ", map re-executions: " << result->dist.map_reexecutions
               << ")\n";
-    if (transport == "socket") {
-      std::cout << "network:     " << result->dist.net_connects
-                << " connects, " << result->dist.net_reconnects
-                << " reconnects, " << result->dist.net_disconnects
-                << " disconnects\n";
-    }
+    std::cout << "network:     " << result->dist.net_connects
+              << " connects, " << result->dist.net_reconnects
+              << " reconnects, " << result->dist.net_disconnects
+              << " disconnects\n";
     if (speculative) {
       std::cout << "speculation: " << result->dist.speculative_launched
                 << " launched, " << result->dist.speculative_won << " won, "
@@ -787,7 +774,7 @@ void PrintTopLevelUsage() {
       "              process; process spawns --workers m2td_worker\n"
       "              processes with a durable shuffle and worker-death\n"
       "              recovery — see --worker_heartbeat_ms, --task_lease_ms,\n"
-      "              --transport=pipe|socket, --speculative, --net_faults)\n"
+      "              --listen, --speculative, --net_faults)\n"
       "  simulate    sample an ensemble into a tensor file\n"
       "  decompose   decompose a stored tensor (hosvd | hooi | cp)\n"
       "  analyze     M2TD patterns / interactions / outliers report\n"

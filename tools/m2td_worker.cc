@@ -1,16 +1,14 @@
 // m2td_worker — one worker process of the multi-process D-M2TD backend.
 //
-// Two attachment modes share one protocol (mapreduce/transport.h frames):
-//
-//  - pipe (default): spawned by the coordinator (core/dm2td_dist.cc) with
-//    stdin/stdout connected to the control pipes;
-//  - socket (--connect=host:port): dials the coordinator's listener,
-//    identifies itself with a hello frame, and — when the connection
-//    drops mid-run — redials under a capped seeded exponential backoff
-//    for up to --redial_ms before giving up. Durable frames (hello, done,
-//    fail) ride an outbox that is flushed after every successful redial,
-//    so a result computed during an outage still reaches the
-//    coordinator; heartbeats are droppable.
+// Spawned by the coordinator (core/dm2td_dist.cc) or started by hand on
+// another machine, a worker dials the coordinator's listener
+// (--connect=host:port, required), identifies itself with a hello frame
+// and speaks mapreduce/transport.h frames. When the connection drops
+// mid-run it redials under a capped seeded exponential backoff for up to
+// --redial_ms before giving up. Durable frames (hello, done, fail) ride
+// an outbox that is flushed after every successful redial, so a result
+// computed during an outage still reaches the coordinator; heartbeats
+// are droppable.
 //
 // Protocol:
 //   coordinator -> worker:  "task ..." (see dm2td_tasks::EncodeTaskFrame)
@@ -31,8 +29,6 @@
 // exit the worker writes its metrics (worker<id>.metrics.json) and spans
 // (worker<id>.spans.tsv, epoch-shifted by --trace_epoch_us onto the
 // coordinator's clock) for the coordinator to merge into one trace.
-
-#include <unistd.h>
 
 #include <chrono>
 #include <condition_variable>
@@ -87,14 +83,10 @@ std::string HexHeader(const std::string& frame, std::size_t limit = 16) {
 /// a half-replaced channel.
 class CoordinatorLink {
  public:
-  void InitPipe() {
-    conn_ = transport::Connection::FromFds(0, 1, "coordinator");
-  }
-
-  /// Socket mode: first dial + hello. The redial budget and backoff seed
-  /// also govern every later Redial().
-  Status InitSocket(const std::string& address, std::int64_t worker_id,
-                    double redial_ms) {
+  /// First dial + hello. The redial budget and backoff seed also govern
+  /// every later Redial().
+  Status Attach(const std::string& address, std::int64_t worker_id,
+                double redial_ms) {
     address_ = address;
     redial_ms_ = redial_ms;
     policy_.max_retries = 1 << 20;  // budget-bounded, not count-bounded
@@ -108,12 +100,9 @@ class CoordinatorLink {
         conn_, transport::DialWithBackoff(address_, "coordinator", policy_,
                                           redial_ms_,
                                           m2td::robust::CancelToken()));
-    socket_ = true;
     outbox_.push_back(hello_);
     return FlushLocked();
   }
-
-  bool socket() const { return socket_; }
 
   /// Queues (durable) or attempts (droppable) one frame. Durable frames
   /// survive a dead connection in the outbox until a redial flushes them;
@@ -134,7 +123,7 @@ class CoordinatorLink {
   /// Main thread only. Blocks for the next frame.
   Result<std::string> Read() { return conn_.ReadFrame(); }
 
-  /// Main thread only: replaces a torn socket connection, re-identifies,
+  /// Main thread only: replaces a torn connection, re-identifies,
   /// and flushes everything queued during the outage (in order).
   Status Redial() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -164,7 +153,6 @@ class CoordinatorLink {
   std::mutex mu_;
   transport::Connection conn_;
   std::deque<std::string> outbox_;
-  bool socket_ = false;
   std::string address_;
   std::string hello_;
   double redial_ms_ = 10000.0;
@@ -264,7 +252,7 @@ int main(int argc, char** argv) {
 
   m2td::FlagParser parser(
       "m2td_worker: D-M2TD worker process (spawned by the coordinator, or "
-      "attached remotely with --connect)");
+      "started by hand); dials the coordinator at --connect");
   parser.AddString("job_dir", "shuffle store / job config directory",
                    &job_dir);
   parser.AddInt64("worker_id", "index within the worker pool", &worker_id);
@@ -274,12 +262,11 @@ int main(int argc, char** argv) {
                    "exported spans are shifted onto it",
                    &trace_epoch_us);
   parser.AddString("connect",
-                   "coordinator listener host:port; empty = pipe transport "
-                   "over stdin/stdout",
+                   "coordinator listener host:port (required)",
                    &connect);
   parser.AddDouble("redial_ms",
-                   "socket transport: total budget for redialing a dropped "
-                   "connection (capped seeded exponential backoff)",
+                   "total budget for redialing a dropped connection "
+                   "(capped seeded exponential backoff)",
                    &redial_ms);
   parser.AddString("net_faults",
                    "deterministic transport fault specs "
@@ -288,6 +275,10 @@ int main(int argc, char** argv) {
   auto positional = parser.Parse(argc, argv);
   if (!positional.ok()) {
     std::cerr << positional.status() << "\n";
+    return tasks::kWorkerExitBadInvocation;
+  }
+  if (connect.empty()) {
+    std::cerr << "m2td_worker: --connect=host:port is required\n";
     return tasks::kWorkerExitBadInvocation;
   }
 
@@ -323,16 +314,11 @@ int main(int argc, char** argv) {
   }
 
   CoordinatorLink link;
-  if (connect.empty()) {
-    link.InitPipe();
-    link.Send("hello " + std::to_string(worker_id), /*durable=*/true);
-  } else {
-    const Status attached = link.InitSocket(connect, worker_id, redial_ms);
-    if (!attached.ok()) {
-      std::cerr << "m2td_worker: cannot attach to " << connect << ": "
-                << attached << "\n";
-      return tasks::kWorkerExitLostCoordinator;
-    }
+  const Status attached = link.Attach(connect, worker_id, redial_ms);
+  if (!attached.ok()) {
+    std::cerr << "m2td_worker: cannot attach to " << connect << ": "
+              << attached << "\n";
+    return tasks::kWorkerExitLostCoordinator;
   }
 
   // The heartbeat waits out its period on a condition variable, so
@@ -360,20 +346,12 @@ int main(int argc, char** argv) {
   while (true) {
     Result<std::string> frame = link.Read();
     if (!frame.ok()) {
-      if (link.socket()) {
-        // Disconnect is not death: redial inside the budget and resume
-        // this identity (the coordinator honours the heartbeat lease).
-        if (link.Redial().ok()) continue;
-        std::cerr << "m2td_worker: lost coordinator at " << connect
-                  << " (redial budget exhausted)\n";
-        code = tasks::kWorkerExitLostCoordinator;
-        break;
-      }
-      // Clean EOF (coordinator closed our stdin) is the normal shutdown;
-      // anything else is a torn pipe.
-      code = frame.status().code() == m2td::StatusCode::kNotFound
-                 ? tasks::kWorkerExitOk
-                 : tasks::kWorkerExitTornPipe;
+      // Disconnect is not death: redial inside the budget and resume this
+      // identity (the coordinator honours the heartbeat lease).
+      if (link.Redial().ok()) continue;
+      std::cerr << "m2td_worker: lost coordinator at " << connect
+                << " (redial budget exhausted)\n";
+      code = tasks::kWorkerExitLostCoordinator;
       break;
     }
     if (*frame == "quit") break;
