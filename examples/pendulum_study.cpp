@@ -17,7 +17,6 @@
 #include "core/je_stitch.h"
 #include "core/m2td.h"
 #include "core/pf_partition.h"
-#include "core/pivot_selection.h"
 #include "ensemble/sampling.h"
 #include "ensemble/simulation_model.h"
 #include "io/table.h"
@@ -105,17 +104,6 @@ int main(int argc, char** argv) {
     M2TD_CHECK(outcome.ok()) << outcome.status();
     std::cout << "  pivot " << label << ": accuracy "
               << m2td::io::TablePrinter::Cell(outcome->accuracy, 3) << "\n";
-  }
-
-  // --- Data-driven pivot ranking (no ground truth needed). ---
-  auto pivot_scores = m2td::core::RankPivotChoices(model->get());
-  M2TD_CHECK(pivot_scores.ok()) << pivot_scores.status();
-  std::cout << "\nPivot candidates by probe alignment (cheap pre-budget "
-               "heuristic):\n";
-  for (const auto& score : *pivot_scores) {
-    std::cout << "  " << space.def(score.mode).name << ": alignment "
-              << m2td::io::TablePrinter::Cell(score.alignment, 3) << " ("
-              << score.probe_cells << " probe cells)\n";
   }
 
   // --- Persist artifacts: the stitched join tensor and the table. ---

@@ -22,7 +22,7 @@ namespace {
 using dm2td_internal::GramPiece;
 using dm2td_internal::JobGeometry;
 using dm2td_internal::PartialCore;
-using dm2td_internal::TensorCell;
+using dm2td_internal::ShardSlices;
 
 /// The Status of the exception being handled: the cancellation's own code
 /// (which the retry layer never replays), Internal for anything else.
@@ -80,51 +80,47 @@ Status RunTasks(std::size_t workers, const char* region, const char* span,
   return Status::OK();
 }
 
-/// One D-M2TD phase on the thread backend. `num_workers` map tasks route
-/// the cells of their contiguous split of `cells` to reduce task
-/// key(cell) % num_workers; the shuffle, a stable counting sort of cell
-/// indices, lays out each reduce task's run in input order; and
-/// `num_workers` reduce tasks hand a copy of their run to `reduce` (a copy,
-/// so a retried attempt starts from the same input). Returns the outputs in
-/// reduce-task order and fills `stats`. Memory beyond the outputs is one
-/// copy of the cells plus O(cells + num_workers) indices.
+/// One D-M2TD phase on the thread backend. Map task m routes split m of
+/// the sub-tensors to the `num_workers` shards (dm2td_internal::
+/// RouteSplit) and keeps its slices in memory; the shuffle assembles each
+/// shard's input from them in map-task order (ConcatSlices); and
+/// `num_workers` reduce tasks hand their input to `reduce`, which must
+/// leave it unchanged, so a retried attempt starts from the same input.
+/// Returns the outputs in reduce-task order and fills `stats`. Memory
+/// beyond the outputs is one copy of the cells.
 template <typename Out>
 Result<std::vector<Out>> RunPhase(
-    const std::vector<TensorCell>& cells, const DM2tdOptions& options,
-    const std::function<std::uint64_t(const TensorCell&)>& key,
-    const std::function<Status(std::vector<TensorCell>, std::vector<Out>*)>&
+    int phase, const SubEnsembles& subs, const JobGeometry& geometry,
+    const DM2tdOptions& options,
+    const std::function<Status(const ShardSlices&, std::vector<Out>*)>&
         reduce,
     mapreduce::JobStats* stats) {
   const std::size_t workers = static_cast<std::size_t>(options.num_workers);
+  const std::uint64_t cells = subs.x1.NumNonZeros() + subs.x2.NumNonZeros();
   obs::ObsSpan job_span("mapreduce_job");
   job_span.Annotate("num_workers", static_cast<std::int64_t>(workers));
-  job_span.Annotate("input_records",
-                    static_cast<std::uint64_t>(cells.size()));
+  job_span.Annotate("input_records", cells);
   obs::GetCounter("mapreduce.jobs").Add(1);
   Timer timer;
 
   obs::ObsSpan map_span("map");
-  auto split = [&](std::size_t w) {
-    return dm2td_internal::SplitRange(cells.size(), options.num_workers,
+  auto split = [&](const tensor::SparseTensor& sub, std::size_t w) {
+    return dm2td_internal::SplitRange(sub.NumNonZeros(), options.num_workers,
                                       static_cast<int>(w));
   };
-  std::vector<std::uint32_t> reducer_of(cells.size());
+  std::vector<std::vector<ShardSlices>> routed(workers);
   M2TD_RETURN_IF_ERROR(RunTasks(
       workers, "map_tasks", "map_task", "mapreduce.map_task", options.retry,
       [&](std::size_t w) {
-        const auto [begin, end] = split(w);
-        return end - begin;
+        const auto [b1, e1] = split(subs.x1, w);
+        const auto [b2, e2] = split(subs.x2, w);
+        return (e1 - b1) + (e2 - b2);
       },
       [&](std::size_t w) -> Status {
-        const auto [begin, end] = split(w);
-        for (std::size_t i = begin; i < end; ++i) {
-          // Cancellation point every 256 records, so long splits stop
-          // promptly.
-          if (((i - begin) & 0xFF) == 0) {
-            M2TD_RETURN_IF_ERROR(robust::CheckCancelled());
-          }
-          reducer_of[i] = static_cast<std::uint32_t>(key(cells[i]) % workers);
-        }
+        M2TD_ASSIGN_OR_RETURN(
+            routed[w], dm2td_internal::RouteSplit(
+                           phase, geometry, subs.x1, split(subs.x1, w),
+                           subs.x2, split(subs.x2, w), workers));
         return Status::OK();
       }));
   map_span.End();
@@ -133,24 +129,21 @@ Result<std::vector<Out>> RunPhase(
   timer.Restart();
 
   obs::ObsSpan shuffle_span("shuffle");
-  // run_begin[p] .. run_begin[p + 1] is reduce task p's run in `order`.
-  std::vector<std::size_t> run_begin(workers + 1, 0);
-  for (std::uint32_t p : reducer_of) ++run_begin[p + 1];
-  for (std::size_t p = 0; p < workers; ++p) run_begin[p + 1] += run_begin[p];
-  std::vector<std::size_t> order(cells.size());
-  {
-    std::vector<std::size_t> next(run_begin.begin(), run_begin.end() - 1);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      order[next[reducer_of[i]]++] = i;
+  std::vector<ShardSlices> inputs(workers);
+  for (std::size_t p = 0; p < workers; ++p) {
+    std::vector<ShardSlices> parts(workers);
+    for (std::size_t m = 0; m < workers; ++m) {
+      parts[m] = std::move(routed[m][p]);
     }
+    M2TD_ASSIGN_OR_RETURN(inputs[p],
+                          dm2td_internal::ConcatSlices(std::move(parts)));
   }
-  std::vector<std::uint32_t>().swap(reducer_of);
-  shuffle_span.Annotate("intermediate_pairs",
-                        static_cast<std::uint64_t>(cells.size()));
+  std::vector<std::vector<ShardSlices>>().swap(routed);
+  shuffle_span.Annotate("intermediate_pairs", cells);
   shuffle_span.End();
-  obs::GetCounter("mapreduce.intermediate_pairs").Add(cells.size());
+  obs::GetCounter("mapreduce.intermediate_pairs").Add(cells);
   stats->shuffle_seconds = timer.ElapsedSeconds();
-  stats->intermediate_pairs = cells.size();
+  stats->intermediate_pairs = cells;
   timer.Restart();
 
   obs::ObsSpan reduce_span("reduce");
@@ -158,15 +151,12 @@ Result<std::vector<Out>> RunPhase(
   M2TD_RETURN_IF_ERROR(RunTasks(
       workers, "reduce_tasks", "reduce_task", "mapreduce.reduce_task",
       options.retry,
-      [&](std::size_t p) { return run_begin[p + 1] - run_begin[p]; },
+      [&](std::size_t p) {
+        return inputs[p].x1.NumNonZeros() + inputs[p].x2.NumNonZeros();
+      },
       [&](std::size_t p) -> Status {
         outputs[p].clear();
-        std::vector<TensorCell> run;
-        run.reserve(run_begin[p + 1] - run_begin[p]);
-        for (std::size_t j = run_begin[p]; j < run_begin[p + 1]; ++j) {
-          run.push_back(cells[order[j]]);
-        }
-        return reduce(std::move(run), &outputs[p]);
+        return reduce(inputs[p], &outputs[p]);
       }));
   std::vector<Out> merged;
   for (std::vector<Out>& part : outputs) {
@@ -201,21 +191,14 @@ Result<DM2tdResult> DecomposeThreadBackend(
                       static_cast<std::int64_t>(options.num_workers));
   total_span.Annotate("backend", "thread");
 
-  const std::vector<TensorCell> all_cells =
-      dm2td_internal::CollectAllCells(subs);
-
   // ---------- Phase 1: parallel sub-tensor decomposition. ----------
   obs::ObsSpan sub_span("sub_decompose");
   M2TD_ASSIGN_OR_RETURN(
       std::vector<GramPiece> gram_pieces,
       RunPhase<GramPiece>(
-          all_cells, options,
-          [](const TensorCell& cell) {
-            return static_cast<std::uint64_t>(cell.kappa);
-          },
-          [&subs](std::vector<TensorCell> cells, std::vector<GramPiece>* out) {
-            return dm2td_internal::ReduceGramGroups(
-                std::move(cells), subs.x1.shape(), subs.x2.shape(), out);
+          1, subs, geometry, options,
+          [](const ShardSlices& input, std::vector<GramPiece>* out) {
+            return dm2td_internal::ReduceGramGroups(input, out);
           },
           &result.phase1));
 
@@ -232,8 +215,7 @@ Result<DM2tdResult> DecomposeThreadBackend(
   // Zero-join candidate sets are global; gather them driver-side.
   std::vector<std::uint64_t> cand1, cand2;
   if (options.stitch.zero_join) {
-    dm2td_internal::GatherZeroJoinCandidates(all_cells, geometry, &cand1,
-                                             &cand2);
+    dm2td_internal::GatherZeroJoinCandidates(subs, geometry, &cand1, &cand2);
   }
   M2TD_ASSIGN_OR_RETURN(
       const dm2td_internal::PivotCoreBuilder builder,
@@ -242,13 +224,10 @@ Result<DM2tdResult> DecomposeThreadBackend(
   M2TD_ASSIGN_OR_RETURN(
       std::vector<PartialCore> parts,
       RunPhase<PartialCore>(
-          all_cells, options,
-          [&geometry](const TensorCell& cell) {
-            return dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims);
-          },
-          [&](std::vector<TensorCell> cells, std::vector<PartialCore>* out) {
-            return dm2td_internal::ReducePivotGroups(builder, geometry,
-                                                     std::move(cells), out);
+          2, subs, geometry, options,
+          [&](const ShardSlices& input, std::vector<PartialCore>* out) {
+            return dm2td_internal::ReducePivotGroups(builder, geometry, input,
+                                                     out);
           },
           &result.phase2));
   stitch_span.End();

@@ -42,7 +42,6 @@ namespace fs = std::filesystem;
 using dm2td_internal::GramPiece;
 using dm2td_internal::JobGeometry;
 using dm2td_internal::PartialCore;
-using dm2td_internal::TensorCell;
 using dm2td_tasks::DistJobConfig;
 using dm2td_tasks::TaskRequest;
 
@@ -942,15 +941,18 @@ class Coordinator {
 
 // ----------------------------------------------------- input preparation
 
-Status WriteCellSplits(const io::ShuffleStore& store,
-                       const std::vector<TensorCell>& cells, int splits) {
+/// The cells file: segment m holds split m of both sub-tensors.
+Status WriteCellSplits(const io::ShuffleStore& store, const SubEnsembles& subs,
+                       int splits) {
   return store.WriteFile(
       dm2td_tasks::kCellsFile, static_cast<std::size_t>(splits),
       [&](std::size_t m) {
-        const auto [begin, end] =
-            dm2td_internal::SplitRange(cells.size(), splits,
-                                       static_cast<int>(m));
-        return dm2td_tasks::EncodeCells(cells.data() + begin, end - begin);
+        const int split = static_cast<int>(m);
+        return dm2td_tasks::EncodeSlices(
+            subs.x1,
+            dm2td_internal::SplitRange(subs.x1.NumNonZeros(), splits, split),
+            subs.x2,
+            dm2td_internal::SplitRange(subs.x2.NumNonZeros(), splits, split));
       });
 }
 
@@ -1156,20 +1158,17 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
   M2TD_RETURN_IF_ERROR(
       dm2td_tasks::SaveJobConfig(job_dir + "/job.m2td", config));
 
-  std::vector<TensorCell> all_cells = dm2td_internal::CollectAllCells(subs);
-  M2TD_RETURN_IF_ERROR(WriteCellSplits(store, all_cells, options.num_shards));
+  M2TD_RETURN_IF_ERROR(WriteCellSplits(store, subs, options.num_shards));
   if (options.stitch.zero_join) {
     std::vector<std::uint64_t> cand1, cand2;
-    dm2td_internal::GatherZeroJoinCandidates(all_cells, geometry, &cand1,
-                                             &cand2);
+    dm2td_internal::GatherZeroJoinCandidates(subs, geometry, &cand1, &cand2);
     M2TD_RETURN_IF_ERROR(store.WriteFile(
         dm2td_tasks::kCandidatesFile, 2, [&](std::size_t side) {
           return dm2td_tasks::EncodeU64List(side == 0 ? cand1 : cand2);
         }));
   }
-  // The workers read the cells from the store from here on.
-  const std::uint64_t num_cells = all_cells.size();
-  std::vector<TensorCell>().swap(all_cells);
+  const std::uint64_t num_cells =
+      subs.x1.NumNonZeros() + subs.x2.NumNonZeros();
 
   // Coordinator-side net faults are armed for the run's duration only.
   struct NetFaultScope {

@@ -1,7 +1,6 @@
 #include "core/dm2td_internal.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "linalg/svd.h"
@@ -11,61 +10,130 @@ namespace m2td::core::dm2td_internal {
 
 namespace {
 
-/// Builds one sub-tensor from its cells and appends its per-mode Grams.
-Status BuildGramsForSub(int kappa, const std::vector<std::uint64_t>& shape,
-                        const std::vector<TensorCell>& cells,
-                        std::vector<GramPiece>* out) {
-  tensor::SparseTensor sub(shape);
-  sub.Reserve(cells.size());
-  for (const TensorCell& cell : cells) {
-    sub.AppendEntry(cell.idx, cell.value);
+/// The columns of one slice under assembly.
+class SliceColumns {
+ public:
+  explicit SliceColumns(std::size_t modes) : indices_(modes) {}
+
+  /// Appends `rows` of `src`, which has this slice's modes.
+  void Append(const tensor::SparseTensor& src, Rows rows) {
+    auto append = [rows](const auto& column, auto* out) {
+      out->insert(out->end(), column.begin() + rows.first,
+                  column.begin() + rows.second);
+    };
+    for (std::size_t m = 0; m < indices_.size(); ++m) {
+      append(src.IndexArray(m), &indices_[m]);
+    }
+    append(src.Values(), &values_);
   }
-  sub.SortAndCoalesce();
-  for (std::size_t m = 0; m < sub.num_modes(); ++m) {
-    M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram, tensor::ModeGram(sub, m));
-    out->push_back(GramPiece{kappa, m, std::move(gram)});
+
+  Result<tensor::SparseTensor> Take(const std::vector<std::uint64_t>& shape) {
+    return tensor::SparseTensor::FromArrays(shape, std::move(indices_),
+                                            std::move(values_));
   }
-  return Status::OK();
+
+ private:
+  std::vector<std::vector<std::uint32_t>> indices_;
+  std::vector<double> values_;
+};
+
+tensor::SparseTensor& Side(ShardSlices& slices, int side) {
+  return side == 1 ? slices.x1 : slices.x2;
 }
 
 }  // namespace
 
-Result<std::uint64_t> CheckedPivotKey(const TensorCell& cell,
-                                      const JobGeometry& geometry) {
-  if (cell.idx.size() < geometry.k) {
-    return Status::IOError("cell of arity " + std::to_string(cell.idx.size()) +
-                           " has no pivot coordinates");
+Result<std::vector<ShardSlices>> RouteSplit(int phase,
+                                            const JobGeometry& geometry,
+                                            const tensor::SparseTensor& x1,
+                                            Rows rows1,
+                                            const tensor::SparseTensor& x2,
+                                            Rows rows2, std::size_t shards) {
+  if (shards == 0) return Status::InvalidArgument("routing to no shards");
+  std::vector<ShardSlices> out(shards);
+  for (int side = 1; side <= 2; ++side) {
+    const tensor::SparseTensor& src = side == 1 ? x1 : x2;
+    const auto [begin, end] = side == 1 ? rows1 : rows2;
+    auto shard = [&](std::uint64_t e) -> std::size_t {
+      if (phase == 1) return static_cast<std::size_t>(side - 1) % shards;
+      return RowKey(src, e, 0, geometry.pivot_dims) % shards;
+    };
+    std::vector<SliceColumns> columns(shards, SliceColumns(src.num_modes()));
+    // Consecutive rows bound for one shard move as one run: a whole side
+    // in phase 1, at least a whole pivot group in phase 2.
+    for (std::uint64_t e = begin; e < end;) {
+      const std::size_t r = shard(e);
+      std::uint64_t run_end = e + 1;
+      while (run_end < end && shard(run_end) == r) ++run_end;
+      columns[r].Append(src, {e, run_end});
+      e = run_end;
+    }
+    for (std::size_t r = 0; r < shards; ++r) {
+      M2TD_ASSIGN_OR_RETURN(Side(out[r], side), columns[r].Take(src.shape()));
+    }
   }
-  return PivotKey(cell.idx, geometry.pivot_dims);
+  return out;
 }
 
-Status ReduceGramGroups(std::vector<TensorCell> cells,
-                        const std::vector<std::uint64_t>& shape1,
-                        const std::vector<std::uint64_t>& shape2,
-                        std::vector<GramPiece>* out) {
-  std::map<int, std::vector<TensorCell>> by_kappa;
-  for (TensorCell& cell : cells) {
-    by_kappa[cell.kappa].push_back(std::move(cell));
+Result<ShardSlices> ConcatSlices(std::vector<ShardSlices> parts) {
+  if (parts.empty()) return Status::IOError("no slices to concatenate");
+  if (parts.size() == 1) return std::move(parts[0]);
+  ShardSlices out;
+  for (int side = 1; side <= 2; ++side) {
+    const std::vector<std::uint64_t> shape = Side(parts[0], side).shape();
+    SliceColumns columns(shape.size());
+    for (ShardSlices& part : parts) {
+      columns.Append(Side(part, side), AllRows(Side(part, side)));
+    }
+    M2TD_ASSIGN_OR_RETURN(Side(out, side), columns.Take(shape));
   }
-  for (const auto& [kappa, group] : by_kappa) {
-    M2TD_RETURN_IF_ERROR(
-        BuildGramsForSub(kappa, kappa == 1 ? shape1 : shape2, group, out));
+  return out;
+}
+
+Status ReduceGramGroups(ShardSlices input, std::vector<GramPiece>* out) {
+  for (int kappa = 1; kappa <= 2; ++kappa) {
+    tensor::SparseTensor& sub = Side(input, kappa);
+    if (sub.NumNonZeros() == 0) continue;
+    sub.SortAndCoalesce();
+    for (std::size_t m = 0; m < sub.num_modes(); ++m) {
+      M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram, tensor::ModeGram(sub, m));
+      out->push_back(GramPiece{kappa, m, std::move(gram)});
+    }
   }
   return Status::OK();
 }
 
 Status ReducePivotGroups(const PivotCoreBuilder& builder,
                          const JobGeometry& geometry,
-                         std::vector<TensorCell> cells,
+                         const ShardSlices& input,
                          std::vector<PartialCore>* out) {
-  std::map<std::uint64_t, std::vector<TensorCell>> groups;
-  for (TensorCell& cell : cells) {
-    M2TD_ASSIGN_OR_RETURN(const std::uint64_t key,
-                          CheckedPivotKey(cell, geometry));
-    groups[key].push_back(std::move(cell));
-  }
-  for (const auto& [key, group] : groups) {
-    M2TD_RETURN_IF_ERROR(builder.Build(key, group, out));
+  const tensor::SparseTensor* sides[2] = {&input.x1, &input.x2};
+  auto key_at = [&](int s, std::uint64_t e) {
+    return RowKey(*sides[s], e, 0, geometry.pivot_dims);
+  };
+  std::uint64_t next[2] = {0, 0};
+  const std::uint64_t size[2] = {input.x1.NumNonZeros(),
+                                 input.x2.NumNonZeros()};
+  while (next[0] < size[0] || next[1] < size[1]) {
+    // The group is the smaller of the two sides' next keys; each side's
+    // run of that key may be empty.
+    std::uint64_t key = ~std::uint64_t{0};
+    for (int s = 0; s < 2; ++s) {
+      if (next[s] < size[s]) key = std::min(key, key_at(s, next[s]));
+    }
+    Rows runs[2];
+    for (int s = 0; s < 2; ++s) {
+      std::uint64_t end = next[s];
+      while (end < size[s] && key_at(s, end) == key) ++end;
+      if (end < size[s] && key_at(s, end) < key) {
+        return Status::IOError("pivot keys descend in slice " +
+                               std::to_string(s + 1) + " at row " +
+                               std::to_string(end));
+      }
+      runs[s] = {next[s], end};
+      next[s] = end;
+    }
+    builder.Build(key, input.x1, runs[0], input.x2, runs[1], out);
   }
   return Status::OK();
 }
@@ -157,37 +225,32 @@ Result<PivotCoreBuilder> PivotCoreBuilder::Create(
   return builder;
 }
 
-Status PivotCoreBuilder::Build(std::uint64_t pivot_key,
-                               const std::vector<TensorCell>& cells,
-                               std::vector<PartialCore>* out) const {
+void PivotCoreBuilder::Build(std::uint64_t pivot_key,
+                             const tensor::SparseTensor& x1, Rows rows1,
+                             const tensor::SparseTensor& x2, Rows rows2,
+                             std::vector<PartialCore>* out) const {
   // A/C: side-1 value and indicator sums; B/D: side-2 indicator and value
   // sums. Under zero-join the indicator sums are the candidate sums.
   std::vector<double> a(side1_.offsets.size(), 0.0), c(a.size(), 0.0),
       b(side2_.offsets.size(), 0.0), d(b.size(), 0.0), row;
-  std::uint64_t n1 = 0, n2 = 0;
-  for (const TensorCell& cell : cells) {
-    const bool first = cell.kappa == 1;
-    const ModeGroup& side = first ? side1_ : side2_;
-    if (cell.idx.size() != k_ + side.dims.size()) {
-      return Status::IOError("cell of arity " +
-                             std::to_string(cell.idx.size()) +
-                             " in pivot group " + std::to_string(pivot_key));
-    }
-    for (std::size_t i = 0; i < side.dims.size(); ++i) {
-      if (cell.idx[k_ + i] >= side.dims[i]) {
-        return Status::IOError("cell index out of range in pivot group " +
-                               std::to_string(pivot_key));
+  auto add = [&](const ModeGroup& side, const tensor::SparseTensor& slice,
+                 Rows rows, std::vector<double>& values,
+                 std::vector<double>& indicators) {
+    std::vector<std::uint32_t> idx(side.dims.size());
+    for (std::uint64_t e = rows.first; e < rows.second; ++e) {
+      for (std::size_t i = 0; i < idx.size(); ++i) {
+        idx[i] = slice.Index(k_ + i, e);
+      }
+      side.KronRow(idx.data(), &row);
+      for (std::size_t j = 0; j < row.size(); ++j) {
+        values[j] += slice.Value(e) * row[j];
+        if (!zero_join_) indicators[j] += row[j];
       }
     }
-    side.KronRow(cell.idx.data() + k_, &row);
-    std::vector<double>& values = first ? a : d;
-    std::vector<double>& indicators = first ? c : b;
-    ++(first ? n1 : n2);
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      values[j] += cell.value * row[j];
-      if (!zero_join_) indicators[j] += row[j];
-    }
-  }
+    return rows.second - rows.first;
+  };
+  const std::uint64_t n1 = add(side1_, x1, rows1, a, c);
+  const std::uint64_t n2 = add(side2_, x2, rows2, d, b);
   // Zero-join pairs every candidate with every candidate, less the pairs
   // with neither member simulated.
   const std::uint64_t e1 = side1_.num_cand, e2 = side2_.num_cand;
@@ -195,7 +258,7 @@ Status PivotCoreBuilder::Build(std::uint64_t pivot_key,
       zero_join_
           ? e1 * e2 - (e1 - std::min(n1, e1)) * (e2 - std::min(n2, e2))
           : n1 * n2;
-  if (join_cells == 0) return Status::OK();
+  if (join_cells == 0) return;
   if (zero_join_) {
     c = side1_.cand_sum;
     b = side2_.cand_sum;
@@ -222,7 +285,6 @@ Status PivotCoreBuilder::Build(std::uint64_t pivot_key,
     }
   }
   out->push_back(std::move(part));
-  return Status::OK();
 }
 
 Result<tensor::DenseTensor> SumPartialCores(
@@ -250,23 +312,6 @@ Result<tensor::DenseTensor> SumPartialCores(
     *join_nnz += part.join_cells;
   }
   return core;
-}
-
-std::vector<TensorCell> CollectAllCells(const SubEnsembles& subs) {
-  std::vector<TensorCell> cells;
-  cells.reserve(subs.x1.NumNonZeros() + subs.x2.NumNonZeros());
-  for (int kappa = 1; kappa <= 2; ++kappa) {
-    const tensor::SparseTensor& sub = kappa == 1 ? subs.x1 : subs.x2;
-    for (std::uint64_t e = 0; e < sub.NumNonZeros(); ++e) {
-      TensorCell cell{kappa, std::vector<std::uint32_t>(sub.num_modes()),
-                      sub.Value(e)};
-      for (std::size_t m = 0; m < sub.num_modes(); ++m) {
-        cell.idx[m] = sub.Index(m, e);
-      }
-      cells.push_back(std::move(cell));
-    }
-  }
-  return cells;
 }
 
 Result<std::vector<linalg::Matrix>> AssembleFactors(
@@ -324,6 +369,11 @@ Status ValidateDm2tdArgs(const SubEnsembles& subs,
   if (!subs.x1.IsSorted() || !subs.x2.IsSorted()) {
     return Status::InvalidArgument("DM2TD requires coalesced sub-tensors");
   }
+  if (subs.x1.shape() != ModeDims(full_shape, partition.SubTensorModes(1)) ||
+      subs.x2.shape() != ModeDims(full_shape, partition.SubTensorModes(2))) {
+    return Status::InvalidArgument(
+        "DM2TD sub-tensors must have the pivot extents, then their side's");
+  }
   if (options.num_workers <= 0) {
     return Status::InvalidArgument("num_workers must be positive");
   }
@@ -333,20 +383,19 @@ Status ValidateDm2tdArgs(const SubEnsembles& subs,
   return Status::OK();
 }
 
-void GatherZeroJoinCandidates(const std::vector<TensorCell>& all_cells,
+void GatherZeroJoinCandidates(const SubEnsembles& subs,
                               const JobGeometry& geometry,
                               std::vector<std::uint64_t>* cand1,
                               std::vector<std::uint64_t>* cand2) {
-  cand1->clear();
-  cand2->clear();
-  for (const TensorCell& cell : all_cells) {
-    if (cell.kappa == 1) {
-      cand1->push_back(SideKey(cell.idx, geometry.k, geometry.side1_dims));
-    } else {
-      cand2->push_back(SideKey(cell.idx, geometry.k, geometry.side2_dims));
+  for (int side = 1; side <= 2; ++side) {
+    const tensor::SparseTensor& sub = side == 1 ? subs.x1 : subs.x2;
+    std::vector<std::uint64_t>* cands = side == 1 ? cand1 : cand2;
+    const std::vector<std::uint64_t>& dims =
+        side == 1 ? geometry.side1_dims : geometry.side2_dims;
+    cands->resize(sub.NumNonZeros());
+    for (std::uint64_t e = 0; e < sub.NumNonZeros(); ++e) {
+      (*cands)[e] = RowKey(sub, e, geometry.k, dims);
     }
-  }
-  for (std::vector<std::uint64_t>* cands : {cand1, cand2}) {
     std::sort(cands->begin(), cands->end());
     cands->erase(std::unique(cands->begin(), cands->end()), cands->end());
   }

@@ -24,12 +24,21 @@
 
 namespace m2td::core::dm2td_internal {
 
-/// One stored cell of a (sub-)tensor shipped through MapReduce.
-struct TensorCell {
-  int kappa = 0;  // 1 or 2: owning sub-tensor
-  std::vector<std::uint32_t> idx;
-  double value = 0.0;
+/// The one cell format of D-M2TD: an x1 slice and an x2 slice in the
+/// sub-tensors' own column layout (one uint32 column per mode plus a value
+/// column, shapes shape1/shape2), rows in input order. A map task's output
+/// for one shard, a shuffle segment and a reduce task's input are each one
+/// of these, on both backends.
+struct ShardSlices {
+  tensor::SparseTensor x1, x2;
 };
+
+/// Rows [first, second) of a sub-tensor or slice.
+using Rows = std::pair<std::uint64_t, std::uint64_t>;
+
+inline Rows AllRows(const tensor::SparseTensor& t) {
+  return {0, t.NumNonZeros()};
+}
 
 /// Phase-1 reducer output: the Gram matrix of one sub-tensor mode.
 struct GramPiece {
@@ -79,26 +88,20 @@ inline JobGeometry MakeGeometry(const PfPartition& partition,
   return g;
 }
 
-inline std::uint64_t PivotKey(const std::vector<std::uint32_t>& idx,
-                              const std::vector<std::uint64_t>& pivot_dims) {
+/// Row-major key of row `e` of `t` over its modes [first, first +
+/// dims.size()): the pivot key (first = 0, the pivot extents) or a side key
+/// (first = k, that side's extents).
+inline std::uint64_t RowKey(const tensor::SparseTensor& t, std::uint64_t e,
+                            std::size_t first,
+                            const std::vector<std::uint64_t>& dims) {
   std::uint64_t key = 0;
-  for (std::size_t i = 0; i < pivot_dims.size(); ++i) {
-    key = key * pivot_dims[i] + idx[i];
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    key = key * dims[i] + t.Index(first + i, e);
   }
   return key;
 }
 
-inline std::uint64_t SideKey(const std::vector<std::uint32_t>& idx,
-                             std::size_t k,
-                             const std::vector<std::uint64_t>& side_dims) {
-  std::uint64_t key = 0;
-  for (std::size_t i = 0; i < side_dims.size(); ++i) {
-    key = key * side_dims[i] + idx[k + i];
-  }
-  return key;
-}
-
-/// Inverse of PivotKey/SideKey: the per-mode indices of a row-major key.
+/// Inverse of RowKey: the per-mode indices of a row-major key.
 inline void DecodeKey(std::uint64_t key,
                       const std::vector<std::uint64_t>& dims,
                       std::uint32_t* out) {
@@ -120,25 +123,30 @@ inline std::pair<std::size_t, std::size_t> SplitRange(std::size_t size,
   return {begin, end};
 }
 
-/// Every stored cell of both sub-tensors, x1's first — the job input of
-/// both phases, whose order every group body sees.
-std::vector<TensorCell> CollectAllCells(const SubEnsembles& subs);
+/// Map routing of both backends: sends rows `rows1` of `x1` and `rows2` of
+/// `x2` to shard side - 1 (mod `shards`) in phase 1 and to shard
+/// pivot key % `shards` in phase 2. Returns one ShardSlices per shard, each
+/// side's rows in input order; they take the shapes of `x1` and `x2`.
+/// Routing is a function of the row alone, so it does not depend on split
+/// boundaries or worker count.
+Result<std::vector<ShardSlices>> RouteSplit(int phase,
+                                            const JobGeometry& geometry,
+                                            const tensor::SparseTensor& x1,
+                                            Rows rows1,
+                                            const tensor::SparseTensor& x2,
+                                            Rows rows2, std::size_t shards);
 
-/// The pivot key of a cell, IOError when it has fewer indices than there
-/// are pivot modes (a decoded cell of the process backend can).
-Result<std::uint64_t> CheckedPivotKey(const TensorCell& cell,
-                                      const JobGeometry& geometry);
+/// Reduce-input assembly of both backends: one shard's slices from every
+/// map task, in map-task order, concatenated side by side — so each side's
+/// rows arrive in global input order. `parts` share their shapes; IOError
+/// when there are none.
+Result<ShardSlices> ConcatSlices(std::vector<ShardSlices> parts);
 
-/// Phase-1 reduce body of both backends: groups `cells` by sub-tensor
-/// (kappa), in input order, and appends each sub-tensor's per-mode Gram
-/// pieces, in ascending kappa. Each group is built into a sparse tensor
-/// of shape `shape1` (kappa 1) or `shape2` and coalesced, so the Grams do
-/// not depend on the order the cells arrive in; the cells of one
-/// sub-tensor must have unique indices (they come from a coalesced one).
-Status ReduceGramGroups(std::vector<TensorCell> cells,
-                        const std::vector<std::uint64_t>& shape1,
-                        const std::vector<std::uint64_t>& shape2,
-                        std::vector<GramPiece>* out);
+/// Phase-1 reduce body of both backends: appends the per-mode Gram pieces
+/// of each non-empty side of `input`, x1's first. Each side is coalesced
+/// first (a no-op on the coalesced sub-tensors' rows), so its Grams do not
+/// depend on the order its rows arrive in.
+Status ReduceGramGroups(ShardSlices input, std::vector<GramPiece>* out);
 
 /// Phase-2 reducer body: recovers one pivot group's core contribution
 /// without forming its join slice. JE-stitching makes the slice at pivot
@@ -164,13 +172,13 @@ class PivotCoreBuilder {
       bool zero_join, const std::vector<std::uint64_t>& cand1,
       const std::vector<std::uint64_t>& cand2);
 
-  /// Appends pivot `pivot_key`'s partial core, built from its group, whose
-  /// cells must arrive in global input order (both backends guarantee
-  /// this) so the side sums are reproducible. Appends nothing when the
-  /// group joins no cells. IOError for a cell of the wrong arity or out of
-  /// range.
-  Status Build(std::uint64_t pivot_key, const std::vector<TensorCell>& cells,
-               std::vector<PartialCore>* out) const;
+  /// Appends pivot `pivot_key`'s partial core, built from its group: rows
+  /// `rows1` of `x1` and `rows2` of `x2`, each in global input order (both
+  /// backends guarantee this) so the side sums are reproducible. Appends
+  /// nothing when the group joins no cells.
+  void Build(std::uint64_t pivot_key, const tensor::SparseTensor& x1,
+             Rows rows1, const tensor::SparseTensor& x2, Rows rows2,
+             std::vector<PartialCore>* out) const;
 
  private:
   /// The pivot modes or one side's modes: their factors and extents, the
@@ -194,13 +202,16 @@ class PivotCoreBuilder {
   ModeGroup pivot_, side1_, side2_;
 };
 
-/// Phase-2 reduce body of both backends: groups `cells` by pivot key,
-/// preserving input order within each group, and appends each group's
-/// partial core (PivotCoreBuilder::Build) in ascending pivot key. IOError
-/// for a malformed cell.
+/// Phase-2 reduce body of both backends. The sub-tensors are coalesced
+/// with their pivot modes leading, so each side of `input` arrives in
+/// ascending pivot key and a pivot group is a run of rows on each side;
+/// merges the x1 and x2 runs and appends each group's partial core
+/// (PivotCoreBuilder::Build) in ascending pivot key. The slices have the
+/// sub-tensors' shapes (ValidateDm2tdArgs and dm2td_tasks::RunDistTask
+/// check them); IOError when a slice's keys descend.
 Status ReducePivotGroups(const PivotCoreBuilder& builder,
                          const JobGeometry& geometry,
-                         std::vector<TensorCell> cells,
+                         const ShardSlices& input,
                          std::vector<PartialCore>* out);
 
 /// Sums the partial cores in ascending pivot key — the one canonical order
@@ -218,14 +229,16 @@ Result<std::vector<linalg::Matrix>> AssembleFactors(
     const PfPartition& partition,
     const std::vector<std::uint64_t>& full_shape, const DM2tdOptions& options);
 
-/// Argument validation shared by both backends.
+/// Argument validation shared by both backends: besides the options, the
+/// sub-tensors must be coalesced, each with the pivot extents, then its
+/// side's.
 Status ValidateDm2tdArgs(const SubEnsembles& subs,
                          const PfPartition& partition,
                          const std::vector<std::uint64_t>& full_shape,
                          const DM2tdOptions& options);
 
 /// Zero-join candidate side-key sets, gathered globally (sorted).
-void GatherZeroJoinCandidates(const std::vector<TensorCell>& all_cells,
+void GatherZeroJoinCandidates(const SubEnsembles& subs,
                               const JobGeometry& geometry,
                               std::vector<std::uint64_t>* cand1,
                               std::vector<std::uint64_t>* cand2);

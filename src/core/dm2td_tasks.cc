@@ -1,5 +1,6 @@
 #include "core/dm2td_tasks.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -16,10 +17,12 @@
 
 namespace m2td::core::dm2td_tasks {
 
+using dm2td_internal::AllRows;
 using dm2td_internal::GramPiece;
 using dm2td_internal::JobGeometry;
 using dm2td_internal::PartialCore;
-using dm2td_internal::TensorCell;
+using dm2td_internal::Rows;
+using dm2td_internal::ShardSlices;
 
 namespace {
 
@@ -132,6 +135,29 @@ void MaybeStragglerSleep(const TaskRequest& task) {
   }
 }
 
+/// The job's geometry (the thread backend's, from the same partition).
+/// IOError when a mode is out of range or shape1/shape2 are not the
+/// partition's sub-tensor shapes, which every slice is decoded against.
+Result<JobGeometry> GeometryOf(const DistJobConfig& config) {
+  PfPartition partition;
+  partition.pivot_modes = config.pivot_modes;
+  partition.side1_modes = config.side1_modes;
+  partition.side2_modes = config.side2_modes;
+  for (int side = 1; side <= 2; ++side) {
+    const std::vector<std::size_t> modes = partition.SubTensorModes(side);
+    const bool in_range =
+        std::all_of(modes.begin(), modes.end(), [&](std::size_t m) {
+          return m < config.full_shape.size();
+        });
+    if (!in_range || dm2td_internal::ModeDims(config.full_shape, modes) !=
+                         (side == 1 ? config.shape1 : config.shape2)) {
+      return Status::IOError("job config shape" + std::to_string(side) +
+                             " disagrees with its partition");
+    }
+  }
+  return dm2td_internal::MakeGeometry(partition, config.full_shape);
+}
+
 // --------------------------------------------------------------- stages
 
 /// Writes the task's output file and commits it, with the chaos window
@@ -148,72 +174,62 @@ Status WriteAndCommit(const io::ShuffleStore& store, const TaskRequest& task,
 }
 
 Status RunMapTask(const io::ShuffleStore& store, const DistJobConfig& config,
-                  const TaskRequest& task) {
-  const JobGeometry geometry = GeometryOf(config);
-  const std::size_t shards = static_cast<std::size_t>(config.shards);
-
-  if (task.phase != "p1map" && task.phase != "p2map") {
+                  const JobGeometry& geometry, const TaskRequest& task) {
+  const int phase = task.phase == "p1map" ? 1 : task.phase == "p2map" ? 2 : 0;
+  if (phase == 0) {
     return Status::InvalidArgument("unknown map phase '" + task.phase + "'");
   }
   M2TD_ASSIGN_OR_RETURN(
       std::string bytes,
       store.ReadSegment(kCellsFile, static_cast<std::size_t>(task.index),
                         "input"));
-  M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> cells, DecodeCells(bytes));
-  std::vector<std::vector<TensorCell>> buckets(shards);
-  for (TensorCell& cell : cells) {
-    // Phase 1 shards by sub-tensor, phase 2 by pivot hash — both functions
-    // of the record alone, so sharding is identical for any worker count
-    // and any split boundaries.
-    std::uint64_t shard = static_cast<std::uint64_t>(cell.kappa - 1);
-    if (task.phase == "p2map") {
-      M2TD_ASSIGN_OR_RETURN(shard,
-                            dm2td_internal::CheckedPivotKey(cell, geometry));
-    }
-    buckets[shard % shards].push_back(std::move(cell));
-  }
+  M2TD_ASSIGN_OR_RETURN(ShardSlices split,
+                        DecodeSlices(bytes, config.shape1, config.shape2));
+  M2TD_ASSIGN_OR_RETURN(
+      std::vector<ShardSlices> routed,
+      dm2td_internal::RouteSplit(phase, geometry, split.x1, AllRows(split.x1),
+                                 split.x2, AllRows(split.x2),
+                                 static_cast<std::size_t>(config.shards)));
   return WriteAndCommit(
-      store, task, shards,
+      store, task, routed.size(),
       [&](std::size_t r) {
-        return buckets[r].empty() ? std::string() : EncodeCells(buckets[r]);
+        const ShardSlices& out = routed[r];
+        return EncodeSlices(out.x1, AllRows(out.x1), out.x2, AllRows(out.x2));
       },
-      cells.size());
+      split.x1.NumNonZeros() + split.x2.NumNonZeros());
 }
 
-/// Decodes segment `r` of every committed map task file of `map_phase`,
-/// in map-task order, into one run of cells — the global input order the
-/// thread backend's shuffle delivers too. Empty segments (a map task that
-/// emitted nothing for this shard) are skipped.
-Result<std::vector<TensorCell>> ReadShardCells(const io::ShuffleStore& store,
-                                               const std::string& map_phase,
-                                               int shards, int r) {
-  std::vector<TensorCell> cells;
-  for (int m = 0; m < shards; ++m) {
+/// Reduce task `r`'s input: segment `r` of every committed map task file
+/// of `map_phase`, decoded and concatenated in map-task order.
+Result<ShardSlices> ReadShardSlices(const io::ShuffleStore& store,
+                                    const DistJobConfig& config,
+                                    const std::string& map_phase, int r) {
+  std::vector<ShardSlices> parts;
+  for (int m = 0; m < config.shards; ++m) {
     M2TD_ASSIGN_OR_RETURN(
         std::string bytes,
         store.ReadSegment(io::ShuffleStore::TaskFileName(map_phase, m),
                           static_cast<std::size_t>(r),
                           map_phase + ":" + std::to_string(m)));
-    if (bytes.empty()) continue;
-    M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part, DecodeCells(bytes));
-    cells.insert(cells.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
+    M2TD_ASSIGN_OR_RETURN(ShardSlices part,
+                          DecodeSlices(bytes, config.shape1, config.shape2));
+    parts.push_back(std::move(part));
   }
-  return cells;
+  return dm2td_internal::ConcatSlices(std::move(parts));
 }
 
 Status RunReduceTask(const io::ShuffleStore& store,
-                     const DistJobConfig& config, const TaskRequest& task) {
-  const JobGeometry geometry = GeometryOf(config);
+                     const DistJobConfig& config, const JobGeometry& geometry,
+                     const TaskRequest& task) {
   const std::string map_phase = MapPhaseOf(task.phase);
 
   if (task.phase == "p1red") {
-    M2TD_ASSIGN_OR_RETURN(
-        std::vector<TensorCell> cells,
-        ReadShardCells(store, map_phase, config.shards, task.index));
+    M2TD_ASSIGN_OR_RETURN(ShardSlices input,
+                          ReadShardSlices(store, config, map_phase,
+                                          task.index));
     std::vector<GramPiece> pieces;
-    M2TD_RETURN_IF_ERROR(dm2td_internal::ReduceGramGroups(
-        std::move(cells), config.shape1, config.shape2, &pieces));
+    M2TD_RETURN_IF_ERROR(
+        dm2td_internal::ReduceGramGroups(std::move(input), &pieces));
     return WriteAndCommit(
         store, task, 1, [&](std::size_t) { return EncodeGramPieces(pieces); },
         pieces.size());
@@ -244,11 +260,11 @@ Status RunReduceTask(const io::ShuffleStore& store,
                                                config.zero_join, cand1,
                                                cand2));
   M2TD_ASSIGN_OR_RETURN(
-      std::vector<TensorCell> cells,
-      ReadShardCells(store, map_phase, config.shards, task.index));
+      ShardSlices input,
+      ReadShardSlices(store, config, map_phase, task.index));
   std::vector<PartialCore> parts;
-  M2TD_RETURN_IF_ERROR(dm2td_internal::ReducePivotGroups(
-      builder, geometry, std::move(cells), &parts));
+  M2TD_RETURN_IF_ERROR(
+      dm2td_internal::ReducePivotGroups(builder, geometry, input, &parts));
   return WriteAndCommit(
       store, task, 1, [&](std::size_t) { return EncodePartialCores(parts); },
       parts.size());
@@ -320,14 +336,6 @@ Result<DistJobConfig> LoadJobConfig(const std::string& path) {
   return config;
 }
 
-dm2td_internal::JobGeometry GeometryOf(const DistJobConfig& config) {
-  PfPartition partition;
-  partition.pivot_modes = config.pivot_modes;
-  partition.side1_modes = config.side1_modes;
-  partition.side2_modes = config.side2_modes;
-  return dm2td_internal::MakeGeometry(partition, config.full_shape);
-}
-
 std::string MapPhaseOf(const std::string& reduce_phase) {
   std::string map_phase = reduce_phase;
   const std::size_t pos = map_phase.find("red");
@@ -365,51 +373,57 @@ Result<TaskRequest> DecodeTaskFrame(const std::string& frame) {
 
 // ---------------------------------------------------------------- codecs
 
-std::string EncodeCells(const TensorCell* cells, std::size_t count) {
-  std::size_t size = sizeof(std::uint64_t);
-  for (std::size_t e = 0; e < count; ++e) {
-    size += 2 * sizeof(std::uint32_t) +
-            cells[e].idx.size() * sizeof(std::uint32_t) + sizeof(double);
-  }
+std::string EncodeSlices(const tensor::SparseTensor& x1, Rows rows1,
+                         const tensor::SparseTensor& x2, Rows rows2) {
   std::string out;
-  out.reserve(size);
-  PutU64(&out, count);
-  for (std::size_t e = 0; e < count; ++e) {
-    const TensorCell& cell = cells[e];
-    PutU32(&out, static_cast<std::uint32_t>(cell.kappa));
-    PutU32(&out, static_cast<std::uint32_t>(cell.idx.size()));
-    for (std::uint32_t i : cell.idx) PutU32(&out, i);
-    PutF64(&out, cell.value);
+  auto put = [&out](const auto& column, Rows r) {
+    out.append(reinterpret_cast<const char*>(column.data() + r.first),
+               (r.second - r.first) * sizeof(column[0]));
+  };
+  PutU64(&out, rows1.second - rows1.first);
+  PutU64(&out, rows2.second - rows2.first);
+  for (const auto& [slice, rows] : {std::pair(&x1, rows1), {&x2, rows2}}) {
+    for (std::size_t m = 0; m < slice->num_modes(); ++m) {
+      put(slice->IndexArray(m), rows);
+    }
+    put(slice->Values(), rows);
   }
   return out;
 }
 
-std::string EncodeCells(const std::vector<TensorCell>& cells) {
-  return EncodeCells(cells.data(), cells.size());
-}
-
-Result<std::vector<TensorCell>> DecodeCells(const std::string& bytes) {
+Result<ShardSlices> DecodeSlices(const std::string& bytes,
+                                 const std::vector<std::uint64_t>& shape1,
+                                 const std::vector<std::uint64_t>& shape2) {
   ByteReader reader(bytes);
-  std::uint64_t count = 0;
-  M2TD_RETURN_IF_ERROR(reader.U64(&count));
-  // Smallest record: kappa + arity + value, no indices.
-  M2TD_RETURN_IF_ERROR(reader.CheckFits(count, 16, "cell"));
-  std::vector<TensorCell> cells;
-  cells.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t e = 0; e < count; ++e) {
-    TensorCell cell;
-    std::uint32_t kappa = 0, arity = 0;
-    M2TD_RETURN_IF_ERROR(reader.U32(&kappa));
-    M2TD_RETURN_IF_ERROR(reader.U32(&arity));
-    M2TD_RETURN_IF_ERROR(
-        reader.CheckFits(arity, sizeof(std::uint32_t), "cell index"));
-    cell.kappa = static_cast<int>(kappa);
-    cell.idx.resize(arity);
-    for (std::uint32_t& i : cell.idx) M2TD_RETURN_IF_ERROR(reader.U32(&i));
-    M2TD_RETURN_IF_ERROR(reader.F64(&cell.value));
-    cells.push_back(std::move(cell));
+  std::uint64_t rows[2] = {0, 0};
+  M2TD_RETURN_IF_ERROR(reader.U64(&rows[0]));
+  M2TD_RETURN_IF_ERROR(reader.U64(&rows[1]));
+  ShardSlices out;
+  for (int s = 0; s < 2; ++s) {
+    const std::vector<std::uint64_t>& shape = s == 0 ? shape1 : shape2;
+    M2TD_RETURN_IF_ERROR(reader.CheckFits(
+        rows[s], shape.size() * sizeof(std::uint32_t) + sizeof(double),
+        "slice row"));
+    std::vector<std::vector<std::uint32_t>> indices(
+        shape.size(), std::vector<std::uint32_t>(rows[s]));
+    std::vector<double> values(rows[s]);
+    for (std::vector<std::uint32_t>& column : indices) {
+      for (std::uint32_t& i : column) M2TD_RETURN_IF_ERROR(reader.U32(&i));
+    }
+    for (double& v : values) M2TD_RETURN_IF_ERROR(reader.F64(&v));
+    Result<tensor::SparseTensor> slice = tensor::SparseTensor::FromArrays(
+        shape, std::move(indices), std::move(values));
+    if (!slice.ok()) {
+      return Status::IOError("bad slice " + std::to_string(s + 1) + ": " +
+                             slice.status().message());
+    }
+    (s == 0 ? out.x1 : out.x2) = std::move(slice).ValueOrDie();
   }
-  return cells;
+  if (reader.Remaining() != 0) {
+    return Status::IOError(std::to_string(reader.Remaining()) +
+                           " trailing bytes after the slices");
+  }
+  return out;
 }
 
 std::string EncodePartialCores(const std::vector<PartialCore>& parts) {
@@ -533,8 +547,9 @@ Status RunDistTask(const io::ShuffleStore& store,
       task.is_map ? "dist.map_task" : "dist.reduce_task"));
   MaybeStragglerSleep(task);
   M2TD_RETURN_IF_ERROR(robust::CheckCancelled());
-  if (task.is_map) return RunMapTask(store, config, task);
-  return RunReduceTask(store, config, task);
+  M2TD_ASSIGN_OR_RETURN(const JobGeometry geometry, GeometryOf(config));
+  if (task.is_map) return RunMapTask(store, config, geometry, task);
+  return RunReduceTask(store, config, geometry, task);
 }
 
 const char* WorkerExitCodeName(int code) {

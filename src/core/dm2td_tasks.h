@@ -11,10 +11,11 @@
 // Phase names: "p1map"/"p1red" (sub-tensor Grams) and "p2map"/"p2red"
 // (per-pivot core recovery, sharded by pivot hash). Map task m of both
 // phases reads split m of the job's cell file (fixed split count =
-// shards, independent of worker count) and commits one file holding a
-// segment per reduce shard; reduce task r concatenates segment r of the
-// committed map files in map-task order — so every group sees the global
-// input order — groups by key, and folds groups in ascending key order.
+// shards, independent of worker count), routes its rows
+// (dm2td_internal::RouteSplit) and commits one file holding a segment per
+// reduce shard; reduce task r concatenates segment r of the committed map
+// files in map-task order (ConcatSlices) — so every group sees the global
+// input order — and runs the phase's reduce body, the thread backend's too.
 // A p2red task emits one partial core per pivot of its shard; the
 // coordinator gathers them and sums them in ascending pivot key.
 // Determinism therefore never depends on which worker ran what.
@@ -73,9 +74,6 @@ struct DistJobConfig {
 Status SaveJobConfig(const std::string& path, const DistJobConfig& config);
 Result<DistJobConfig> LoadJobConfig(const std::string& path);
 
-/// Geometry derived from the config (same as the thread backend's).
-dm2td_internal::JobGeometry GeometryOf(const DistJobConfig& config);
-
 /// One task assignment as carried by the wire protocol.
 struct TaskRequest {
   bool is_map = true;
@@ -89,7 +87,7 @@ struct TaskRequest {
 std::string MapPhaseOf(const std::string& reduce_phase);
 
 /// Job inputs the coordinator writes, one segmented file each: segment m
-/// of the cells file is map split m, segment n of the factors file is
+/// of the cells file is map split m of both sub-tensors (EncodeSlices), segment n of the factors file is
 /// mode n's factor (written after phase 1), and the zero-join candidate
 /// file holds the side-1 and side-2 key lists.
 inline constexpr char kCellsFile[] = "input/cells";
@@ -112,11 +110,20 @@ Result<TaskRequest> DecodeTaskFrame(const std::string& frame);
 // overflow) before sizing anything, and return IOError on truncation or
 // an impossible count (a failed CRC check would normally catch
 // corruption first).
-std::string EncodeCells(const dm2td_internal::TensorCell* cells,
-                        std::size_t count);
-std::string EncodeCells(const std::vector<dm2td_internal::TensorCell>& cells);
-Result<std::vector<dm2td_internal::TensorCell>> DecodeCells(
-    const std::string& bytes);
+//
+// A shuffle segment (and a split of the cells file) is one ShardSlices:
+// the u64 row counts of x1 and x2, then x1's index columns (uint32, one per
+// mode of shape1) and its value column (f64), then x2's likewise. The
+// arities come from the job's shape1/shape2, never from the bytes, and
+// DecodeSlices range-checks every index through SparseTensor::FromArrays:
+// a bad index, a short or over-long blob are all IOError.
+std::string EncodeSlices(const tensor::SparseTensor& x1,
+                         dm2td_internal::Rows rows1,
+                         const tensor::SparseTensor& x2,
+                         dm2td_internal::Rows rows2);
+Result<dm2td_internal::ShardSlices> DecodeSlices(
+    const std::string& bytes, const std::vector<std::uint64_t>& shape1,
+    const std::vector<std::uint64_t>& shape2);
 std::string EncodePartialCores(
     const std::vector<dm2td_internal::PartialCore>& parts);
 Result<std::vector<dm2td_internal::PartialCore>> DecodePartialCores(
@@ -130,7 +137,8 @@ Result<linalg::Matrix> DecodeMatrix(const std::string& bytes);
 std::string EncodeU64List(const std::vector<std::uint64_t>& values);
 Result<std::vector<std::uint64_t>> DecodeU64List(const std::string& bytes);
 
-/// Executes one task against the store: reads inputs, computes via the
+/// Executes one task against the store: checks the config's shapes
+/// against its partition (IOError), reads inputs, computes via the
 /// shared dm2td_internal bodies, durably writes + commits its output file
 /// (whose header records how many records the task emitted). DataLoss
 /// from a corrupted map output read by a reducer carries a

@@ -139,7 +139,9 @@ class DistChaosTest : public ::testing::Test {
     if (result.ok() && deaths != nullptr) {
       *deaths = result->dist.worker_deaths;
     }
-    if (!kill_phase.empty()) EXPECT_TRUE(killed) << kill_phase;
+    if (!kill_phase.empty()) {
+      EXPECT_TRUE(killed) << kill_phase;
+    }
     return result;
   }
 

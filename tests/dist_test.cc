@@ -358,18 +358,59 @@ TEST_F(HostileTaskFileTest, SegmentCrcMismatchIsDataLoss) {
 
 // ------------------------------------------------------------- codecs
 
+/// A slice of `shape` holding `rows` (indices, then the value), in order.
+tensor::SparseTensor Slice(
+    const std::vector<std::uint64_t>& shape,
+    const std::vector<std::pair<std::vector<std::uint32_t>, double>>& rows) {
+  std::vector<std::vector<std::uint32_t>> indices(shape.size());
+  std::vector<double> values;
+  for (const auto& [idx, value] : rows) {
+    for (std::size_t m = 0; m < shape.size(); ++m) {
+      indices[m].push_back(idx[m]);
+    }
+    values.push_back(value);
+  }
+  auto slice = tensor::SparseTensor::FromArrays(shape, std::move(indices),
+                                                std::move(values));
+  EXPECT_TRUE(slice.ok()) << slice.status();
+  return slice.ok() ? *slice : tensor::SparseTensor(shape);
+}
+
+std::vector<std::uint32_t> RowOf(const tensor::SparseTensor& t,
+                                 std::uint64_t e) {
+  std::vector<std::uint32_t> idx(t.num_modes());
+  for (std::size_t m = 0; m < idx.size(); ++m) idx[m] = t.Index(m, e);
+  return idx;
+}
+
 TEST_F(DistTest, CellCodecRoundtrip) {
-  std::vector<core::dm2td_internal::TensorCell> cells;
-  cells.push_back({1, {0, 3, 7}, 1.5});
-  cells.push_back({2, {9, 0, 2}, -2.25e-8});
-  auto decoded = tasks::DecodeCells(tasks::EncodeCells(cells));
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), 2u);
-  EXPECT_EQ((*decoded)[0].kappa, 1);
-  EXPECT_EQ((*decoded)[0].idx, (std::vector<std::uint32_t>{0, 3, 7}));
-  EXPECT_EQ((*decoded)[0].value, 1.5);
-  EXPECT_EQ((*decoded)[1].kappa, 2);
-  EXPECT_EQ((*decoded)[1].value, -2.25e-8);
+  namespace internal = core::dm2td_internal;
+  const std::vector<std::uint64_t> shape1 = {10, 4, 8}, shape2 = {10, 2, 3};
+  const tensor::SparseTensor x1 =
+      Slice(shape1, {{{0, 3, 7}, 1.5}, {{5, 1, 0}, 4.0}});
+  const tensor::SparseTensor x2 = Slice(shape2, {{{9, 0, 2}, -2.25e-8}});
+  auto decoded = tasks::DecodeSlices(
+      tasks::EncodeSlices(x1, internal::AllRows(x1), x2, internal::AllRows(x2)),
+      shape1, shape2);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_EQ(decoded->x1.NumNonZeros(), 2u);
+  ASSERT_EQ(decoded->x2.NumNonZeros(), 1u);
+  EXPECT_EQ(decoded->x1.shape(), shape1);
+  EXPECT_EQ(decoded->x2.shape(), shape2);
+  EXPECT_EQ(RowOf(decoded->x1, 0), (std::vector<std::uint32_t>{0, 3, 7}));
+  EXPECT_EQ(decoded->x1.Value(0), 1.5);
+  EXPECT_EQ(RowOf(decoded->x1, 1), (std::vector<std::uint32_t>{5, 1, 0}));
+  EXPECT_EQ(RowOf(decoded->x2, 0), (std::vector<std::uint32_t>{9, 0, 2}));
+  EXPECT_EQ(decoded->x2.Value(0), -2.25e-8);
+
+  // A row range encodes just those rows; empty slices round-trip.
+  auto tail = tasks::DecodeSlices(tasks::EncodeSlices(x1, {1, 2}, x2, {1, 1}),
+                                  shape1, shape2);
+  ASSERT_TRUE(tail.ok()) << tail.status();
+  ASSERT_EQ(tail->x1.NumNonZeros(), 1u);
+  EXPECT_EQ(RowOf(tail->x1, 0), (std::vector<std::uint32_t>{5, 1, 0}));
+  EXPECT_EQ(tail->x1.Value(0), 4.0);
+  EXPECT_EQ(tail->x2.NumNonZeros(), 0u);
 }
 
 TEST_F(DistTest, PartialCoreCodecRoundtrip) {
@@ -415,10 +456,26 @@ TEST_F(DistTest, GramAndMatrixCodecRoundtrip) {
 }
 
 TEST_F(DistTest, TruncatedRecordIsIOError) {
-  std::vector<core::dm2td_internal::TensorCell> cells = {{1, {1, 2}, 3.0}};
-  std::string bytes = tasks::EncodeCells(cells);
+  namespace internal = core::dm2td_internal;
+  const std::vector<std::uint64_t> shape1 = {2, 3}, shape2 = {2, 4};
+  const tensor::SparseTensor x1 = Slice(shape1, {{{1, 2}, 3.0}});
+  const tensor::SparseTensor x2 = Slice(shape2, {});
+  std::string bytes =
+      tasks::EncodeSlices(x1, internal::AllRows(x1), x2, internal::AllRows(x2));
+  // Every proper prefix of a slice blob is an IOError, and so is a byte
+  // past its end.
+  for (std::size_t size = 0; size < bytes.size(); ++size) {
+    auto truncated =
+        tasks::DecodeSlices(bytes.substr(0, size), shape1, shape2);
+    ASSERT_FALSE(truncated.ok()) << size << " bytes";
+    EXPECT_EQ(truncated.status().code(), StatusCode::kIOError)
+        << size << " bytes";
+  }
+  auto longer = tasks::DecodeSlices(bytes + '\0', shape1, shape2);
+  ASSERT_FALSE(longer.ok());
+  EXPECT_EQ(longer.status().code(), StatusCode::kIOError);
   bytes.resize(bytes.size() - 3);
-  auto decoded = tasks::DecodeCells(bytes);
+  auto decoded = tasks::DecodeSlices(bytes, shape1, shape2);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
 
@@ -470,10 +527,16 @@ TEST_F(DistTest, HostileLengthPrefixesAreIOError) {
       U64Bytes({1}) + U32Bytes({1}) + U64Bytes({0, 1ull << 33, 1ull << 31});
   EXPECT_NO_THROW(ExpectIOError(tasks::DecodeGramPieces(gram), "gram"));
 
-  // An arity of 0xfffffff0 must not size an index vector.
-  const std::string cells =
-      U64Bytes({1}) + U32Bytes({1, 0xfffffff0u}) + U64Bytes({0, 0});
-  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeCells(cells), "cells"));
+  // Slice row counts whose byte size wraps (2^61 rows of 20 bytes) or
+  // exceeds the blob must not size an index column; the arity comes from
+  // the shapes, never from the bytes.
+  const std::vector<std::uint64_t> shape1 = {4, 4, 4}, shape2 = {4, 4};
+  const std::string wrapping_rows = U64Bytes({1ull << 61, 0, 0, 0});
+  EXPECT_NO_THROW(ExpectIOError(
+      tasks::DecodeSlices(wrapping_rows, shape1, shape2), "slice rows"));
+  const std::string long_x2 = U64Bytes({0, 2, 0});
+  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeSlices(long_x2, shape1, shape2),
+                                "slice rows"));
   // A partial core claiming 2^61 values (2^64 bytes, wrapping to 0) or
   // just more than remain must not size its value vector.
   const std::string wrapping = U64Bytes({1, 7, 3, 1ull << 61, 0});
@@ -485,11 +548,91 @@ TEST_F(DistTest, HostileLengthPrefixesAreIOError) {
 
   // Record counts larger than the blob could hold.
   const std::string many = U64Bytes({~0ull, 0, 0, 0});
-  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeCells(many), "cell count"));
+  EXPECT_NO_THROW(ExpectIOError(tasks::DecodeSlices(many, shape1, shape2),
+                                "slice row count"));
   EXPECT_NO_THROW(
       ExpectIOError(tasks::DecodePartialCores(many), "partial core count"));
   EXPECT_NO_THROW(
       ExpectIOError(tasks::DecodeGramPieces(many), "gram piece count"));
+}
+
+// Cell content that passes every CRC yet does not fit the job — an index
+// past its mode's extent, rows shorter than the job's arity, pivot keys
+// that descend — is IOError in every task that reads it, never an abort in
+// a kernel's range check.
+TEST_F(DistTest, HostileCellContentIsIOErrorInEveryTask) {
+  namespace internal = core::dm2td_internal;
+  auto store = ShuffleStore::Create(Path("job"));
+  ASSERT_TRUE(store.ok()) << store.status();
+  tasks::DistJobConfig config;
+  config.full_shape = {3, 4, 5};
+  config.shape1 = {3, 4};
+  config.shape2 = {3, 5};
+  config.pivot_modes = {0};
+  config.side1_modes = {1};
+  config.side2_modes = {2};
+  config.shards = 1;
+  std::vector<linalg::Matrix> factors;
+  for (std::uint64_t dim : config.full_shape) {
+    factors.emplace_back(dim, 2);
+    for (double& v : factors.back().mutable_data()) v = 0.5;
+  }
+  ASSERT_TRUE(store
+                  ->WriteFile(tasks::kFactorsFile, factors.size(),
+                              [&](std::size_t n) {
+                                return tasks::EncodeMatrix(factors[n]);
+                              })
+                  .ok());
+  auto encode = [](const tensor::SparseTensor& x1,
+                   const tensor::SparseTensor& x2) {
+    return tasks::EncodeSlices(x1, internal::AllRows(x1), x2,
+                               internal::AllRows(x2));
+  };
+  const tensor::SparseTensor x2 = Slice(config.shape2, {{{0, 1}, 2.0}});
+  const std::string valid =
+      encode(Slice(config.shape1, {{{0, 1}, 1.0}, {{2, 3}, 1.0}}), x2);
+  // x1's side index 9 is past its extent 4.
+  const std::string out_of_range =
+      encode(Slice({3, 16}, {{{1, 9}, 1.0}}), x2);
+  // x1 rows of one index where the job has two.
+  const std::string short_rows = encode(Slice({3}, {{{1}, 1.0}}), x2);
+  // x1 rows at pivot 2, then pivot 0.
+  const std::string descending =
+      encode(Slice(config.shape1, {{{2, 0}, 1.0}, {{0, 1}, 1.0}}), x2);
+
+  int attempt = 0;
+  auto run = [&](const std::string& phase, const std::string& blob) {
+    const bool is_map = phase.find("map") != std::string::npos;
+    if (is_map) {
+      EXPECT_TRUE(store->WriteFile(tasks::kCellsFile, 1, Segments({blob})).ok());
+    } else {
+      Commit(*store, tasks::MapPhaseOf(phase), 0, attempt, {blob});
+    }
+    tasks::TaskRequest task;
+    task.is_map = is_map;
+    task.phase = phase;
+    task.attempt = attempt++;
+    return tasks::RunDistTask(*store, config, task);
+  };
+  for (const char* phase : {"p1map", "p1red", "p2map", "p2red"}) {
+    SCOPED_TRACE(phase);
+    const Status ok = run(phase, valid);
+    EXPECT_TRUE(ok.ok()) << ok;
+    for (const std::string* blob : {&out_of_range, &short_rows}) {
+      const Status status = run(phase, *blob);
+      EXPECT_EQ(status.code(), StatusCode::kIOError) << status;
+    }
+  }
+  const Status unsorted = run("p2red", descending);
+  EXPECT_EQ(unsorted.code(), StatusCode::kIOError) << unsorted;
+  EXPECT_NE(unsorted.message().find("descend"), std::string::npos)
+      << unsorted;
+
+  // A job config whose sub-tensor shapes disagree with its partition is
+  // IOError before any slice is decoded against them.
+  config.shape1 = {3, 16};
+  const Status mismatched = run("p1map", out_of_range);
+  EXPECT_EQ(mismatched.code(), StatusCode::kIOError) << mismatched;
 }
 
 // The per-pivot body runs once per pivot group wherever the group lands,
@@ -517,54 +660,62 @@ TEST_F(DistTest, PivotBodyIsShardAndWorkerInvariant) {
   }
   // A sparse, ragged sample: some pivots have cells on one side only.
   // Magnitudes spread over many octaves make every sum order-sensitive.
-  std::vector<internal::TensorCell> cells;
+  core::SubEnsembles subs;
+  subs.x1 = tensor::SparseTensor({6, 5});
+  subs.x2 = tensor::SparseTensor({6, 3, 4});
   for (std::uint32_t p = 0; p < 6; ++p) {
     for (std::uint32_t a = 0; a < 5; ++a) {
       if (p != 4 && rng.UniformDouble() < 0.6) {
-        cells.push_back({1, {p, a},
-                         rng.Gaussian() * std::ldexp(1.0, 3 * (a % 7))});
+        subs.x1.AppendEntry({p, a},
+                            rng.Gaussian() * std::ldexp(1.0, 3 * (a % 7)));
       }
     }
     for (std::uint32_t b = 0; b < 12; ++b) {
       if (p != 2 && rng.UniformDouble() < 0.5) {
-        cells.push_back({2, {p, b / 4, b % 4},
-                         rng.Gaussian() * std::ldexp(1.0, 2 * (b % 9))});
+        subs.x2.AppendEntry({p, b / 4, b % 4},
+                            rng.Gaussian() * std::ldexp(1.0, 2 * (b % 9)));
       }
     }
   }
-  auto pivot_of = [&](const internal::TensorCell& cell) {
-    return internal::PivotKey(cell.idx, geometry.pivot_dims);
-  };
-  // The same cells as sub-tensors, for the thread backend.
-  core::SubEnsembles subs;
-  subs.x1 = tensor::SparseTensor({6, 5});
-  subs.x2 = tensor::SparseTensor({6, 3, 4});
-  for (const internal::TensorCell& cell : cells) {
-    (cell.kappa == 1 ? subs.x1 : subs.x2).AppendEntry(cell.idx, cell.value);
-  }
   subs.x1.SortAndCoalesce();
   subs.x2.SortAndCoalesce();
+  const std::uint64_t cells = subs.x1.NumNonZeros() + subs.x2.NumNonZeros();
 
   for (bool zero_join : {false, true}) {
     SCOPED_TRACE(zero_join ? "zero-join" : "join");
     std::vector<std::uint64_t> cand1, cand2;
     if (zero_join) {
-      internal::GatherZeroJoinCandidates(cells, geometry, &cand1, &cand2);
+      internal::GatherZeroJoinCandidates(subs, geometry, &cand1, &cand2);
     }
     auto builder = internal::PivotCoreBuilder::Create(geometry, factors,
                                                       zero_join, cand1, cand2);
     ASSERT_TRUE(builder.ok()) << builder.status();
-    // One p2red task: its pivots in ascending key, cells in input order.
+    // One p2red task under `shards` map splits: each split routed by
+    // pivot key, shard r's slices concatenated in map-task order, its
+    // pivots reduced in ascending key.
     auto reduce_shard = [&](int shards, int r) {
-      std::map<std::uint64_t, std::vector<internal::TensorCell>> groups;
-      for (const internal::TensorCell& cell : cells) {
-        const std::uint64_t key = pivot_of(cell);
-        if (static_cast<int>(key % shards) == r) groups[key].push_back(cell);
+      std::vector<internal::ShardSlices> slices;
+      for (int m = 0; m < shards; ++m) {
+        auto routed = internal::RouteSplit(
+            2, geometry, subs.x1,
+            internal::SplitRange(subs.x1.NumNonZeros(), shards, m), subs.x2,
+            internal::SplitRange(subs.x2.NumNonZeros(), shards, m),
+            static_cast<std::size_t>(shards));
+        EXPECT_TRUE(routed.ok()) << routed.status();
+        for (std::size_t e = 0; e < (*routed)[r].x1.NumNonZeros(); ++e) {
+          EXPECT_EQ(internal::RowKey((*routed)[r].x1, e, 0,
+                                     geometry.pivot_dims) %
+                        static_cast<std::uint64_t>(shards),
+                    static_cast<std::uint64_t>(r));
+        }
+        slices.push_back(std::move((*routed)[r]));
       }
+      auto input = internal::ConcatSlices(std::move(slices));
+      EXPECT_TRUE(input.ok()) << input.status();
       std::vector<internal::PartialCore> parts;
-      for (const auto& [key, group] : groups) {
-        EXPECT_TRUE(builder->Build(key, group, &parts).ok());
-      }
+      EXPECT_TRUE(
+          internal::ReducePivotGroups(*builder, geometry, *input, &parts)
+              .ok());
       return parts;
     };
     auto sum = [&](std::vector<internal::PartialCore> parts,
@@ -599,7 +750,7 @@ TEST_F(DistTest, PivotBodyIsShardAndWorkerInvariant) {
     core::DM2tdOptions options;
     options.ranks.assign(ranks.begin(), ranks.end());
     options.stitch.zero_join = zero_join;
-    ASSERT_LT(cells.size(), 64u);
+    ASSERT_LT(cells, 64u);
     for (int workers : {1, 2, 4, 64}) {
       options.num_workers = workers;
       auto result = core::DM2tdDecompose(subs, partition, full_shape, options);
@@ -609,8 +760,9 @@ TEST_F(DistTest, PivotBodyIsShardAndWorkerInvariant) {
           geometry, result->tucker.factors, zero_join, cand1, cand2);
       ASSERT_TRUE(own.ok()) << own.status();
       std::vector<internal::PartialCore> parts;
-      ASSERT_TRUE(
-          internal::ReducePivotGroups(*own, geometry, cells, &parts).ok());
+      ASSERT_TRUE(internal::ReducePivotGroups(*own, geometry,
+                                              {subs.x1, subs.x2}, &parts)
+                      .ok());
       std::uint64_t nnz = 0;
       auto core = internal::SumPartialCores(&parts, result->tucker.factors,
                                             &nnz);
