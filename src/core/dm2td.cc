@@ -1,5 +1,6 @@
 #include "core/dm2td.h"
 
+#include <array>
 #include <exception>
 #include <functional>
 #include <string>
@@ -13,7 +14,6 @@
 #include "robust/cancel.h"
 #include "robust/failpoint.h"
 #include "robust/retry.h"
-#include "util/timer.h"
 
 namespace m2td::core {
 
@@ -22,7 +22,7 @@ namespace {
 using dm2td_internal::GramPiece;
 using dm2td_internal::JobGeometry;
 using dm2td_internal::PartialCore;
-using dm2td_internal::ShardSlices;
+using dm2td_internal::Rows;
 
 /// The Status of the exception being handled: the cancellation's own code
 /// (which the retry layer never replays), Internal for anything else.
@@ -38,41 +38,42 @@ Status CurrentExceptionStatus(const std::string& where) {
   }
 }
 
-/// Runs tasks [0, workers) of one phase, one pool task each (`region`
-/// labels the pool region, `span` each task, annotated with its
-/// `records`). Every attempt checks cancellation and the `failpoint`
-/// before `body(w)`; an attempt that fails or throws is retried under
-/// `retry`. Returns the first failed task's Status.
-Status RunTasks(std::size_t workers, const char* region, const char* span,
-                const char* failpoint, const robust::RetryPolicy& retry,
+/// Runs tasks [0, tasks) of one phase, one pool task each (pool region
+/// "reduce_tasks", one "reduce_task" span per task, annotated with its
+/// `records`). Every attempt checks cancellation and the
+/// `mapreduce.reduce_task` failpoint before `body(t)`; an attempt that
+/// fails or throws is retried under `retry`. Returns the first failed
+/// task's Status.
+Status RunTasks(std::size_t tasks, const robust::RetryPolicy& retry,
                 const std::function<std::uint64_t(std::size_t)>& records,
                 const std::function<Status(std::size_t)>& body) {
-  std::vector<Status> status(workers);
+  constexpr char kFailpoint[] = "mapreduce.reduce_task";
+  std::vector<Status> status(tasks);
   try {
     parallel::ParallelFor(
-        0, workers, 1,
-        [&](std::uint64_t wb, std::uint64_t we) {
-          for (std::size_t w = wb; w < we; ++w) {
-            obs::ObsSpan task_span(span);
-            task_span.Annotate("worker", static_cast<std::int64_t>(w));
-            task_span.Annotate("records", records(w));
-            status[w] = robust::RetryStatusCall(
-                retry, failpoint, [&]() -> Status {
+        0, tasks, 1,
+        [&](std::uint64_t tb, std::uint64_t te) {
+          for (std::size_t t = tb; t < te; ++t) {
+            obs::ObsSpan task_span("reduce_task");
+            task_span.Annotate("task", static_cast<std::int64_t>(t));
+            task_span.Annotate("records", records(t));
+            status[t] = robust::RetryStatusCall(
+                retry, kFailpoint, [&]() -> Status {
                   try {
                     M2TD_RETURN_IF_ERROR(robust::CheckCancelled());
-                    M2TD_RETURN_IF_ERROR(robust::CheckFailpoint(failpoint));
-                    return body(w);
+                    M2TD_RETURN_IF_ERROR(robust::CheckFailpoint(kFailpoint));
+                    return body(t);
                   } catch (...) {
-                    return CurrentExceptionStatus(std::string(span) + " " +
-                                                  std::to_string(w));
+                    return CurrentExceptionStatus("reduce_task " +
+                                                  std::to_string(t));
                   }
                 });
           }
         },
-        region);
+        "reduce_tasks");
   } catch (...) {
     // The region itself stopped (a fired cancel token skips its tasks).
-    return CurrentExceptionStatus(region);
+    return CurrentExceptionStatus("reduce_tasks");
   }
   for (const Status& s : status) {
     if (!s.ok()) return s;
@@ -80,110 +81,77 @@ Status RunTasks(std::size_t workers, const char* region, const char* span,
   return Status::OK();
 }
 
-/// One D-M2TD phase on the thread backend. Map task m routes split m of
-/// the sub-tensors to the `num_workers` shards (dm2td_internal::
-/// RouteSplit) and keeps its slices in memory; the shuffle assembles each
-/// shard's input from them in map-task order (ConcatSlices); and
-/// `num_workers` reduce tasks hand their input to `reduce`, which must
-/// leave it unchanged, so a retried attempt starts from the same input.
-/// Returns the outputs in reduce-task order and fills `stats`. Memory
-/// beyond the outputs is one copy of the cells.
+/// One D-M2TD phase on the thread backend: `tasks` reduce tasks, each
+/// appending its records to its own output through `body`, which starts
+/// from an empty output on every attempt. Returns the outputs in task
+/// order and fills `stats`; nothing is mapped or shuffled, so only
+/// reduce_seconds is timed. `cells` is the phase's input record count, the
+/// process backend's shuffled pairs.
 template <typename Out>
 Result<std::vector<Out>> RunPhase(
-    int phase, const SubEnsembles& subs, const JobGeometry& geometry,
-    const DM2tdOptions& options,
-    const std::function<Status(const ShardSlices&, std::vector<Out>*)>&
-        reduce,
+    std::size_t tasks, std::uint64_t cells, const robust::RetryPolicy& retry,
+    const std::function<std::uint64_t(std::size_t)>& records,
+    const std::function<Status(std::size_t, std::vector<Out>*)>& body,
     mapreduce::JobStats* stats) {
-  const std::size_t workers = static_cast<std::size_t>(options.num_workers);
-  const std::uint64_t cells = subs.x1.NumNonZeros() + subs.x2.NumNonZeros();
-  obs::ObsSpan job_span("mapreduce_job");
-  job_span.Annotate("num_workers", static_cast<std::int64_t>(workers));
+  obs::ObsSpan job_span("mapreduce_job", obs::ObsSpan::kAlwaysTime);
+  job_span.Annotate("tasks", static_cast<std::int64_t>(tasks));
   job_span.Annotate("input_records", cells);
   obs::GetCounter("mapreduce.jobs").Add(1);
-  Timer timer;
-
-  obs::ObsSpan map_span("map");
-  auto split = [&](const tensor::SparseTensor& sub, std::size_t w) {
-    return dm2td_internal::SplitRange(sub.NumNonZeros(), options.num_workers,
-                                      static_cast<int>(w));
-  };
-  std::vector<std::vector<ShardSlices>> routed(workers);
-  M2TD_RETURN_IF_ERROR(RunTasks(
-      workers, "map_tasks", "map_task", "mapreduce.map_task", options.retry,
-      [&](std::size_t w) {
-        const auto [b1, e1] = split(subs.x1, w);
-        const auto [b2, e2] = split(subs.x2, w);
-        return (e1 - b1) + (e2 - b2);
-      },
-      [&](std::size_t w) -> Status {
-        M2TD_ASSIGN_OR_RETURN(
-            routed[w], dm2td_internal::RouteSplit(
-                           phase, geometry, subs.x1, split(subs.x1, w),
-                           subs.x2, split(subs.x2, w), workers));
-        return Status::OK();
-      }));
-  map_span.End();
-  obs::GetCounter("mapreduce.map_tasks").Add(workers);
-  stats->map_seconds = timer.ElapsedSeconds();
-  timer.Restart();
-
-  obs::ObsSpan shuffle_span("shuffle");
-  std::vector<ShardSlices> inputs(workers);
-  for (std::size_t p = 0; p < workers; ++p) {
-    std::vector<ShardSlices> parts(workers);
-    for (std::size_t m = 0; m < workers; ++m) {
-      parts[m] = std::move(routed[m][p]);
-    }
-    M2TD_ASSIGN_OR_RETURN(inputs[p],
-                          dm2td_internal::ConcatSlices(std::move(parts)));
-  }
-  std::vector<std::vector<ShardSlices>>().swap(routed);
-  shuffle_span.Annotate("intermediate_pairs", cells);
-  shuffle_span.End();
-  obs::GetCounter("mapreduce.intermediate_pairs").Add(cells);
-  stats->shuffle_seconds = timer.ElapsedSeconds();
-  stats->intermediate_pairs = cells;
-  timer.Restart();
-
-  obs::ObsSpan reduce_span("reduce");
-  std::vector<std::vector<Out>> outputs(workers);
-  M2TD_RETURN_IF_ERROR(RunTasks(
-      workers, "reduce_tasks", "reduce_task", "mapreduce.reduce_task",
-      options.retry,
-      [&](std::size_t p) {
-        return inputs[p].x1.NumNonZeros() + inputs[p].x2.NumNonZeros();
-      },
-      [&](std::size_t p) -> Status {
-        outputs[p].clear();
-        return reduce(inputs[p], &outputs[p]);
+  std::vector<std::vector<Out>> outputs(tasks);
+  M2TD_RETURN_IF_ERROR(
+      RunTasks(tasks, retry, records, [&](std::size_t t) -> Status {
+        outputs[t].clear();
+        return body(t, &outputs[t]);
       }));
   std::vector<Out> merged;
   for (std::vector<Out>& part : outputs) {
     for (Out& record : part) merged.push_back(std::move(record));
   }
-  reduce_span.End();
-  obs::GetCounter("mapreduce.reduce_tasks").Add(workers);
+  obs::GetCounter("mapreduce.reduce_tasks").Add(tasks);
   obs::GetCounter("mapreduce.output_records").Add(merged.size());
   job_span.Annotate("output_records",
                     static_cast<std::uint64_t>(merged.size()));
-  stats->reduce_seconds = timer.ElapsedSeconds();
+  stats->reduce_seconds = job_span.End();
+  stats->intermediate_pairs = cells;
   stats->output_records = merged.size();
   return merged;
 }
 
-/// Thread-backend implementation: the two MapReduce phases as pool tasks,
-/// then the driver-side core assembly. Each reduce task runs the same
-/// group bodies as the process backend's (dm2td_internal), on its records
-/// in input order, and those bodies never depend on the order reduce tasks
-/// emit their records, so results are bit-identical at any num_workers —
-/// and to the process backend.
+/// Rows of coalesced `sub` whose pivot key lies in [keys.first,
+/// keys.second): one run, since the pivot modes lead.
+Rows PivotRows(const tensor::SparseTensor& sub, const JobGeometry& geometry,
+               Rows keys) {
+  auto first_row_at = [&](std::uint64_t key) {
+    std::uint64_t lo = 0, hi = sub.NumNonZeros();
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (dm2td_internal::RowKey(sub, mid, 0, geometry.pivot_dims) < key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  };
+  return {first_row_at(keys.first), first_row_at(keys.second)};
+}
+
+/// Thread-backend implementation: the two phases as pool tasks over the
+/// coalesced sub-tensors in place, then the driver-side core assembly.
+/// Phase 1 runs one task per sub-tensor; phase 2 splits the pivot-key
+/// space into `num_workers` contiguous ranges, each a run of rows on both
+/// sides. The tasks run the process backend's group bodies
+/// (dm2td_internal) on their groups' rows in input order, and those bodies
+/// never depend on how groups are split among tasks, so results are
+/// bit-identical at any num_workers — and to the process backend.
 Result<DM2tdResult> DecomposeThreadBackend(
     const SubEnsembles& subs, const PfPartition& partition,
     const std::vector<std::uint64_t>& full_shape,
     const DM2tdOptions& options) {
   const JobGeometry geometry =
       dm2td_internal::MakeGeometry(partition, full_shape);
+  const tensor::SparseTensor* sides[2] = {&subs.x1, &subs.x2};
+  const std::uint64_t cells = subs.x1.NumNonZeros() + subs.x2.NumNonZeros();
 
   DM2tdResult result;
   obs::ObsSpan total_span("dm2td_decompose");
@@ -193,21 +161,26 @@ Result<DM2tdResult> DecomposeThreadBackend(
 
   // ---------- Phase 1: parallel sub-tensor decomposition. ----------
   obs::ObsSpan sub_span("sub_decompose");
+  // An empty side has no Grams, as on the process backend.
   M2TD_ASSIGN_OR_RETURN(
       std::vector<GramPiece> gram_pieces,
       RunPhase<GramPiece>(
-          1, subs, geometry, options,
-          [](const ShardSlices& input, std::vector<GramPiece>* out) {
-            return dm2td_internal::ReduceGramGroups(input, out);
+          2, cells, options.retry,
+          [&](std::size_t s) { return sides[s]->NumNonZeros(); },
+          [&](std::size_t s, std::vector<GramPiece>* out) -> Status {
+            if (sides[s]->NumNonZeros() == 0) return Status::OK();
+            return dm2td_internal::AppendSubTensorGrams(
+                static_cast<int>(s) + 1, *sides[s], out);
           },
           &result.phase1));
 
-  // Driver-side factor assembly from the distributed Grams (the per-mode
-  // eigenproblems are tiny: mode-length squared).
+  // Driver-side factor assembly from the Grams (the per-mode eigenproblems
+  // are tiny: mode-length squared).
   M2TD_ASSIGN_OR_RETURN(
       std::vector<linalg::Matrix> factors,
       dm2td_internal::AssembleFactors(std::move(gram_pieces), partition,
-                                      full_shape, options));
+                                      full_shape, options.method,
+                                      options.ranks, {}));
   sub_span.End();
 
   // ---------- Phase 2: per-pivot core recovery. ----------
@@ -221,13 +194,33 @@ Result<DM2tdResult> DecomposeThreadBackend(
       const dm2td_internal::PivotCoreBuilder builder,
       dm2td_internal::PivotCoreBuilder::Create(
           geometry, factors, options.stitch.zero_join, cand1, cand2));
+  // Task w covers pivot keys [floor(P w / W), floor(P (w + 1) / W)) of the
+  // P keys, computed without forming P w.
+  const std::size_t workers = static_cast<std::size_t>(options.num_workers);
+  std::uint64_t num_keys = 1;
+  for (std::uint64_t d : geometry.pivot_dims) num_keys *= d;
+  auto key_bound = [&](std::uint64_t w) {
+    return num_keys / workers * w + num_keys % workers * w / workers;
+  };
+  std::vector<std::array<Rows, 2>> rows(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    for (int s = 0; s < 2; ++s) {
+      rows[w][s] = PivotRows(*sides[s], geometry,
+                             {key_bound(w), key_bound(w + 1)});
+    }
+  }
   M2TD_ASSIGN_OR_RETURN(
       std::vector<PartialCore> parts,
       RunPhase<PartialCore>(
-          2, subs, geometry, options,
-          [&](const ShardSlices& input, std::vector<PartialCore>* out) {
-            return dm2td_internal::ReducePivotGroups(builder, geometry, input,
-                                                     out);
+          workers, cells, options.retry,
+          [&](std::size_t w) {
+            return (rows[w][0].second - rows[w][0].first) +
+                   (rows[w][1].second - rows[w][1].first);
+          },
+          [&](std::size_t w, std::vector<PartialCore>* out) {
+            return dm2td_internal::ReducePivotGroups(
+                builder, geometry, subs.x1, rows[w][0], subs.x2, rows[w][1],
+                out);
           },
           &result.phase2));
   stitch_span.End();

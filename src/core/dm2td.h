@@ -36,7 +36,9 @@ namespace m2td::core {
 
 /// Execution backend for the D-M2TD MapReduce phases.
 enum class DistBackend {
-  /// In-process: map and reduce tasks are thread-pool tasks (dm2td.cc).
+  /// In-process: the phase bodies run as thread-pool tasks over the
+  /// coalesced sub-tensors in place, with no map tasks and no shuffle
+  /// (dm2td.cc).
   kThread,
   /// Real worker processes (tools/m2td_worker) that dial the coordinator
   /// over TCP and shuffle through the durable io::ShuffleStore. Survives
@@ -131,13 +133,13 @@ struct DM2tdOptions {
   /// Target rank per original mode.
   std::vector<std::uint64_t> ranks;
   StitchOptions stitch;
-  /// Number of map/reduce workers — the paper's "servers" axis in
-  /// Table III. Thread backend: pool tasks; process backend: worker
-  /// processes. Never affects results.
+  /// Number of workers — the paper's "servers" axis in Table III. Thread
+  /// backend: phase-2 pool tasks, one per pivot-key range; process
+  /// backend: worker processes. Never affects results.
   int num_workers = 4;
-  /// Task-level retry policy applied to every MapReduce phase: a failed
-  /// map or reduce task (failpoint fire, thrown exception, returned
-  /// IOError/Internal) is re-run from its input up to
+  /// Task-level retry policy applied to every phase: a failed task
+  /// (failpoint fire, thrown exception, returned IOError/Internal) is
+  /// re-run from its input up to
   /// `retry.max_retries` times. Defaults to no retries. The process
   /// backend additionally always replays tasks of dead workers —
   /// worker death is recovery, not a retry, and does not consume this
@@ -209,10 +211,11 @@ struct DM2tdResult {
 
 /// \brief D-M2TD (Section VI-D): distributed M2TD.
 ///
-/// Phase 1 ships each sub-tensor's cells to a reducer that accumulates its
-/// per-mode Gram matrices; the driver turns Grams into (combined) factor
-/// matrices. Phase 2 shuffles cells of both sub-tensors by pivot
-/// configuration; each reduce group recovers its pivot's share of the core
+/// Phase 1 accumulates each sub-tensor's per-mode Gram matrices; the
+/// driver turns Grams into (combined) factor matrices. Phase 2 groups the
+/// cells of both sub-tensors by pivot configuration (a shuffle on the
+/// process backend, row ranges in place on the thread backend); each
+/// group recovers its pivot's share of the core
 /// straight from the JE-stitching identity, without forming the join (see
 /// dm2td_internal::PivotCoreBuilder). Phase 3 is core assembly: the driver
 /// sums the per-pivot partial cores in ascending pivot key.

@@ -1062,7 +1062,8 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
   M2TD_ASSIGN_OR_RETURN(
       std::vector<linalg::Matrix> factors,
       dm2td_internal::AssembleFactors(std::move(pieces), partition,
-                                      full_shape, options));
+                                      full_shape, options.method,
+                                      options.ranks, {}));
   M2TD_RETURN_IF_ERROR(store.WriteFile(
       dm2td_tasks::kFactorsFile, factors.size(),
       [&](std::size_t n) { return dm2td_tasks::EncodeMatrix(factors[n]); }));

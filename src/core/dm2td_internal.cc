@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "linalg/svd.h"
+#include "obs/trace.h"
 #include "tensor/matricize.h"
 
 namespace m2td::core::dm2td_internal {
@@ -90,30 +90,36 @@ Result<ShardSlices> ConcatSlices(std::vector<ShardSlices> parts) {
   return out;
 }
 
+Status AppendSubTensorGrams(int kappa, const tensor::SparseTensor& sub,
+                            std::vector<GramPiece>* out) {
+  for (std::size_t m = 0; m < sub.num_modes(); ++m) {
+    M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram, tensor::ModeGram(sub, m));
+    out->push_back(GramPiece{kappa, m, std::move(gram)});
+  }
+  return Status::OK();
+}
+
 Status ReduceGramGroups(ShardSlices input, std::vector<GramPiece>* out) {
   for (int kappa = 1; kappa <= 2; ++kappa) {
     tensor::SparseTensor& sub = Side(input, kappa);
     if (sub.NumNonZeros() == 0) continue;
     sub.SortAndCoalesce();
-    for (std::size_t m = 0; m < sub.num_modes(); ++m) {
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram, tensor::ModeGram(sub, m));
-      out->push_back(GramPiece{kappa, m, std::move(gram)});
-    }
+    M2TD_RETURN_IF_ERROR(AppendSubTensorGrams(kappa, sub, out));
   }
   return Status::OK();
 }
 
 Status ReducePivotGroups(const PivotCoreBuilder& builder,
                          const JobGeometry& geometry,
-                         const ShardSlices& input,
+                         const tensor::SparseTensor& x1, Rows rows1,
+                         const tensor::SparseTensor& x2, Rows rows2,
                          std::vector<PartialCore>* out) {
-  const tensor::SparseTensor* sides[2] = {&input.x1, &input.x2};
+  const tensor::SparseTensor* sides[2] = {&x1, &x2};
   auto key_at = [&](int s, std::uint64_t e) {
     return RowKey(*sides[s], e, 0, geometry.pivot_dims);
   };
-  std::uint64_t next[2] = {0, 0};
-  const std::uint64_t size[2] = {input.x1.NumNonZeros(),
-                                 input.x2.NumNonZeros()};
+  std::uint64_t next[2] = {rows1.first, rows2.first};
+  const std::uint64_t size[2] = {rows1.second, rows2.second};
   while (next[0] < size[0] || next[1] < size[1]) {
     // The group is the smaller of the two sides' next keys; each side's
     // run of that key may be empty.
@@ -133,7 +139,7 @@ Status ReducePivotGroups(const PivotCoreBuilder& builder,
       runs[s] = {next[s], end};
       next[s] = end;
     }
-    builder.Build(key, input.x1, runs[0], input.x2, runs[1], out);
+    builder.Build(key, x1, runs[0], x2, runs[1], out);
   }
   return Status::OK();
 }
@@ -316,8 +322,10 @@ Result<tensor::DenseTensor> SumPartialCores(
 
 Result<std::vector<linalg::Matrix>> AssembleFactors(
     std::vector<GramPiece> pieces, const PfPartition& partition,
-    const std::vector<std::uint64_t>& full_shape,
-    const DM2tdOptions& options) {
+    const std::vector<std::uint64_t>& full_shape, M2tdMethod method,
+    const std::vector<std::uint64_t>& ranks,
+    const linalg::GramFactorOptions& init) {
+  const std::size_t num_modes = full_shape.size();
   const std::size_t k = partition.pivot_modes.size();
   // grams[kappa - 1][sub_mode]: a sub-tensor's pivot modes, then its side.
   std::vector<linalg::Matrix> grams[2] = {
@@ -337,24 +345,28 @@ Result<std::vector<linalg::Matrix>> AssembleFactors(
     }
   }
 
-  std::vector<linalg::Matrix> factors(full_shape.size());
+  std::vector<linalg::Matrix> factors(num_modes);
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t mode = partition.pivot_modes[i];
-    M2TD_ASSIGN_OR_RETURN(factors[mode],
-                          CombinePivotFactor(options.method, grams[0][i],
-                                             grams[1][i], options.ranks[mode],
-                                             {}, {}));
+    M2TD_TRACE_SCOPE("combine_pivot_factor");
+    // The two sub-tensors draw decorrelated sketches: x2's stream is offset
+    // past every original mode index so no (sub, mode) pair shares a seed.
+    M2TD_ASSIGN_OR_RETURN(
+        factors[mode],
+        CombinePivotFactor(method, grams[0][i], grams[1][i], ranks[mode],
+                           init.ForMode(mode), init.ForMode(mode + num_modes)));
   }
-  for (int side = 0; side < 2; ++side) {
+  for (std::size_t side = 0; side < 2; ++side) {
     const std::vector<std::size_t>& side_modes =
         side == 0 ? partition.side1_modes : partition.side2_modes;
     for (std::size_t i = 0; i < side_modes.size(); ++i) {
       const std::size_t mode = side_modes[i];
-      const std::size_t rank = static_cast<std::size_t>(
-          std::min<std::uint64_t>(options.ranks[mode], full_shape[mode]));
+      const linalg::Matrix& gram = grams[side][k + i];
       M2TD_ASSIGN_OR_RETURN(
           factors[mode],
-          linalg::LeftSingularVectorsFromGram(grams[side][k + i], rank));
+          linalg::GramFactor(
+              gram, std::min<std::uint64_t>(ranks[mode], gram.rows()),
+              init.ForMode(mode + side * num_modes)));
     }
   }
   return factors;
@@ -365,15 +377,7 @@ Status ValidateDm2tdArgs(const SubEnsembles& subs,
                          const std::vector<std::uint64_t>& full_shape,
                          const DM2tdOptions& options) {
   M2TD_RETURN_IF_ERROR(
-      ValidatePartitionAndRanks(partition, full_shape, options.ranks));
-  if (!subs.x1.IsSorted() || !subs.x2.IsSorted()) {
-    return Status::InvalidArgument("DM2TD requires coalesced sub-tensors");
-  }
-  if (subs.x1.shape() != ModeDims(full_shape, partition.SubTensorModes(1)) ||
-      subs.x2.shape() != ModeDims(full_shape, partition.SubTensorModes(2))) {
-    return Status::InvalidArgument(
-        "DM2TD sub-tensors must have the pivot extents, then their side's");
-  }
+      ValidateM2tdArgs(subs, partition, full_shape, options.ranks));
   if (options.num_workers <= 0) {
     return Status::InvalidArgument("num_workers must be positive");
   }

@@ -1,15 +1,17 @@
 #ifndef M2TD_CORE_DM2TD_INTERNAL_H_
 #define M2TD_CORE_DM2TD_INTERNAL_H_
 
-// Shared building blocks of the two D-M2TD execution backends. The
-// in-process thread backend (dm2td.cc) and the multi-process task bodies
-// (dm2td_tasks.cc) both compute through these functions, so the backends
-// agree bit for bit. Every group body sees its records in the global input
-// order on both backends — Gram sub-tensors are coalesced, and a pivot
-// group's cells arrive in input order however they were sharded — and the
-// per-pivot partial cores are summed in ascending pivot key, so results
-// never depend on worker count, shard count, kill schedule, or the order
-// reducers emit their outputs.
+// Shared building blocks of the M2TD paths. Both D-M2TD backends compute
+// through these functions, so they agree bit for bit: the thread backend
+// (dm2td.cc) runs the phase bodies in place on row ranges of the coalesced
+// sub-tensors, and the multi-process task bodies (dm2td_tasks.cc) run them
+// on shuffled ShardSlices. In-memory M2TD (m2td.cc) shares the factor stage
+// (AppendSubTensorGrams, AssembleFactors). Every group body sees its
+// records in the global input order on both backends — Gram sub-tensors
+// are coalesced, and a pivot group's cells arrive in input order however
+// they were sharded — and the per-pivot partial cores are summed in
+// ascending pivot key, so results never depend on worker count, shard
+// count, kill schedule, or the order reducers emit their outputs.
 
 #include <cstdint>
 #include <utility>
@@ -18,17 +20,18 @@
 #include "core/dm2td.h"
 #include "core/pf_partition.h"
 #include "linalg/matrix.h"
+#include "linalg/rsvd.h"
 #include "tensor/dense_tensor.h"
 #include "tensor/sparse_tensor.h"
 #include "util/result.h"
 
 namespace m2td::core::dm2td_internal {
 
-/// The one cell format of D-M2TD: an x1 slice and an x2 slice in the
+/// The process backend's cell format: an x1 slice and an x2 slice in the
 /// sub-tensors' own column layout (one uint32 column per mode plus a value
-/// column, shapes shape1/shape2), rows in input order. A map task's output
-/// for one shard, a shuffle segment and a reduce task's input are each one
-/// of these, on both backends.
+/// column, shapes shape1/shape2), rows in input order. A map task's input
+/// split, its output for one shard, a shuffle segment and a reduce task's
+/// input are each one of these.
 struct ShardSlices {
   tensor::SparseTensor x1, x2;
 };
@@ -111,8 +114,8 @@ inline void DecodeKey(std::uint64_t key,
   }
 }
 
-/// Contiguous split m of [0, size) into `splits` ranges: the map input of
-/// map task m on both backends, so concatenating the splits in task order
+/// Contiguous split m of [0, size) into `splits` ranges: the input of the
+/// process backend's map task m, so concatenating the splits in task order
 /// reproduces the global input order.
 inline std::pair<std::size_t, std::size_t> SplitRange(std::size_t size,
                                                       int splits, int m) {
@@ -123,8 +126,8 @@ inline std::pair<std::size_t, std::size_t> SplitRange(std::size_t size,
   return {begin, end};
 }
 
-/// Map routing of both backends: sends rows `rows1` of `x1` and `rows2` of
-/// `x2` to shard side - 1 (mod `shards`) in phase 1 and to shard
+/// Map routing of the process backend: sends rows `rows1` of `x1` and
+/// `rows2` of `x2` to shard side - 1 (mod `shards`) in phase 1 and to shard
 /// pivot key % `shards` in phase 2. Returns one ShardSlices per shard, each
 /// side's rows in input order; they take the shapes of `x1` and `x2`.
 /// Routing is a function of the row alone, so it does not depend on split
@@ -136,16 +139,20 @@ Result<std::vector<ShardSlices>> RouteSplit(int phase,
                                             const tensor::SparseTensor& x2,
                                             Rows rows2, std::size_t shards);
 
-/// Reduce-input assembly of both backends: one shard's slices from every
-/// map task, in map-task order, concatenated side by side — so each side's
-/// rows arrive in global input order. `parts` share their shapes; IOError
-/// when there are none.
+/// Reduce-input assembly of the process backend: one shard's slices from
+/// every map task, in map-task order, concatenated side by side — so each
+/// side's rows arrive in global input order. `parts` share their shapes;
+/// IOError when there are none.
 Result<ShardSlices> ConcatSlices(std::vector<ShardSlices> parts);
 
-/// Phase-1 reduce body of both backends: appends the per-mode Gram pieces
-/// of each non-empty side of `input`, x1's first. Each side is coalesced
-/// first (a no-op on the coalesced sub-tensors' rows), so its Grams do not
-/// depend on the order its rows arrive in.
+/// Appends the per-mode Gram pieces of coalesced sub-tensor `sub` (side
+/// `kappa`), mode by mode: phase 1 of every M2TD path.
+Status AppendSubTensorGrams(int kappa, const tensor::SparseTensor& sub,
+                            std::vector<GramPiece>* out);
+
+/// Phase-1 reduce body of the process backend: coalesces each non-empty
+/// side of `input` (a no-op on the coalesced sub-tensors' rows) and
+/// appends its Gram pieces, x1's first.
 Status ReduceGramGroups(ShardSlices input, std::vector<GramPiece>* out);
 
 /// Phase-2 reducer body: recovers one pivot group's core contribution
@@ -202,16 +209,18 @@ class PivotCoreBuilder {
   ModeGroup pivot_, side1_, side2_;
 };
 
-/// Phase-2 reduce body of both backends. The sub-tensors are coalesced
-/// with their pivot modes leading, so each side of `input` arrives in
-/// ascending pivot key and a pivot group is a run of rows on each side;
-/// merges the x1 and x2 runs and appends each group's partial core
-/// (PivotCoreBuilder::Build) in ascending pivot key. The slices have the
-/// sub-tensors' shapes (ValidateDm2tdArgs and dm2td_tasks::RunDistTask
-/// check them); IOError when a slice's keys descend.
+/// Phase-2 reduce body of both backends, over rows `rows1` of `x1` and
+/// `rows2` of `x2`. The sub-tensors are coalesced with their pivot modes
+/// leading, so each side's rows arrive in ascending pivot key and a pivot
+/// group is a run of rows on each side; merges the x1 and x2 runs and
+/// appends each group's partial core (PivotCoreBuilder::Build) in
+/// ascending pivot key. `x1` and `x2` have the sub-tensors' shapes
+/// (ValidateDm2tdArgs and dm2td_tasks::RunDistTask check them); IOError
+/// when a side's keys descend.
 Status ReducePivotGroups(const PivotCoreBuilder& builder,
                          const JobGeometry& geometry,
-                         const ShardSlices& input,
+                         const tensor::SparseTensor& x1, Rows rows1,
+                         const tensor::SparseTensor& x2, Rows rows2,
                          std::vector<PartialCore>* out);
 
 /// Sums the partial cores in ascending pivot key — the one canonical order
@@ -222,16 +231,21 @@ Result<tensor::DenseTensor> SumPartialCores(
     std::vector<PartialCore>* parts, const std::vector<linalg::Matrix>& factors,
     std::uint64_t* join_nnz);
 
-/// Driver-side factor assembly from the phase-1 Gram pieces. Shared by
-/// both backends so factors are computed by literally the same code path.
+/// The factor stage of every M2TD path: one factor per original mode from
+/// the phase-1 Gram pieces. A pivot mode's factor combines the two
+/// sub-tensors' Grams per `method` (CombinePivotFactor, under
+/// init.ForMode(mode) and init.ForMode(mode + num_modes)); a side mode's
+/// comes from its own sub-tensor's Gram under init.ForMode(mode +
+/// side * num_modes), side 0 for x1. Ranks are clamped to the mode length.
+/// Internal when a piece is missing.
 Result<std::vector<linalg::Matrix>> AssembleFactors(
-    std::vector<GramPiece> pieces,
-    const PfPartition& partition,
-    const std::vector<std::uint64_t>& full_shape, const DM2tdOptions& options);
+    std::vector<GramPiece> pieces, const PfPartition& partition,
+    const std::vector<std::uint64_t>& full_shape, M2tdMethod method,
+    const std::vector<std::uint64_t>& ranks,
+    const linalg::GramFactorOptions& init);
 
-/// Argument validation shared by both backends: besides the options, the
-/// sub-tensors must be coalesced, each with the pivot extents, then its
-/// side's.
+/// Argument validation of both backends: ValidateM2tdArgs, plus positive
+/// worker and shard counts.
 Status ValidateDm2tdArgs(const SubEnsembles& subs,
                          const PfPartition& partition,
                          const std::vector<std::uint64_t>& full_shape,

@@ -8,12 +8,13 @@
 #include <iterator>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "obs/trace.h"
 #include "robust/cancel.h"
-#include "robust/durable.h"
 #include "robust/failpoint.h"
+#include "util/atomic_file.h"
 
 namespace m2td::core::dm2td_tasks {
 
@@ -264,7 +265,9 @@ Status RunReduceTask(const io::ShuffleStore& store,
       ReadShardSlices(store, config, map_phase, task.index));
   std::vector<PartialCore> parts;
   M2TD_RETURN_IF_ERROR(
-      dm2td_internal::ReducePivotGroups(builder, geometry, input, &parts));
+      dm2td_internal::ReducePivotGroups(builder, geometry, input.x1,
+                                        AllRows(input.x1), input.x2,
+                                        AllRows(input.x2), &parts));
   return WriteAndCommit(
       store, task, 1, [&](std::size_t) { return EncodePartialCores(parts); },
       parts.size());
@@ -275,7 +278,7 @@ Status RunReduceTask(const io::ShuffleStore& store,
 // ------------------------------------------------------------ job config
 
 Status SaveJobConfig(const std::string& path, const DistJobConfig& config) {
-  return robust::AtomicWriteFile(path, [&](const std::string& tmp) -> Status {
+  return util::AtomicWriteFile(path, [&](const std::string& tmp) -> Status {
     std::ofstream out(tmp);
     if (!out) return Status::IOError("cannot write job config '" + tmp + "'");
     auto write_list = [&out](const char* label, const auto& values) {
@@ -307,14 +310,18 @@ Result<DistJobConfig> LoadJobConfig(const std::string& path) {
     return Status::IOError("malformed job config '" + path + "'");
   }
   DistJobConfig config;
+  // The count is untrusted: values are appended one read at a time, so
+  // a count past the file's end costs no more memory than the file does.
   auto read_list = [&](const char* label, auto* out) -> Status {
     std::size_t count = 0;
     if (!(in >> token >> count) || token != label) {
       return Status::IOError(std::string("malformed job config: ") + label);
     }
-    out->resize(count);
-    for (auto& v : *out) {
+    out->clear();
+    while (out->size() < count) {
+      typename std::decay_t<decltype(*out)>::value_type v;
       if (!(in >> v)) return Status::IOError("malformed job config value");
+      out->push_back(v);
     }
     return Status::OK();
   };

@@ -72,6 +72,8 @@ struct DistJobConfig {
 };
 
 Status SaveJobConfig(const std::string& path, const DistJobConfig& config);
+/// IOError on a malformed file, including one shorter than a list's
+/// count; memory stays bounded by the file's size whatever the counts say.
 Result<DistJobConfig> LoadJobConfig(const std::string& path);
 
 /// One task assignment as carried by the wire protocol.

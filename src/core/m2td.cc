@@ -2,12 +2,10 @@
 
 #include <algorithm>
 
-#include "linalg/svd.h"
+#include "core/dm2td_internal.h"
 #include "obs/trace.h"
 #include "robust/cancel.h"
-#include "tensor/matricize.h"
 #include "tensor/ttm.h"
-#include "util/logging.h"
 
 namespace m2td::core {
 
@@ -62,9 +60,10 @@ Result<linalg::Matrix> RowWeightedBlend(const linalg::Matrix& u1,
   return out;
 }
 
-Status ValidatePartitionAndRanks(const PfPartition& partition,
-                                 const std::vector<std::uint64_t>& full_shape,
-                                 const std::vector<std::uint64_t>& ranks) {
+Status ValidateM2tdArgs(const SubEnsembles& subs,
+                        const PfPartition& partition,
+                        const std::vector<std::uint64_t>& full_shape,
+                        const std::vector<std::uint64_t>& ranks) {
   if (partition.NumModes() != full_shape.size()) {
     return Status::InvalidArgument("partition does not match full shape");
   }
@@ -73,6 +72,15 @@ Status ValidatePartitionAndRanks(const PfPartition& partition,
   }
   if (std::find(ranks.begin(), ranks.end(), 0) != ranks.end()) {
     return Status::InvalidArgument("every rank must be at least 1");
+  }
+  if (!subs.x1.IsSorted() || !subs.x2.IsSorted()) {
+    return Status::InvalidArgument("M2TD requires coalesced sub-tensors");
+  }
+  using dm2td_internal::ModeDims;
+  if (subs.x1.shape() != ModeDims(full_shape, partition.SubTensorModes(1)) ||
+      subs.x2.shape() != ModeDims(full_shape, partition.SubTensorModes(2))) {
+    return Status::InvalidArgument(
+        "M2TD sub-tensors must have the pivot extents, then their side's");
   }
   return Status::OK();
 }
@@ -108,9 +116,7 @@ Result<M2tdResult> M2tdDecomposeImpl(
     const std::vector<std::uint64_t>& full_shape,
     const M2tdOptions& options) {
   M2TD_RETURN_IF_ERROR(
-      ValidatePartitionAndRanks(partition, full_shape, options.ranks));
-  const std::size_t num_modes = full_shape.size();
-  const std::size_t k = partition.pivot_modes.size();
+      ValidateM2tdArgs(subs, partition, full_shape, options.ranks));
 
   M2tdResult result;
   obs::ObsSpan total_span("m2td_decompose", obs::ObsSpan::kAlwaysTime);
@@ -118,42 +124,20 @@ Result<M2tdResult> M2tdDecomposeImpl(
   total_span.Annotate("x1_nnz", subs.x1.NumNonZeros());
   total_span.Annotate("x2_nnz", subs.x2.NumNonZeros());
 
-  // --- Sub-tensor decompositions + pivot-factor combination. The phase
-  // timings in M2tdTimings are the spans' own elapsed times, so the trace
-  // and the Table III split always agree. ---
+  // --- Sub-tensor Grams, then the factor stage every M2TD path shares.
+  // The phase timings in M2tdTimings are the spans' own elapsed times, so
+  // the trace and the Table III split always agree. ---
   obs::ObsSpan sub_span("sub_decompose", obs::ObsSpan::kAlwaysTime);
-  std::vector<linalg::Matrix> factors(num_modes);
-
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t mode = partition.pivot_modes[i];
-    M2TD_TRACE_SCOPE("combine_pivot_factor");
-    M2TD_ASSIGN_OR_RETURN(linalg::Matrix g1, tensor::ModeGram(subs.x1, i));
-    M2TD_ASSIGN_OR_RETURN(linalg::Matrix g2, tensor::ModeGram(subs.x2, i));
-    // The two sub-tensors draw decorrelated sketches: offset x2's stream
-    // past every original mode index so no (sub, mode) pair shares a seed.
-    M2TD_ASSIGN_OR_RETURN(
-        factors[mode],
-        CombinePivotFactor(options.method, g1, g2, options.ranks[mode],
-                           options.init.ForMode(mode),
-                           options.init.ForMode(mode + num_modes)));
-  }
-  // A side mode's factor comes from its own sub-tensor's Gram, at rank
-  // clamped to the mode length.
-  for (int side = 0; side < 2; ++side) {
-    const tensor::SparseTensor& sub = side == 0 ? subs.x1 : subs.x2;
-    const std::vector<std::size_t>& side_modes =
-        side == 0 ? partition.side1_modes : partition.side2_modes;
-    for (std::size_t i = 0; i < side_modes.size(); ++i) {
-      const std::size_t mode = side_modes[i];
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram,
-                            tensor::ModeGram(sub, k + i));
-      M2TD_ASSIGN_OR_RETURN(
-          factors[mode],
-          linalg::GramFactor(
-              gram, std::min<std::uint64_t>(options.ranks[mode], gram.rows()),
-              options.init.ForMode(mode + side * num_modes)));
-    }
-  }
+  std::vector<dm2td_internal::GramPiece> pieces;
+  M2TD_RETURN_IF_ERROR(
+      dm2td_internal::AppendSubTensorGrams(1, subs.x1, &pieces));
+  M2TD_RETURN_IF_ERROR(
+      dm2td_internal::AppendSubTensorGrams(2, subs.x2, &pieces));
+  M2TD_ASSIGN_OR_RETURN(
+      std::vector<linalg::Matrix> factors,
+      dm2td_internal::AssembleFactors(std::move(pieces), partition,
+                                      full_shape, options.method,
+                                      options.ranks, options.init));
   result.timings.sub_decompose_seconds = sub_span.End();
 
   // --- JE-stitching. ---
@@ -167,9 +151,6 @@ Result<M2tdResult> M2tdDecomposeImpl(
 
   // --- Core recovery: G = J x_1 U^(1)T ... x_N U^(N)T. ---
   obs::ObsSpan core_span("core_recovery", obs::ObsSpan::kAlwaysTime);
-  // CoreFromSparse's first hop walks the join tensor's CSF index (the
-  // join is freshly coalesced, so this is the build-and-use call).
-  core_span.Annotate("csf", std::uint64_t{join.IsSorted() ? 1u : 0u});
   M2TD_ASSIGN_OR_RETURN(tensor::DenseTensor core,
                         tensor::CoreFromSparse(join, factors));
   core_span.Annotate("core_elements", core.NumElements());

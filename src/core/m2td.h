@@ -87,11 +87,13 @@ Result<linalg::Matrix> RowWeightedBlend(const linalg::Matrix& u1,
                                         const linalg::Matrix& u2);
 
 /// \brief The argument checks every M2TD pipeline shares: `partition`
-/// covers the modes of `full_shape`, and `ranks` holds one rank of at
-/// least 1 per original mode. InvalidArgument otherwise.
-Status ValidatePartitionAndRanks(const PfPartition& partition,
-                                 const std::vector<std::uint64_t>& full_shape,
-                                 const std::vector<std::uint64_t>& ranks);
+/// covers the modes of `full_shape`, `ranks` holds one rank of at least 1
+/// per original mode, and the sub-tensors are coalesced, each with the
+/// pivot extents, then its side's. InvalidArgument otherwise.
+Status ValidateM2tdArgs(const SubEnsembles& subs,
+                        const PfPartition& partition,
+                        const std::vector<std::uint64_t>& full_shape,
+                        const std::vector<std::uint64_t>& ranks);
 
 /// \brief The factor of one pivot mode from the two sub-tensors' Grams
 /// along it, combined per `method`, at `rank` clamped to the mode length.

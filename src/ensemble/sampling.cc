@@ -10,8 +10,8 @@
 #include "obs/metrics.h"
 #include "robust/cancel.h"
 #include "robust/checkpoint.h"
-#include "robust/durable.h"
 #include "robust/failpoint.h"
+#include "util/atomic_file.h"
 #include "util/logging.h"
 
 namespace m2td::ensemble {
@@ -464,7 +464,7 @@ Result<tensor::SparseTensor> BuildConventionalEnsembleRobust(
     if (journal) {
       // Artifact first, mark second: the mark's presence implies the batch
       // file is complete.
-      M2TD_RETURN_IF_ERROR(robust::AtomicWriteFile(
+      M2TD_RETURN_IF_ERROR(util::AtomicWriteFile(
           journal->ArtifactPath(artifact), [&](const std::string& tmp) {
             return io::SaveSparseBinary(batch, tmp);
           }));

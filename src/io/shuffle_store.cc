@@ -11,9 +11,9 @@
 
 #include "obs/metrics.h"
 #include "robust/crc32.h"
-#include "robust/durable.h"
 #include "robust/failpoint.h"
 #include "robust/retry.h"
+#include "util/atomic_file.h"
 
 namespace m2td::io {
 
@@ -270,7 +270,7 @@ Status ShuffleStore::WriteFile(const std::string& name, std::size_t segments,
       [&]() -> Status {
         M2TD_RETURN_IF_ERROR(
             robust::CheckFailpoint("shuffle_store.write_blob"));
-        return robust::AtomicWriteFile(path, [&](const std::string& tmp) {
+        return util::AtomicWriteFile(path, [&](const std::string& tmp) {
           return WriteSegmentedFile(tmp, 0, 0, segments, source);
         });
       });

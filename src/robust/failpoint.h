@@ -35,7 +35,7 @@ namespace m2td::robust {
 ///   seed=S    seeds the per-failpoint PRNG used by prob. Default 0.
 ///
 /// Examples: "shuffle_store.read_blob:times=1",
-/// "mapreduce.map_task:prob=0.2,seed=7", "ensemble.batch:after=5".
+/// "mapreduce.reduce_task:prob=0.2,seed=7", "ensemble.batch:after=5".
 ///
 /// A fired failpoint returns Status::Internal mentioning the failpoint
 /// name, increments the obs counter `robust.failpoint_fires` (and

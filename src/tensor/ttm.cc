@@ -165,10 +165,13 @@ Result<DenseTensor> SparseModeProduct(const SparseTensor& x,
         "columns",
         mode));
   }
-  if (!x.IsSorted()) return SparseModeProductCoo(x, u, mode, transpose_u);
+  if (!x.IsSorted()) {
+    return Status::InvalidArgument(
+        "SparseModeProduct requires a coalesced tensor (call "
+        "SortAndCoalesce)");
+  }
   obs::ObsSpan span("sparse_mode_product");
   span.Annotate("nnz", x.NumNonZeros());
-  span.Annotate("csf", std::uint64_t{1});
   const std::uint64_t new_dim = transpose_u ? u.cols() : u.rows();
 
   std::vector<std::uint64_t> out_shape = x.shape();
@@ -188,13 +191,13 @@ Result<DenseTensor> SparseModeProduct(const SparseTensor& x,
   // output fiber. Distinct fibers own distinct output fibers, so chunks
   // write disjoint data; within a fiber the entry order is ascending
   // target coordinate — the same per-output-element addition sequence the
-  // COO slice kernel performs — so the result is deterministic at any
+  // COO oracle performs — so the result is deterministic at any
   // thread count.
   //
   // The transpose_u scatter acc += v * urow is a contiguous axpy over the
   // scratch accumulator, dispatched through the SIMD table (one dispatch
   // count per call); with the scalar table this is exactly the COO
-  // kernel's arithmetic, and the vector tables agree with it to rounding.
+  // oracle's arithmetic, and the vector tables agree with it to rounding.
   // The non-transposed form reads u column-wise (strided) and stays a
   // scalar loop.
   const linalg::simd::Kernels& kern = linalg::simd::ActiveKernels();
@@ -235,66 +238,6 @@ Result<DenseTensor> SparseModeProduct(const SparseTensor& x,
         }
       },
       "sparse_mode_product_fibers");
-  return y;
-}
-
-Result<DenseTensor> SparseModeProductCoo(const SparseTensor& x,
-                                         const linalg::Matrix& u,
-                                         std::size_t mode, bool transpose_u) {
-  M2TD_RETURN_IF_ERROR(CheckModeProductShapes(x.shape(), u, mode,
-                                              transpose_u));
-  obs::ObsSpan span("sparse_mode_product");
-  span.Annotate("nnz", x.NumNonZeros());
-  span.Annotate("csf", std::uint64_t{0});
-  const std::uint64_t new_dim = transpose_u ? u.cols() : u.rows();
-
-  std::vector<std::uint64_t> out_shape = x.shape();
-  out_shape[mode] = new_dim;
-  DenseTensor y(out_shape);
-
-  const std::size_t modes = x.num_modes();
-  const std::uint64_t nnz = x.NumNonZeros();
-  const std::uint64_t out_stride = y.Stride(mode);
-
-  // Pass 1 (disjoint writes): linear base of each entry's output fiber
-  // along `mode`, plus its coordinate on that mode.
-  std::vector<std::uint64_t> out_base(static_cast<std::size_t>(nnz));
-  std::vector<std::uint32_t> in_coord(static_cast<std::size_t>(nnz));
-  parallel::ParallelFor(
-      0, nnz, 0,
-      [&](std::uint64_t eb, std::uint64_t ee) {
-        std::vector<std::uint32_t> idx(modes);
-        for (std::uint64_t e = eb; e < ee; ++e) {
-          for (std::size_t m = 0; m < modes; ++m) idx[m] = x.Index(m, e);
-          in_coord[static_cast<std::size_t>(e)] = idx[mode];
-          idx[mode] = 0;
-          out_base[static_cast<std::size_t>(e)] = y.LinearIndex(idx);
-        }
-      },
-      "sparse_mode_product_index");
-
-  // Pass 2: parallel over j-slices of the output. Slice j only touches
-  // output elements {out_base[e] + j * out_stride}, which are disjoint
-  // across slices; within a slice entries are scanned in the original
-  // order, so the per-element addition sequence matches the serial scan
-  // bit-for-bit at any thread count.
-  parallel::ParallelFor(
-      0, new_dim, 1,
-      [&](std::uint64_t jb, std::uint64_t je) {
-        for (std::uint64_t j = jb; j < je; ++j) {
-          for (std::uint64_t e = 0; e < nnz; ++e) {
-            const double v = x.Value(e);
-            const std::uint32_t in_mode =
-                in_coord[static_cast<std::size_t>(e)];
-            const double coef =
-                transpose_u ? u(in_mode, static_cast<std::size_t>(j))
-                            : u(static_cast<std::size_t>(j), in_mode);
-            y.flat(out_base[static_cast<std::size_t>(e)] + j * out_stride) +=
-                coef * v;
-          }
-        }
-      },
-      "sparse_mode_product_slices");
   return y;
 }
 

@@ -42,41 +42,27 @@ Result<DenseTensor> ModeProduct(const DenseTensor& x, const linalg::Matrix& u,
 /// This is the first hop of every core computation: the cost is
 /// O(nnz * new_dim) flops regardless of the logical size of X.
 ///
-/// Sorted (coalesced) tensors run on the tensor's cached CSF index
-/// (tensor/csf.h): one fused pass walks each fiber once, accumulating the
-/// output fiber in an L1-resident scratch buffer — no per-call sort and
-/// no re-scan of the entry list per output slice. The index is built
-/// lazily on first use and amortized across every later kernel call on
-/// the same tensor contents (ModeGram shares it). Unsorted tensors fall
-/// back to SparseModeProductCoo. InvalidArgument when the mode-`mode`
+/// `x` must be coalesced (InvalidArgument otherwise, as for ModeGram): the
+/// product runs on the tensor's cached CSF index (tensor/csf.h), one fused
+/// pass walking each fiber once and accumulating the output fiber in an
+/// L1-resident scratch buffer — no per-call sort and no re-scan of the
+/// entry list per output slice. The index is built lazily on first use
+/// and amortized across every later kernel call on the same tensor
+/// contents (ModeGram shares it). InvalidArgument when the mode-`mode`
 /// matricization columns overflow 64 bits (see
 /// SparseTensor::MatricizationColumnsFit).
 ///
 /// Thread-safety/parallelism: safe to call concurrently. Fiber-parallel
 /// (span "sparse_mode_product_fibers", disjoint output fibers); within a
 /// fiber entries accumulate in ascending target-mode coordinate — exactly
-/// the stored-order sequence the COO kernel performs — so results are
+/// the stored-order sequence of a COO scan — so results are
 /// bit-identical across thread counts. The `transpose_u` scatter runs
 /// through linalg::simd::ActiveKernels(): with the scalar table
-/// (`M2TD_FORCE_ISA=scalar`) it is bit-identical to SparseModeProductCoo,
-/// and the vector tables agree with it to rounding.
+/// (`M2TD_FORCE_ISA=scalar`) it is bit-identical to the COO oracle in
+/// tests/oracles, and the vector tables agree with it to rounding.
 Result<DenseTensor> SparseModeProduct(const SparseTensor& x,
                                       const linalg::Matrix& u,
                                       std::size_t mode, bool transpose_u);
-
-/// \brief COO reference implementation of SparseModeProduct (two-pass:
-/// per-entry output-base indexing, then per-output-slice accumulation in
-/// stored entry order).
-///
-/// Stays in the library (unlike the ModeGram COO oracle, which lives in
-/// tests/oracles) because it is a production path: SparseModeProduct
-/// falls back to it for unsorted tensors, which have no CSF index. It
-/// also serves as the equivalence oracle for the CSF kernel in
-/// tests/csf_test.cc. Spans "sparse_mode_product_index" /
-/// "sparse_mode_product_slices"; bit-identical across thread counts.
-Result<DenseTensor> SparseModeProductCoo(const SparseTensor& x,
-                                         const linalg::Matrix& u,
-                                         std::size_t mode, bool transpose_u);
 
 /// \brief Tucker core G = X ×_1 U^(1)T ×_2 ... ×_N U^(N)T for a sparse X.
 ///

@@ -15,10 +15,11 @@ namespace m2td::util {
 /// new file — never a torn mixture. The temporary is removed on writer
 /// failure.
 ///
-/// This is the write pattern behind the chunk store's blobs/manifests
-/// (robust/durable.h re-exports it) and every obs artifact writer
-/// (Chrome traces, run reports, OpenMetrics snapshots): a SIGKILL
-/// mid-export never leaves a truncated JSON on disk.
+/// This is the one commit point of every whole-file write: the shuffle
+/// store's input files, the D-M2TD job config, the ensemble checkpoint
+/// artifacts and every obs artifact writer (Chrome traces, run reports,
+/// OpenMetrics snapshots), so a SIGKILL mid-write never leaves a torn
+/// file on disk.
 Status AtomicWriteFile(const std::string& path,
                        const std::function<Status(const std::string&)>&
                            writer);

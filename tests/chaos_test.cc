@@ -299,7 +299,7 @@ TEST_F(ChaosTest, EnsembleBuildCancelMidBatchKeepsJournalAndResumesBitIdentical)
   ExpectResumeMatchesReference(model.get(), Path("ckpt"));
 }
 
-TEST_F(ChaosTest, MapReduceCancelMidMapDrainsWithoutRetrying) {
+TEST_F(ChaosTest, MapReduceCancelMidPhaseDrainsWithoutRetrying) {
   auto model = PendulumModel(4);
   auto partition = core::MakePartition(5, {0});
   ASSERT_TRUE(partition.ok());
@@ -314,8 +314,8 @@ TEST_F(ChaosTest, MapReduceCancelMidMapDrainsWithoutRetrying) {
   obs::GetCounter("robust.retry_attempts").Reset();
   robust::CancelSource source;
   Result<core::DM2tdResult> result = [&] {
-    // In-band: fired as phase 1's second map task starts.
-    SpanTrigger trigger("map_task", 2, &source);
+    // In-band: fired as phase 1's second task starts.
+    SpanTrigger trigger("reduce_task", 2, &source);
     robust::CancelScope scope(source.token());
     return core::DM2tdDecompose(*subs, *partition, model->space().Shape(),
                                 options);
@@ -347,7 +347,7 @@ TEST_F(ChaosTest, SeededScheduleSoakNeverHangsOrMiscounts) {
     options.num_workers = 2;
     options.retry.max_retries = 6;
     ASSERT_TRUE(robust::ArmFailpointsFromString(
-                    "mapreduce.map_task:prob=0.25,seed=" +
+                    "mapreduce.reduce_task:prob=0.25,seed=" +
                     std::to_string(seed))
                     .ok());
     robust::CancelSource source(

@@ -18,6 +18,7 @@
 #include "dispatch_guard.h"
 #include "obs/metrics.h"
 #include "oracles/mode_gram_coo.h"
+#include "oracles/sparse_mode_product_coo.h"
 #include "parallel/thread_pool.h"
 #include "tensor/csf.h"
 #include "tensor/dense_tensor.h"
@@ -315,6 +316,24 @@ TEST(CsfEdgeCases, MutationDetachesIndex) {
   ASSERT_TRUE(after.ok() && after_coo.ok());
   ExpectBitIdentical(*after, *after_coo);
   EXPECT_NE((*before)(0, 0), (*after)(0, 0));
+}
+
+// The CSF kernels have no COO fallback: an unsorted tensor is
+// InvalidArgument, and its coalesced copy runs.
+TEST(CsfEdgeCases, UnsortedTensorIsInvalidArgument) {
+  SparseTensor x(std::vector<std::uint64_t>{3, 4});
+  x.AppendEntry({2, 1}, 1.0);
+  x.AppendEntry({0, 3}, 2.0);
+  ASSERT_FALSE(x.IsSorted());
+  const linalg::Matrix u(3, 2);
+  auto product = SparseModeProduct(x, u, 0, /*transpose_u=*/true);
+  ASSERT_FALSE(product.ok());
+  EXPECT_EQ(product.status().code(), StatusCode::kInvalidArgument);
+  auto gram = ModeGram(x, 0);
+  ASSERT_FALSE(gram.ok());
+  EXPECT_EQ(gram.status().code(), StatusCode::kInvalidArgument);
+  x.SortAndCoalesce();
+  EXPECT_TRUE(SparseModeProduct(x, u, 0, /*transpose_u=*/true).ok());
 }
 
 // Matricization columns past 2^64 would wrap: on {2, 2^32, 2^32, 2} the

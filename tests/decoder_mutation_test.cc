@@ -1,6 +1,7 @@
 // Seeded, deterministic mutation sweep over every decoder of the process
 // backend's task vocabulary (ctest -L distributed): the dm2td_tasks::Decode*
-// record codecs and DecodeTaskFrame. Each starts from a small valid blob and
+// record codecs, DecodeTaskFrame and LoadJobConfig. Each starts from a
+// small valid blob and
 // decodes every proper prefix, every single-byte flip and every count
 // prefix rewritten to 0, 1, 2^32 and 2^64 - 1. Every input must come back
 // as a Status — never a throw, never an allocation sized by a hostile
@@ -9,9 +10,14 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -109,6 +115,47 @@ Decoder TaskFrameDecoder() {
           StatusOf(tasks::DecodeTaskFrame)};
 }
 
+tasks::DistJobConfig JobConfig() {
+  tasks::DistJobConfig config;
+  config.full_shape = {3, 4, 5, 6};
+  config.shape1 = {3, 4, 5};
+  config.shape2 = {3, 6};
+  config.pivot_modes = {0};
+  config.side1_modes = {1, 2};
+  config.side2_modes = {3};
+  config.shards = 8;
+  config.zero_join = true;
+  return config;
+}
+
+/// The job config is a text file: its decoder writes the bytes to a
+/// scratch file, loads it and removes it.
+Decoder JobConfigDecoder() {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("m2td_decoder_mutation_" + std::to_string(::getpid()) + ".m2td"))
+          .string();
+  EXPECT_TRUE(tasks::SaveJobConfig(path, JobConfig()).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string blob((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  return {"job config", blob, {}, [path](const std::string& bytes) {
+            {
+              std::ofstream out(path, std::ios::binary | std::ios::trunc);
+              out << bytes;
+            }
+            const Status status = tasks::LoadJobConfig(path).status();
+            std::filesystem::remove(path);
+            return status;
+          }};
+}
+
+/// The decoders whose mutations are only required to come back as a
+/// Status: a text prefix or flip can still spell a valid blob.
+std::vector<Decoder> TextDecoders() {
+  return {TaskFrameDecoder(), JobConfigDecoder()};
+}
+
 /// Decodes `bytes` with `decoder`, failing the test on a throw.
 Status Decode(const Decoder& decoder, const std::string& bytes,
               const std::string& what) {
@@ -120,7 +167,7 @@ Status Decode(const Decoder& decoder, const std::string& bytes,
 
 TEST(DecoderMutationTest, ValidBlobsDecode) {
   std::vector<Decoder> decoders = BinaryDecoders();
-  decoders.push_back(TaskFrameDecoder());
+  for (Decoder& decoder : TextDecoders()) decoders.push_back(decoder);
   for (const Decoder& decoder : decoders) {
     const Status status = Decode(decoder, decoder.blob, "valid blob");
     EXPECT_TRUE(status.ok()) << decoder.name << ": " << status;
@@ -137,16 +184,17 @@ TEST(DecoderMutationTest, EveryProperPrefixIsAStatus) {
           << decoder.name << ": " << what << ": " << status;
     }
   }
-  const Decoder frame = TaskFrameDecoder();
-  for (std::size_t size = 0; size < frame.blob.size(); ++size) {
-    Decode(frame, frame.blob.substr(0, size),
-           std::to_string(size) + "-byte prefix");
+  for (const Decoder& decoder : TextDecoders()) {
+    for (std::size_t size = 0; size < decoder.blob.size(); ++size) {
+      Decode(decoder, decoder.blob.substr(0, size),
+             std::to_string(size) + "-byte prefix");
+    }
   }
 }
 
 TEST(DecoderMutationTest, EverySingleByteFlipIsAStatus) {
   std::vector<Decoder> decoders = BinaryDecoders();
-  decoders.push_back(TaskFrameDecoder());
+  for (Decoder& decoder : TextDecoders()) decoders.push_back(decoder);
   Rng rng(20261020);
   for (const Decoder& decoder : decoders) {
     for (std::size_t pos = 0; pos < decoder.blob.size(); ++pos) {
@@ -190,6 +238,34 @@ TEST(DecoderMutationTest, RewrittenCountPrefixesAreAStatus) {
           std::string("task 0 p2red ") + count + " 3",
           std::string("task 0 p2red 5 ") + count}) {
       Decode(frame, bytes, bytes);
+    }
+  }
+  // Each list count of the job config, rewritten. A count past the
+  // values the file holds must fail, without sizing anything by it.
+  const Decoder job = JobConfigDecoder();
+  const tasks::DistJobConfig config = JobConfig();
+  const std::pair<const char*, std::size_t> lists[] = {
+      {"full_shape", config.full_shape.size()},
+      {"shape1", config.shape1.size()},
+      {"shape2", config.shape2.size()},
+      {"pivot_modes", config.pivot_modes.size()},
+      {"side1_modes", config.side1_modes.size()},
+      {"side2_modes", config.side2_modes.size()}};
+  for (const auto& [label, size] : lists) {
+    const std::string field = std::string("\n") + label + " " +
+                              std::to_string(size) + " ";
+    const std::size_t at = job.blob.find(field);
+    ASSERT_NE(at, std::string::npos) << label;
+    for (const char* count : {"0", "1", "4294967296", "18446744073709551615"}) {
+      std::string bytes = job.blob;
+      bytes.replace(at, field.size(),
+                    std::string("\n") + label + " " + count + " ");
+      const std::string what = std::string(label) + " count " + count;
+      const Status status = Decode(job, bytes, what);
+      if (std::to_string(size) != count) {
+        EXPECT_EQ(status.code(), StatusCode::kIOError)
+            << what << ": " << status;
+      }
     }
   }
 }

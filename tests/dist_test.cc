@@ -713,9 +713,11 @@ TEST_F(DistTest, PivotBodyIsShardAndWorkerInvariant) {
       auto input = internal::ConcatSlices(std::move(slices));
       EXPECT_TRUE(input.ok()) << input.status();
       std::vector<internal::PartialCore> parts;
-      EXPECT_TRUE(
-          internal::ReducePivotGroups(*builder, geometry, *input, &parts)
-              .ok());
+      EXPECT_TRUE(internal::ReducePivotGroups(
+                      *builder, geometry, input->x1,
+                      internal::AllRows(input->x1), input->x2,
+                      internal::AllRows(input->x2), &parts)
+                      .ok());
       return parts;
     };
     auto sum = [&](std::vector<internal::PartialCore> parts,
@@ -760,8 +762,9 @@ TEST_F(DistTest, PivotBodyIsShardAndWorkerInvariant) {
           geometry, result->tucker.factors, zero_join, cand1, cand2);
       ASSERT_TRUE(own.ok()) << own.status();
       std::vector<internal::PartialCore> parts;
-      ASSERT_TRUE(internal::ReducePivotGroups(*own, geometry,
-                                              {subs.x1, subs.x2}, &parts)
+      ASSERT_TRUE(internal::ReducePivotGroups(
+                      *own, geometry, subs.x1, internal::AllRows(subs.x1),
+                      subs.x2, internal::AllRows(subs.x2), &parts)
                       .ok());
       std::uint64_t nnz = 0;
       auto core = internal::SumPartialCores(&parts, result->tucker.factors,
@@ -1113,6 +1116,85 @@ TEST_F(DistTest, WorkerAndShardSweepIsBitIdentical) {
   }
 }
 
+// The thread backend's phase 2 splits the pivot-key space into one
+// contiguous range per worker and finds each range's rows by binary
+// search. Ranges that hold no pivot, pivots with cells on one side only,
+// and one pivot group holding every cell must all give the process
+// backend's bits and record counts.
+TEST_F(DistTest, ThreadPivotRangesMatchProcessBackend) {
+  core::PfPartition partition;
+  partition.pivot_modes = {1};
+  partition.side1_modes = {0};
+  partition.side2_modes = {2, 3};
+  const std::vector<std::uint64_t> full_shape = {5, 6, 3, 4};
+  Rng rng(29);
+  // Pivot 4 has x2 cells only and pivot 2 x1 cells only.
+  core::SubEnsembles ragged;
+  ragged.x1 = tensor::SparseTensor({6, 5});
+  ragged.x2 = tensor::SparseTensor({6, 3, 4});
+  for (std::uint32_t p = 0; p < 6; ++p) {
+    for (std::uint32_t a = 0; a < 5; ++a) {
+      if (p != 4 && rng.UniformDouble() < 0.7) {
+        ragged.x1.AppendEntry({p, a}, rng.Gaussian());
+      }
+    }
+    for (std::uint32_t b = 0; b < 12; ++b) {
+      if (p != 2 && rng.UniformDouble() < 0.6) {
+        ragged.x2.AppendEntry({p, b / 4, b % 4}, rng.Gaussian());
+      }
+    }
+  }
+  // Every cell of both sides at pivot 3.
+  core::SubEnsembles single;
+  single.x1 = tensor::SparseTensor({6, 5});
+  single.x2 = tensor::SparseTensor({6, 3, 4});
+  for (std::uint32_t a = 0; a < 5; ++a) {
+    single.x1.AppendEntry({3, a}, rng.Gaussian());
+  }
+  for (std::uint32_t b = 0; b < 12; ++b) {
+    single.x2.AppendEntry({3, b / 4, b % 4}, rng.Gaussian());
+  }
+  for (core::SubEnsembles* subs : {&ragged, &single}) {
+    subs->x1.SortAndCoalesce();
+    subs->x2.SortAndCoalesce();
+  }
+
+  int run = 0;
+  for (const core::SubEnsembles* subs : {&ragged, &single}) {
+    for (bool zero_join : {false, true}) {
+      const std::string label = std::string(subs == &ragged ? "ragged"
+                                                            : "single") +
+                                (zero_join ? " zero-join" : " join");
+      SCOPED_TRACE(label);
+      core::DM2tdOptions options;
+      options.ranks = {2, 3, 2, 2};
+      options.stitch.zero_join = zero_join;
+      options.backend = core::DistBackend::kProcess;
+      options.process.worker_binary = M2TD_WORKER_BIN;
+      options.num_workers = 2;
+      options.num_shards = 8;
+      options.process.job_dir = Path("job" + std::to_string(run++));
+      auto process_result =
+          core::DM2tdDecompose(*subs, partition, full_shape, options);
+      ASSERT_TRUE(process_result.ok()) << process_result.status();
+      EXPECT_GT(process_result->join_nnz, 0u);
+
+      options.backend = core::DistBackend::kThread;
+      for (int workers : {1, 2, 3, 64}) {
+        options.num_workers = workers;
+        auto thread_result =
+            core::DM2tdDecompose(*subs, partition, full_shape, options);
+        ASSERT_TRUE(thread_result.ok()) << thread_result.status();
+        const std::string run_label =
+            label + " workers=" + std::to_string(workers);
+        SCOPED_TRACE(run_label);
+        ExpectBitIdentical(*thread_result, *process_result);
+        ExpectSameRecordCounts(*thread_result, *process_result, run_label);
+      }
+    }
+  }
+}
+
 // Worker shutdown must not wait out a heartbeat period: with a period
 // longer than the coordinator's 5 s drain budget, a sleeping heartbeat
 // thread would get the worker SIGKILLed before it exports its metrics.
@@ -1233,6 +1315,22 @@ TEST_F(DistTest, WorkerWithoutConnectIsBadInvocation) {
   const pid_t pid = StartWorker({"--job_dir=" + root_.string()});
   ASSERT_GT(pid, 0);
   EXPECT_EQ(ExitCodeOf(pid), tasks::kWorkerExitBadInvocation);
+}
+
+TEST_F(DistTest, HostileJobConfigCountExitsWorkerBadJob) {
+  // A list count no file can back must fail the config load with the
+  // bad-job exit, not abort the worker on a count-sized allocation. The
+  // worker loads its config before it dials, so nothing listens here.
+  ASSERT_TRUE(io::ShuffleStore::Create(Path("")).ok());
+  {
+    std::ofstream out(Path("job.m2td"));
+    out << "m2td-dist-job 1\nfull_shape 18446744073709551615 4 4\n";
+  }
+  const pid_t pid =
+      StartWorker({"--job_dir=" + root_.string(), "--worker_id=0",
+                   "--connect=127.0.0.1:9"});
+  ASSERT_GT(pid, 0);
+  EXPECT_EQ(ExitCodeOf(pid), tasks::kWorkerExitBadJob);
 }
 
 TEST_F(DistTest, WorkersThatDieBeforeAttachingFailTheRunAtOnce) {

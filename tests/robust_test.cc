@@ -32,12 +32,12 @@
 #include "robust/cancel.h"
 #include "robust/checkpoint.h"
 #include "robust/crc32.h"
-#include "robust/durable.h"
 #include "robust/failpoint.h"
 #include "robust/retry.h"
 #include "robust/watchdog.h"
 #include "same_tensor.h"
 #include "tensor/tucker.h"
+#include "util/atomic_file.h"
 #include "util/random.h"
 
 namespace m2td {
@@ -287,19 +287,19 @@ TEST_F(RobustTest, Crc32MatchesBitwiseReferenceUnalignedAndChained) {
 
 TEST_F(RobustTest, AtomicWriteFileCleansUpOnWriterFailure) {
   const std::string path = Path("f.txt");
-  const Status failed = robust::AtomicWriteFile(
+  const Status failed = util::AtomicWriteFile(
       path, [](const std::string&) { return Status::IOError("nope"); });
   EXPECT_FALSE(failed.ok());
   EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_FALSE(std::filesystem::exists(robust::TempPathFor(path)));
+  EXPECT_FALSE(std::filesystem::exists(util::TempPathFor(path)));
 
-  ASSERT_TRUE(robust::AtomicWriteFile(path, [](const std::string& tmp) {
+  ASSERT_TRUE(util::AtomicWriteFile(path, [](const std::string& tmp) {
                 std::ofstream out(tmp);
                 out << "payload";
                 return out ? Status::OK() : Status::IOError("write");
               }).ok());
   EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_FALSE(std::filesystem::exists(robust::TempPathFor(path)));
+  EXPECT_FALSE(std::filesystem::exists(util::TempPathFor(path)));
 }
 
 // ----------------------------------------------------------- shuffle store
@@ -473,8 +473,10 @@ std::unique_ptr<ensemble::DynamicalSystemModel> PendulumModel(
   return std::move(model).ValueOrDie();
 }
 
-/// Runs DM2TD under an armed mapreduce.map_task failpoint and asserts the
-/// result equals the clean run's bit-for-bit (task replays are pure).
+/// Runs DM2TD under an armed mapreduce.reduce_task failpoint and asserts
+/// the result equals the clean run's bit-for-bit (task replays are pure).
+/// D-M2TD runs two phase-1 tasks (one per sub-tensor), then three phase-2
+/// tasks here.
 void ExpectDm2tdSurvivesInjection(const std::string& failpoint_spec,
                                   int max_retries) {
   auto model = PendulumModel(4);
@@ -510,17 +512,18 @@ void ExpectDm2tdSurvivesInjection(const std::string& failpoint_spec,
   }
 }
 
-TEST_F(RobustTest, Dm2tdHealsDeterministicMapTaskFailures) {
-  ExpectDm2tdSurvivesInjection("mapreduce.map_task:times=2",
+TEST_F(RobustTest, Dm2tdHealsPhase2TaskFailures) {
+  // The two phase-1 tasks pass; the first phase-2 task fails twice.
+  ExpectDm2tdSurvivesInjection("mapreduce.reduce_task:after=2,times=2",
                                /*max_retries=*/3);
 }
 
-TEST_F(RobustTest, Dm2tdHealsProbabilisticMapTaskFailures) {
+TEST_F(RobustTest, Dm2tdHealsProbabilisticTaskFailures) {
   // prob=0.2 per eligible hit; generous retries keep the chance of a task
   // exhausting all attempts (0.2^9 per chain) out of flake territory.
-  // D-M2TD runs two jobs of three map tasks here; seed 13 fires on the
-  // first two draws, so one task fails twice before it heals.
-  ExpectDm2tdSurvivesInjection("mapreduce.map_task:prob=0.2,seed=13",
+  // Seed 13 fires on the first two draws, so one task fails twice before
+  // it heals.
+  ExpectDm2tdSurvivesInjection("mapreduce.reduce_task:prob=0.2,seed=13",
                                /*max_retries=*/8);
 }
 
@@ -536,7 +539,7 @@ TEST_F(RobustTest, Dm2tdWithoutRetriesStillFailsCleanly) {
   auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
   ASSERT_TRUE(subs.ok());
   ASSERT_TRUE(
-      robust::ArmFailpointsFromString("mapreduce.map_task:times=1").ok());
+      robust::ArmFailpointsFromString("mapreduce.reduce_task:times=1").ok());
   core::DM2tdOptions options;
   options.ranks = std::vector<std::uint64_t>(5, 2);
   auto result = core::DM2tdDecompose(*subs, *partition,

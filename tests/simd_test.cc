@@ -20,6 +20,7 @@
 #include "linalg/simd.h"
 #include "obs/metrics.h"
 #include "oracles/mode_gram_coo.h"
+#include "oracles/sparse_mode_product_coo.h"
 #include "oracles/symmetric_eigen_reference.h"
 #include "parallel/thread_pool.h"
 #include "tensor/dense_tensor.h"

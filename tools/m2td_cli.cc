@@ -801,7 +801,7 @@ void PrintTopLevelUsage() {
       "                        times (capped exponential backoff)\n"
       "  --fail_point=<spec>   arm a fault-injection point, e.g.\n"
       "                        shuffle_store.read_blob:times=1 or\n"
-      "                        mapreduce.map_task:prob=0.2,seed=7;\n"
+      "                        mapreduce.reduce_task:prob=0.2,seed=7;\n"
       "                        repeatable, ';'-separated; the\n"
       "                        M2TD_FAILPOINTS env var is also honored\n"
       "  --checkpoint_dir=<d>  journal simulate progress under d (resumable)\n"
